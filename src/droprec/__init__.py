@@ -21,7 +21,6 @@ from .corpus import (
     split_corpus,
 )
 from .embeddings import (
-    ContextVector,
     EmbeddingError,
     EmbeddingTable,
     context_embedding,
@@ -35,14 +34,7 @@ from .evaluate import (
     evaluate_dpi,
     paired_significance,
 )
-from .hypotheses import (
-    DpgInstance,
-    DpiInstance,
-    DroppedHypothesis,
-    build_dpg_instances,
-    build_dpi_instances,
-    enumerate_hypotheses,
-)
+from .hypotheses import Instance, build_dpg_instances, build_dpi_instances
 from .mlp import (
     Hyperparams,
     MlpModel,

@@ -12,10 +12,13 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluate as ev
-from . import pipeline, synth
+from . import mlp, pipeline, synth
 from .corpus import Corpus, CorpusError, load_corpus, save_corpus, split_corpus
 from .embeddings import EmbeddingError, deterministic_fallback_table, load_embeddings
+from .hypotheses import build_dpg_instances
 from .mlp import Hyperparams, ModelFormatError, NumericError
 
 EXIT_OK = 0
@@ -51,6 +54,13 @@ def _unit_interval(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return value
+
+
+def _open_unit_interval(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
     return value
 
 
@@ -128,7 +138,7 @@ def _build_parser() -> _Parser:
         help="train linear baseline vs MLP generators and test significance",
     )
     _add_train_flags(cmp_)
-    cmp_.add_argument("--alpha", type=_positive_float, default=0.05,
+    cmp_.add_argument("--alpha", type=_open_unit_interval, default=0.05,
                       help="significance level for the paired t-test")
     cmp_.set_defaults(func=cmd_compare)
     return parser
@@ -256,24 +266,21 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from . import hypotheses
-    from . import mlp as net
-
     train, dev = _load_train_dev(args)
     table = _load_table(args, [train, dev])
-    train_inst = hypotheses.build_dpg_instances(train, table, args.window)
-    dev_inst = hypotheses.build_dpg_instances(dev, table, args.window)
+    train_inst = build_dpg_instances(train, table, args.window)
+    dev_inst = build_dpg_instances(dev, table, args.window)
     if not train_inst or not dev_inst:
         raise CorpusError("compare needs dropped-pronoun annotations in train and dev")
+    dev_features = np.stack([inst.feature for inst in dev_inst])
+    dev_labels = np.array([inst.label for inst in dev_inst])
 
     results = {}
     for name, layers in (("linear", 1), ("mlp", args.layers)):
         hp = _hyperparams(args, table.dim, layer_count=layers)
-        model = net.build_model(hp.input_dim, len(train.label_set), hp)
-        net.train(model, [(i.feature.values, i.label) for i in train_inst], hp)
-        scores = [
-            float(net.predict(model, i.feature.values)[0] == i.label) for i in dev_inst
-        ]
+        model = mlp.build_model(hp.input_dim, len(train.label_set), hp)
+        mlp.train(model, train_inst, hp)
+        scores = (mlp.predict(model, dev_features)[0] == dev_labels).astype(float).tolist()
         results[name] = scores
         print(f"{name} (layers={layers}): dev generation acc "
               f"{sum(scores) / len(scores):.4f} over {len(scores)} items")

@@ -120,12 +120,6 @@ class AnnotatedSentence:
             if tag not in LABEL_BY_TAG:
                 raise CorpusError(f"unknown pronoun tag {tag!r}")
 
-    def annotation_at(self, gap_index: int) -> str | None:
-        for gap, tag in self.annotations:
-            if gap == gap_index:
-                return tag
-        return None
-
 
 @dataclass(frozen=True)
 class Corpus:
@@ -161,7 +155,6 @@ def _parse_sentence(obj, line_no: int, label_set: LabelSet) -> AnnotatedSentence
     if not isinstance(raw_annos, list):
         raise CorpusError(f"line {line_no}: 'annotations' must be a list")
     annos = []
-    seen_gaps = set()
     for item in raw_annos:
         if (
             not isinstance(item, list)
@@ -171,22 +164,17 @@ def _parse_sentence(obj, line_no: int, label_set: LabelSet) -> AnnotatedSentence
             or not isinstance(item[1], str)
         ):
             raise CorpusError(f"line {line_no}: annotation must be a [gap_index, tag] pair")
-        gap, tag = item
-        if not 0 <= gap <= len(tokens):
-            raise CorpusError(
-                f"line {line_no}: gap index {gap} out of range [0, {len(tokens)}]"
-            )
-        if gap in seen_gaps:
-            raise CorpusError(f"line {line_no}: duplicate annotation at gap {gap}")
-        seen_gaps.add(gap)
-        if tag not in LABEL_BY_TAG:
-            raise CorpusError(f"line {line_no}: unknown pronoun tag {tag!r}")
+        annos.append((item[0], item[1]))
+    try:
+        sentence = AnnotatedSentence(tuple(tokens), tuple(annos))
+    except CorpusError as exc:
+        raise CorpusError(f"line {line_no}: {exc}") from None
+    for _, tag in annos:
         if tag not in label_set:
             raise CorpusError(
                 f"line {line_no}: tag {tag!r} not allowed by label set {label_set.name!r}"
             )
-        annos.append((gap, tag))
-    return AnnotatedSentence(tuple(tokens), tuple(annos))
+    return sentence
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -196,9 +184,12 @@ def load_corpus(path: str | Path) -> Corpus:
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        text = fh.read()
+    if not text:
         raise CorpusError(f"{path}: empty file (missing header line)")
+    # Only "\n" ends a record: json.dumps(..., ensure_ascii=False) writes
+    # U+2028 and the other str.splitlines() breaks raw inside strings.
+    lines = text.split("\n")
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:

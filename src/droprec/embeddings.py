@@ -1,15 +1,16 @@
-"""Word-embedding tables and context-embedding construction around gaps.
+"""Word-embedding tables and the gap-feature matrix of a sentence.
 
 Tables load from the word2vec text format (header ``"vocab_size dim"``,
-then one ``"word v1 ... vD"`` line per word).  Out-of-vocabulary lookups
-return the zero vector, and positions beyond sentence boundaries contribute
-zero padding, so a context embedding always has length 2 * window * dim.
+then one ``"word v1 ... vD"`` line per word).  A table is one
+``(V + 1, D)`` float64 matrix whose row 0 is the zero vector, plus a
+``word -> row`` dict; out-of-vocabulary words and positions beyond the
+sentence boundaries both read row 0, so every gap's features have length
+2 * window * dim.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,58 +25,69 @@ class EmbeddingError(ValueError):
     """Malformed embedding file or incompatible dimensions."""
 
 
-@dataclass(frozen=True)
-class ContextVector:
-    """Concatenated window embeddings around one gap; length 2 * window * dim."""
-
-    values: np.ndarray
-    window: int
-    gap_index: int
-
-
 class EmbeddingTable:
     """Immutable word -> float64 vector map with a zero unknown-word vector.
 
-    `source` describes how the table was built (word2vec file or fallback
-    generator) so a serialized model can name the table it was trained with.
+    `matrix` has shape (V + 1, dim): row 0 is all zeros and stands for
+    unknown words and padding, and `rows` maps each of the V words to its
+    row.  `source` describes how the table was built (word2vec file or
+    fallback generator) so a serialized model can name the table it was
+    trained with.
     """
 
     def __init__(
         self,
-        dim: int,
-        vectors: dict[str, np.ndarray],
+        matrix: np.ndarray,
+        rows: dict[str, int],
         source: dict | None = None,
         duplicates_skipped: int = 0,
     ):
-        if dim < 1:
-            raise EmbeddingError(f"embedding dim must be >= 1, got {dim}")
-        for word, vec in vectors.items():
-            if vec.shape != (dim,):
-                raise EmbeddingError(
-                    f"vector for {word!r} has length {vec.shape[0]}, expected {dim}"
-                )
-        self.dim = dim
-        self._vectors = vectors
-        self.unk_vector = np.zeros(dim)
-        self.source = source or {"kind": "inline", "dim": dim}
+        if matrix.ndim != 2 or matrix.shape[1] < 1:
+            raise EmbeddingError(f"embedding matrix must be (V + 1, dim >= 1), got {matrix.shape}")
+        if matrix.shape[0] != len(rows) + 1 or matrix[0].any():
+            raise EmbeddingError(
+                f"embedding matrix needs a zero row 0 plus one row per word ({len(rows)})"
+            )
+        self.matrix = matrix
+        self.rows = rows
+        self.dim = matrix.shape[1]
+        self.source = source or {"kind": "inline", "dim": self.dim}
         self.duplicates_skipped = duplicates_skipped
 
+    @classmethod
+    def from_vectors(
+        cls, dim: int, vectors: dict[str, np.ndarray], source: dict | None = None
+    ) -> EmbeddingTable:
+        """Table over `vectors`, whose rows follow the dict's order."""
+        if dim < 1:
+            raise EmbeddingError(f"embedding dim must be >= 1, got {dim}")
+        matrix = np.zeros((len(vectors) + 1, dim))
+        for row, (word, vec) in enumerate(vectors.items(), start=1):
+            if np.shape(vec) != (dim,):
+                raise EmbeddingError(
+                    f"vector for {word!r} has shape {np.shape(vec)}, expected ({dim},)"
+                )
+            matrix[row] = vec
+        return cls(matrix, {word: row for row, word in enumerate(vectors, start=1)}, source)
+
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self.rows)
 
     def __contains__(self, word: str) -> bool:
-        return word in self._vectors
+        return word in self.rows
 
     def lookup(self, word: str) -> np.ndarray:
         """Vector for `word`, or the zero unk vector when absent."""
-        return self._vectors.get(word, self.unk_vector)
-
-    def words(self) -> list[str]:
-        return list(self._vectors)
+        return self.matrix[self.rows.get(word, 0)]
 
 
 def load_embeddings(path: str | Path, expected_dim: int | None = None) -> EmbeddingTable:
-    """Load a word2vec text file; duplicates keep the first occurrence."""
+    """Load a word2vec text file; duplicates keep the first occurrence.
+
+    Rows are written in place into a matrix sized from the header (capped
+    by what the file's size can hold), grown only if the file has more
+    distinct words than the header declares.
+    """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -91,7 +103,11 @@ def load_embeddings(path: str | Path, expected_dim: int | None = None) -> Embedd
             raise EmbeddingError(
                 f"{path}: file dimension {dim} conflicts with expected {expected_dim}"
             )
-        vectors: dict[str, np.ndarray] = {}
+        # A word line takes at least 2 * dim + 2 bytes ("w", dim times " x",
+        # "\n"), so the file size caps the rows a header can ask for.
+        capacity = max(1, min(vocab_size, path.stat().st_size // (2 * dim + 2)))
+        matrix = None  # allocated once a word line has shown `dim` to be real
+        rows: dict[str, int] = {}
         duplicates = 0
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
@@ -103,24 +119,38 @@ def load_embeddings(path: str | Path, expected_dim: int | None = None) -> Embedd
                     f"{path} line {line_no}: expected {dim} components, got {len(comps)}"
                 )
             try:
-                vec = np.array([float(c) for c in comps])
+                vec = [float(c) for c in comps]
             except ValueError:
                 raise EmbeddingError(
                     f"{path} line {line_no}: non-numeric vector component"
                 ) from None
-            if word in vectors:
+            if word in rows:
                 duplicates += 1
                 continue
-            vectors[word] = vec
+            row = len(rows) + 1
+            if matrix is None:
+                matrix = np.zeros((capacity + 1, dim))
+            elif row == len(matrix):
+                matrix = np.concatenate([matrix, np.zeros_like(matrix)])
+            matrix[row] = vec
+            rows[word] = row
+    if matrix is None:
+        matrix = np.zeros((1, dim))
+    elif len(matrix) > len(rows) + 1:
+        matrix = matrix[: len(rows) + 1].copy()
+    if not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):  # no full-size temporary
+        bad = int(np.argmin(np.isfinite(matrix).all(axis=1)))
+        word = next(w for w, row in rows.items() if row == bad)
+        raise EmbeddingError(f"{path}: non-finite vector component for word {word!r}")
     if duplicates:
         log.warning("%s: skipped %d duplicate word(s), kept first occurrence", path, duplicates)
-    if len(vectors) != vocab_size:
+    if len(rows) != vocab_size:
         log.warning(
-            "%s: header declares %d words, file has %d distinct", path, vocab_size, len(vectors)
+            "%s: header declares %d words, file has %d distinct", path, vocab_size, len(rows)
         )
     return EmbeddingTable(
-        dim,
-        vectors,
+        matrix,
+        rows,
         source={"kind": "word2vec", "path": str(path), "dim": dim},
         duplicates_skipped=duplicates,
     )
@@ -142,10 +172,8 @@ def deterministic_fallback_table(vocab: list[str], dim: int, seed: int) -> Embed
     if dim < 1:
         raise EmbeddingError(f"embedding dim must be >= 1, got {dim}")
     vectors = {word: fallback_vector(word, dim, seed) for word in vocab}
-    return EmbeddingTable(
-        dim,
-        vectors,
-        source={"kind": "fallback", "dim": dim, "seed": seed, "vocab": list(vocab)},
+    return EmbeddingTable.from_vectors(
+        dim, vectors, {"kind": "fallback", "dim": dim, "seed": seed, "vocab": list(vocab)}
     )
 
 
@@ -160,27 +188,21 @@ def table_from_source(source: dict) -> EmbeddingTable:
 
 
 def context_embedding(
-    sentence: AnnotatedSentence,
-    gap_index: int,
-    window: int,
-    table: EmbeddingTable,
-) -> ContextVector:
-    """Concatenate the window of embeddings around a gap.
+    sentence: AnnotatedSentence, window: int, table: EmbeddingTable
+) -> np.ndarray:
+    """Features of every candidate gap of a sentence, one row per gap.
 
-    Layout: the `window` tokens left of the gap in sentence order (nearest
-    token last), then the `window` tokens right of it (nearest first).
-    Positions past either boundary contribute zero vectors, so the result
-    always has length 2 * window * dim.
+    Returns an (n + 1, 2 * window * dim) matrix for a sentence of n
+    tokens; row g is gap g.  Row layout: the `window` tokens left of the
+    gap in sentence order (nearest token last), then the `window` tokens
+    right of it (nearest first).  Positions past either boundary read the
+    zero row, so every row has length 2 * window * dim.
     """
-    n = len(sentence.tokens)
-    if not 0 <= gap_index <= n:
-        raise ValueError(f"gap index {gap_index} out of range [0, {n}]")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    parts = []
-    for i in range(gap_index - window, gap_index + window):
-        if 0 <= i < n:
-            parts.append(table.lookup(sentence.tokens[i]))
-        else:
-            parts.append(table.unk_vector)
-    return ContextVector(np.concatenate(parts), window, gap_index)
+    n = len(sentence.tokens)
+    ids = np.zeros(n + 2 * window, dtype=np.intp)
+    ids[window : window + n] = [table.rows.get(tok, 0) for tok in sentence.tokens]
+    # Gap g reads the padded positions g .. g + 2 * window - 1.
+    windows = np.arange(n + 1)[:, None] + np.arange(2 * window)
+    return table.matrix[ids[windows]].reshape(n + 1, -1)

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mlp
 from .corpus import Corpus
 from .embeddings import EmbeddingTable, context_embedding
-from .pipeline import RecoveryModel, dpi_gap_probability
+from .hypotheses import gap_labels
+from .pipeline import RecoveryModel, predict_dpg, predict_dpi
 
 NONE_CLASS = "<none>"
 
@@ -68,8 +68,7 @@ def report_from_pairs(
         raise ValueError("cannot evaluate zero instances")
     k = len(class_names)
     confusion = np.zeros((k, k), dtype=np.int64)
-    for g, p in zip(gold, pred):
-        confusion[g, p] += 1
+    np.add.at(confusion, (np.asarray(gold, dtype=np.intp), np.asarray(pred, dtype=np.intp)), 1)
     n = len(gold)
     accuracy = float(np.trace(confusion)) / n
     per_class = {}
@@ -89,23 +88,12 @@ def evaluate_dpi(model: RecoveryModel, corpus: Corpus, table: EmbeddingTable) ->
     gold: list[int] = []
     pred: list[int] = []
     for sent in corpus.sentences:
-        annotated = {gap for gap, _ in sent.annotations}
-        for gap in range(len(sent.tokens) + 1):
-            p = dpi_gap_probability(model.dpi, sent, gap, model.window, table)
-            gold.append(int(gap in annotated))
-            pred.append(int(p >= model.threshold))
+        gold.extend(gap_labels(sent).tolist())
+        pred.extend(predict_dpi(model, context_embedding(sent, model.window, table)).tolist())
     return report_from_pairs(
         gold, pred, DPI_CLASS_NAMES,
         scoring=f"one instance per candidate gap; threshold {model.threshold}",
     )
-
-
-def _dpg_predict_index(
-    model: RecoveryModel, sent, gap: int, table: EmbeddingTable
-) -> int:
-    ctx = context_embedding(sent, gap, model.window, table)
-    idx, _ = mlp.predict(model.dpg, ctx.values)
-    return idx
 
 
 def evaluate_dpg(
@@ -120,34 +108,25 @@ def evaluate_dpg(
             f"model={model.label_set.name!r}"
         )
     labels = model.label_set.labels
-    if positions == "gold":
-        gold: list[int] = []
-        pred: list[int] = []
-        for sent in corpus.sentences:
-            for gap, tag in sent.annotations:
-                gold.append(model.label_set.index_of(tag))
-                pred.append(_dpg_predict_index(model, sent, gap, table))
-        return report_from_pairs(gold, pred, labels, scoring=GOLD_SCORING)
-
     none_idx = len(labels)
-    class_names = labels + (NONE_CLASS,)
-    gold, pred = [], []
+    gold: list[int] = []
+    pred: list[int] = []
     for sent in corpus.sentences:
-        gold_map = {gap: tag for gap, tag in sent.annotations}
-        detected = {
-            gap
-            for gap in range(len(sent.tokens) + 1)
-            if dpi_gap_probability(model.dpi, sent, gap, model.window, table)
-            >= model.threshold
-        }
-        for gap in sorted(set(gold_map) | detected):
-            gold.append(
-                model.label_set.index_of(gold_map[gap]) if gap in gold_map else none_idx
-            )
-            pred.append(
-                _dpg_predict_index(model, sent, gap, table) if gap in detected else none_idx
-            )
-    return report_from_pairs(gold, pred, class_names, scoring=PREDICTED_SCORING)
+        features = context_embedding(sent, model.window, table)
+        gold_row = np.full(len(features), none_idx)
+        for gap, tag in sent.annotations:
+            gold_row[gap] = model.label_set.index_of(tag)
+        annotated = gold_row != none_idx
+        detected = annotated if positions == "gold" else predict_dpi(model, features)
+        pred_row = np.full(len(features), none_idx)
+        if detected.any():
+            pred_row[detected] = predict_dpg(model, features[detected])[0]
+        scored = annotated | detected
+        gold.extend(gold_row[scored].tolist())
+        pred.extend(pred_row[scored].tolist())
+    if positions == "gold":
+        return report_from_pairs(gold, pred, labels, scoring=GOLD_SCORING)
+    return report_from_pairs(gold, pred, labels + (NONE_CLASS,), scoring=PREDICTED_SCORING)
 
 
 # --- significance ---------------------------------------------------------

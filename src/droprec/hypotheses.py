@@ -1,18 +1,21 @@
-"""Candidate gap enumeration and training-instance construction.
+"""Candidate gap labels and training-instance construction.
 
 Every position between adjacent tokens, plus the sentence start and end,
-is a candidate gap: a sentence of n tokens yields n + 1 of them.  Gap
-detection trains on binary instances (one positive per annotation, a
-seeded sample of the unannotated gaps as negatives); pronoun generation
-trains on one multi-class instance per annotated gap.
+is a candidate gap: a sentence of n tokens yields n + 1 of them, the rows
+of its `context_embedding` matrix.  Gap detection trains on binary
+instances (one positive per annotation, a seeded sample of the
+unannotated gaps as negatives); pronoun generation trains on one
+multi-class instance per annotated gap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .corpus import Corpus, AnnotatedSentence
-from .embeddings import ContextVector, EmbeddingTable, context_embedding
+import numpy as np
+
+from .corpus import AnnotatedSentence, Corpus
+from .embeddings import EmbeddingTable, context_embedding
 from .rng import SplitMix64
 
 # Binary class indices for gap detection.
@@ -20,47 +23,18 @@ NOT_DROPPED = 0
 DROPPED = 1
 
 
-@dataclass(frozen=True)
-class DroppedHypothesis:
-    """One candidate gap in a sentence, optionally carrying its feature."""
+class Instance(NamedTuple):
+    """One training example: a gap's feature row and its class index."""
 
-    sentence_ref: int
-    gap_index: int
-    feature: ContextVector | None = None
+    feature: np.ndarray
+    label: int
 
 
-@dataclass(frozen=True)
-class DpiInstance:
-    feature: ContextVector
-    label: int  # DROPPED or NOT_DROPPED
-
-
-@dataclass(frozen=True)
-class DpgInstance:
-    feature: ContextVector
-    label: int  # class index into the corpus label set
-
-
-def enumerate_hypotheses(
-    sentence: AnnotatedSentence,
-    sentence_ref: int = 0,
-    table: EmbeddingTable | None = None,
-    window: int | None = None,
-) -> list[DroppedHypothesis]:
-    """All n + 1 candidate gaps of a sentence, in increasing gap order.
-
-    Features are attached only when both `table` and `window` are given.
-    """
-    n = len(sentence.tokens)
-    if n < 1:
-        raise ValueError("cannot enumerate gaps of an empty sentence")
-    out = []
-    for gap in range(n + 1):
-        feature = None
-        if table is not None and window is not None:
-            feature = context_embedding(sentence, gap, window, table)
-        out.append(DroppedHypothesis(sentence_ref, gap, feature))
-    return out
+def gap_labels(sentence: AnnotatedSentence) -> np.ndarray:
+    """DROPPED at every annotated gap and NOT_DROPPED elsewhere, in gap order."""
+    labels = np.full(len(sentence.tokens) + 1, NOT_DROPPED)
+    labels[[gap for gap, _ in sentence.annotations]] = DROPPED
+    return labels
 
 
 def build_dpi_instances(
@@ -69,7 +43,7 @@ def build_dpi_instances(
     window: int,
     negative_rate: float = 1.0,
     seed: int = 0,
-) -> list[DpiInstance]:
+) -> list[Instance]:
     """Binary gap-detection instances for a whole corpus.
 
     Every annotated gap becomes a positive.  Unannotated gaps are
@@ -80,41 +54,33 @@ def build_dpi_instances(
     """
     if not 0.0 < negative_rate <= 1.0:
         raise ValueError(f"negative_rate must be in (0, 1], got {negative_rate}")
-    annotated = []
-    unannotated = []
-    for si, sent in enumerate(corpus.sentences):
-        gold = {gap for gap, _ in sent.annotations}
-        for gap in range(len(sent.tokens) + 1):
-            (annotated if gap in gold else unannotated).append((si, gap))
-
+    labels = [gap_labels(sent).tolist() for sent in corpus.sentences]
+    kept = None
     if negative_rate < 1.0:
-        keep = int(len(unannotated) * negative_rate + 0.5)  # round half up
-        pool = list(unannotated)
-        SplitMix64(seed).shuffle(pool)
-        selected = set(pool[:keep])
-    else:
-        selected = set(unannotated)
+        negatives = [
+            (si, gap)
+            for si, sent_labels in enumerate(labels)
+            for gap, label in enumerate(sent_labels)
+            if label == NOT_DROPPED
+        ]
+        SplitMix64(seed).shuffle(negatives)
+        kept = set(negatives[: int(len(negatives) * negative_rate + 0.5)])  # round half up
 
-    positives = set(annotated)
     instances = []
-    for si, sent in enumerate(corpus.sentences):
-        for gap in range(len(sent.tokens) + 1):
-            key = (si, gap)
-            if key in positives:
-                label = DROPPED
-            elif key in selected:
-                label = NOT_DROPPED
-            else:
-                continue
-            instances.append(DpiInstance(context_embedding(sent, gap, window, table), label))
+    for si, (sent, sent_labels) in enumerate(zip(corpus.sentences, labels)):
+        features = context_embedding(sent, window, table)
+        for gap, label in enumerate(sent_labels):
+            if label == DROPPED or kept is None or (si, gap) in kept:
+                instances.append(Instance(features[gap], label))
     return instances
 
 
-def build_dpg_instances(corpus: Corpus, table: EmbeddingTable, window: int) -> list[DpgInstance]:
+def build_dpg_instances(corpus: Corpus, table: EmbeddingTable, window: int) -> list[Instance]:
     """One pronoun-generation instance per annotation, at its gold gap."""
     instances = []
     for sent in corpus.sentences:
-        for gap, tag in sent.annotations:
-            label = corpus.label_set.index_of(tag)
-            instances.append(DpgInstance(context_embedding(sent, gap, window, table), label))
+        if sent.annotations:
+            features = context_embedding(sent, window, table)
+            for gap, tag in sent.annotations:
+                instances.append(Instance(features[gap], corpus.label_set.index_of(tag)))
     return instances

@@ -178,10 +178,10 @@ def relu(z: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax via max subtraction."""
-    shifted = logits - np.max(logits)
+    """Numerically stable softmax over the last axis via max subtraction."""
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
     exps = np.exp(shifted)
-    return exps / np.sum(exps)
+    return exps / np.sum(exps, axis=-1, keepdims=True)
 
 
 def one_hot(num_classes: int, index: int) -> np.ndarray:
@@ -291,10 +291,21 @@ def sgd_step(model: MlpModel, grads: list[LayerGrads], learning_rate: float) -> 
         layer.bias -= learning_rate * g.db
 
 
-def predict(model: MlpModel, x: np.ndarray) -> tuple[int, np.ndarray]:
-    """Eval-mode class prediction; argmax ties go to the lowest index."""
-    probs, _ = forward(model, x, mode="eval")
-    return int(np.argmax(probs)), probs
+def predict(model: MlpModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode class predictions for the rows of an (m, input_dim) matrix.
+
+    Each layer is one matrix product over all rows.  Returns the argmax
+    class per row (ties go to the lowest index) and the (m, num_classes)
+    probabilities.
+    """
+    h = np.asarray(features, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != model.input_dim:
+        raise ValueError(f"input has shape {h.shape}, model expects (m, {model.input_dim})")
+    for layer in model.layers[:-1]:
+        h = relu(h @ layer.weights.T + layer.bias)
+    out = model.layers[-1]
+    probs = softmax(h @ out.weights.T + out.bias)
+    return np.argmax(probs, axis=1), probs
 
 
 def train(

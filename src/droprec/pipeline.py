@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import mlp
 from .corpus import Corpus, AnnotatedSentence, LabelSet, label_set_by_name
 from .embeddings import EmbeddingTable, context_embedding, table_from_source
-from .hypotheses import DROPPED, build_dpg_instances, build_dpi_instances
+from .hypotheses import DROPPED, build_dpg_instances, build_dpi_instances, gap_labels
 from .mlp import EpochStats, Hyperparams, MlpModel, ModelFormatError
 
 RECOVERY_FORMAT_VERSION = 1
@@ -57,13 +59,10 @@ def _check_dims(model: MlpModel, window: int, table: EmbeddingTable, stage: str)
         )
 
 
-def dpi_gap_probability(
-    model: MlpModel, sentence: AnnotatedSentence, gap_index: int, window: int,
-    table: EmbeddingTable,
-) -> float:
-    ctx = context_embedding(sentence, gap_index, window, table)
-    probs, _ = mlp.forward(model, ctx.values, mode="eval")
-    return float(probs[DROPPED])
+def dpi_gap_probability(dpi: MlpModel, features: np.ndarray) -> np.ndarray:
+    """Eval-mode probability that a pronoun is dropped, per feature row."""
+    _, probs = mlp.predict(dpi, features)
+    return probs[:, DROPPED]
 
 
 def tune_threshold(
@@ -73,17 +72,14 @@ def tune_threshold(
 
     Returns (threshold, accuracy).  Ties prefer the threshold nearest 0.5.
     """
-    probs: list[float] = []
-    gold: list[bool] = []
-    for sent in dev.sentences:
-        annotated = {gap for gap, _ in sent.annotations}
-        for gap in range(len(sent.tokens) + 1):
-            probs.append(dpi_gap_probability(dpi_model, sent, gap, window, table))
-            gold.append(gap in annotated)
+    probs = np.concatenate([
+        dpi_gap_probability(dpi_model, context_embedding(sent, window, table))
+        for sent in dev.sentences
+    ])
+    gold = np.concatenate([gap_labels(sent) == DROPPED for sent in dev.sentences])
     best = None
     for t in THRESHOLD_GRID:
-        correct = sum((p >= t) == g for p, g in zip(probs, gold))
-        acc = correct / len(probs)
+        acc = int(np.count_nonzero((probs >= t) == gold)) / len(probs)
         key = (-acc, abs(t - 0.5), t)
         if best is None or key < best[0]:
             best = (key, t, acc)
@@ -132,70 +128,61 @@ def train_recovery(
     dpi_instances = build_dpi_instances(
         train, table, window, negative_rate=negative_rate, seed=hp_dpi.seed
     )
-    dpi_log = mlp.train(
-        dpi_model, [(inst.feature.values, inst.label) for inst in dpi_instances], hp_dpi
-    )
+    dpi_log = mlp.train(dpi_model, dpi_instances, hp_dpi)
     if progress:
         for stats in dpi_log:
             progress("dpi", stats)
 
     dpg_model = mlp.build_model(hp_dpg.input_dim, len(train.label_set), hp_dpg)
     dpg_model.label_set_name = train.label_set.name
-    dpg_instances = build_dpg_instances(train, table, window)
-    dpg_log = mlp.train(
-        dpg_model, [(inst.feature.values, inst.label) for inst in dpg_instances], hp_dpg
-    )
+    dpg_log = mlp.train(dpg_model, build_dpg_instances(train, table, window), hp_dpg)
     if progress:
         for stats in dpg_log:
             progress("dpg", stats)
 
     threshold, dev_dpi_acc = tune_threshold(dpi_model, dev, table, window)
+    model = RecoveryModel(
+        dpi_model, dpg_model, train.label_set, window, threshold, table, dict(table.source)
+    )
+    if dev.total_annotations():
+        from .evaluate import evaluate_dpg  # evaluate imports this module
 
-    dev_dpg_instances = build_dpg_instances(dev, table, window)
-    if dev_dpg_instances:
-        hits = sum(
-            mlp.predict(dpg_model, inst.feature.values)[0] == inst.label
-            for inst in dev_dpg_instances
-        )
-        dev_dpg_acc = hits / len(dev_dpg_instances)
+        dev_dpg_acc = evaluate_dpg(model, dev, table).accuracy
     else:
         dev_dpg_acc = float("nan")
-
-    metadata = {
+    model.metadata = {
         "dev_dpi_accuracy": dev_dpi_acc,
         "dev_dpg_accuracy_gold": dev_dpg_acc,
         "negative_rate": negative_rate,
         "train_sentences": len(train.sentences),
         "train_annotations": train.total_annotations(),
     }
-    return RecoveryModel(
-        dpi_model, dpg_model, train.label_set, window, threshold,
-        table, dict(table.source), metadata,
-    )
+    return model
 
 
-def predict_dpi(model: RecoveryModel, sentence: AnnotatedSentence, gap_index: int) -> float:
-    """Probability that a pronoun is dropped at this gap (eval mode)."""
-    return dpi_gap_probability(model.dpi, sentence, gap_index, model.window, model.table)
+def predict_dpi(model: RecoveryModel, features: np.ndarray) -> np.ndarray:
+    """Detected gaps among the feature rows: P(dropped) >= the model threshold."""
+    return dpi_gap_probability(model.dpi, features) >= model.threshold
 
 
-def predict_dpg(
-    model: RecoveryModel, sentence: AnnotatedSentence, gap_index: int
-) -> tuple[str, float]:
-    """Most likely pronoun tag for a gap, with its softmax confidence."""
-    ctx = context_embedding(sentence, gap_index, model.window, model.table)
-    idx, probs = mlp.predict(model.dpg, ctx.values)
-    return model.label_set.labels[idx], float(probs[idx])
+def predict_dpg(model: RecoveryModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Most likely pronoun class per feature row, with its softmax confidence."""
+    classes, probs = mlp.predict(model.dpg, features)
+    return classes, probs[np.arange(len(classes)), classes]
 
 
 def recover(model: RecoveryModel, sentence: AnnotatedSentence) -> RecoveredSentence:
     """Run the two-stage pipeline over every candidate gap of a sentence."""
-    recovered = []
-    for gap in range(len(sentence.tokens) + 1):
-        if predict_dpi(model, sentence, gap) >= model.threshold:
-            tag, confidence = predict_dpg(model, sentence, gap)
-            recovered.append((gap, tag, confidence))
-    return RecoveredSentence(sentence.tokens, tuple(recovered))
+    features = context_embedding(sentence, model.window, model.table)
+    gaps = np.flatnonzero(predict_dpi(model, features))
+    if not gaps.size:
+        return RecoveredSentence(sentence.tokens, ())
+    classes, confidences = predict_dpg(model, features[gaps])
+    labels = model.label_set.labels
+    return RecoveredSentence(sentence.tokens, tuple(
+        (gap, labels[c], confidence)
+        for gap, c, confidence in zip(gaps.tolist(), classes.tolist(), confidences.tolist())
+    ))
 
 
 # --- serialization --------------------------------------------------------
@@ -216,6 +203,11 @@ def recovery_to_dict(model: RecoveryModel) -> dict:
 
 
 def recovery_from_dict(obj: dict, table: EmbeddingTable | None = None) -> RecoveryModel:
+    """Build a recovery model from its JSON object.
+
+    The two parameter blocks are popped from `obj` as they are converted,
+    so their hex strings are freed before the embedding table is built.
+    """
     if not isinstance(obj, dict) or obj.get("kind") != "recovery":
         raise ModelFormatError("not a recovery model object")
     if obj.get("format_version") != RECOVERY_FORMAT_VERSION:
@@ -227,11 +219,13 @@ def recovery_from_dict(obj: dict, table: EmbeddingTable | None = None) -> Recove
         window = int(obj["window"])
         threshold = float(obj["threshold"])
         table_ref = dict(obj["table_ref"])
-        dpi = mlp.model_from_dict(obj["dpi"])
-        dpg = mlp.model_from_dict(obj["dpg"])
+        dpi = mlp.model_from_dict(obj.pop("dpi"))
+        dpg = mlp.model_from_dict(obj.pop("dpg"))
         metadata = dict(obj.get("metadata", {}))
     except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"corrupt recovery model: {exc}") from None
+    if not 0.0 <= threshold <= 1.0:
+        raise ModelFormatError(f"detection threshold {threshold} is not in [0, 1]")
     if table is None:
         table = table_from_source(table_ref)
     if dpg.num_classes != len(label_set):

@@ -13,9 +13,9 @@ from _gradcheck import finite_difference_grads, max_relative_error
 from droprec import mlp
 from droprec.cli import EXIT_OK, main
 from droprec.corpus import FULL14, AnnotatedSentence, split_corpus
-from droprec.embeddings import deterministic_fallback_table
+from droprec.embeddings import EmbeddingTable, context_embedding, deterministic_fallback_table
 from droprec.evaluate import evaluate_dpg, evaluate_dpi, paired_significance
-from droprec.hypotheses import build_dpg_instances, enumerate_hypotheses
+from droprec.hypotheses import build_dpg_instances
 from droprec.mlp import Hyperparams, build_model, cross_entropy, dropout_mask, one_hot, softmax
 from droprec.pipeline import load_recovery_model, train_recovery
 from droprec.rng import SplitMix64
@@ -66,14 +66,17 @@ def test_criterion_2_softmax_cross_entropy_invariants():
 
 
 def test_criterion_3_hypothesis_cardinality():
+    # token t{i} embeds as the scalar i + 1, so with window 1 the left half
+    # of gap g's row is token g - 1 (or padding 0 at g = 0), i.e. g itself
+    table = EmbeddingTable.from_vectors(1, {f"t{i}": np.array([i + 1.0]) for i in range(50)})
     rng = np.random.default_rng(3)
     for _ in range(1000):
         n = int(rng.integers(1, 51))
         sent = AnnotatedSentence(tuple(f"t{i}" for i in range(n)))
-        hyps = enumerate_hypotheses(sent)
-        assert len(hyps) == n + 1
-        assert [h.gap_index for h in hyps] == list(range(n + 1))
-    print("PASS criterion 3: every sentence of length n yields exactly n+1 hypotheses")
+        features = context_embedding(sent, 1, table)
+        assert len(features) == n + 1
+        assert features[:, 0].tolist() == list(range(n + 1))
+    print("PASS criterion 3: every sentence of length n yields exactly n+1 gap rows, in order")
 
 
 def test_criterion_4_inverted_dropout_expectation():
@@ -108,15 +111,17 @@ def test_criterion_6_baseline_ordering_and_significance():
     train, dev, test = split_corpus(corpus, seed=102)
     vocab = sorted({t for c in (train, dev) for s in c.sentences for t in s.tokens})
     table = deterministic_fallback_table(vocab, 16, seed=103)
-    tr = [(i.feature.values, i.label) for i in build_dpg_instances(train, table, 1)]
-    te = [(i.feature.values, i.label) for i in build_dpg_instances(test, table, 1)]
+    tr = build_dpg_instances(train, table, 1)
+    te = build_dpg_instances(test, table, 1)
+    te_features = np.stack([f for f, _ in te])
+    te_labels = np.array([y for _, y in te])
     acc = {}
     for layers in (1, 2):
         hp = Hyperparams(embed_dim=16, window=1, layer_count=layers, epochs=30,
                          learning_rate=0.01, seed=104)
         model = build_model(hp.input_dim, 14, hp)
         mlp.train(model, tr, hp)
-        acc[layers] = sum(mlp.predict(model, f)[0] == y for f, y in te) / len(te)
+        acc[layers] = np.count_nonzero(mlp.predict(model, te_features)[0] == te_labels) / len(te)
     assert acc[2] >= acc[1], f"MLP {acc[2]} vs linear baseline {acc[1]}"
 
     # hand-checked 5-item example: d = (1,0,1,0,0), t = 0.4/(sqrt(0.3)/sqrt(5)),
@@ -201,7 +206,9 @@ def test_criterion_9_random_predictor_calibration():
     assert len(instances) >= 2000
     hp = Hyperparams(embed_dim=16, window=1, layer_count=2, seed=903)
     model = build_model(hp.input_dim, 14, hp)  # untrained, random init
-    acc = sum(mlp.predict(model, i.feature.values)[0] == i.label for i in instances) / len(instances)
+    features = np.stack([i.feature for i in instances])
+    labels = np.array([i.label for i in instances])
+    acc = np.count_nonzero(mlp.predict(model, features)[0] == labels) / len(instances)
     p = 1.0 / 14.0
     sigma = math.sqrt(p * (1 - p) / len(instances))
     assert abs(acc - p) <= 3 * sigma, f"accuracy {acc} outside 1/14 +/- 3 sigma"

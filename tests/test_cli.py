@@ -119,6 +119,16 @@ def test_compare_runs_significance(workspace, capsys):
 # --- exit codes -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("alpha", ["2", "1", "0", "nan"])
+def test_compare_alpha_outside_unit_interval_is_usage_error(tmp_path, capsys, alpha):
+    # the corpora do not exist: exit 1 shows parsing failed before any loading
+    args = ["compare", "--train", str(tmp_path / "absent.jsonl"),
+            "--dev", str(tmp_path / "absent.jsonl"), "--fallback-dim", "4",
+            "--alpha", alpha]
+    assert main(args) == EXIT_USAGE
+    assert "--alpha" in capsys.readouterr().err
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["gen", "--profile", "separable"]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err

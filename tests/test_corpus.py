@@ -181,6 +181,21 @@ def test_round_trip_all_fourteen_labels(tmp_path):
     assert [s.annotations[0][1] for s in again.sentences] == [l.tag for l in PRONOUN_LABELS]
 
 
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\r"])
+def test_round_trip_tokens_holding_line_break_characters(tmp_path, char):
+    corpus = Corpus(FULL14, (AnnotatedSentence((f"a{char}b", "c"), ((1, "wo"),)),), {})
+    path = tmp_path / "c.jsonl"
+    save_corpus(corpus, path)
+    assert load_corpus(path) == corpus
+
+
+def test_load_reports_line_number_on_empty_token_list(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, {"label_set": "full14"}, [{"tokens": ["a"]}, {"tokens": []}])
+    with pytest.raises(CorpusError, match="line 3: sentence tokens must be"):
+        load_corpus(path)
+
+
 # --- sentence invariants ----------------------------------------------------
 
 

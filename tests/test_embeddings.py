@@ -46,11 +46,46 @@ def test_load_rejects_row_dim_mismatch(tmp_path):
         load_embeddings(p)
 
 
+def test_load_checks_rows_before_sizing_from_a_huge_header_dim(tmp_path):
+    p = tmp_path / "vec.txt"
+    p.write_text("1 100000000000\na 1\n", encoding="utf-8")
+    with pytest.raises(EmbeddingError, match="line 2: expected 100000000000 components"):
+        load_embeddings(p)
+
+
 def test_load_rejects_non_numeric(tmp_path):
     p = tmp_path / "vec.txt"
     p.write_text("1 2\na 1 oops\n", encoding="utf-8")
     with pytest.raises(EmbeddingError, match="non-numeric"):
         load_embeddings(p)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+def test_load_rejects_non_finite_components(tmp_path, value):
+    p = tmp_path / "vec.txt"
+    p.write_text(f"2 2\na 1 2\nb 3 {value}\n", encoding="utf-8")
+    with pytest.raises(EmbeddingError, match="non-finite .* 'b'"):
+        load_embeddings(p)
+
+
+def test_table_matrix_has_zero_row_then_one_row_per_word(tmp_path):
+    p = tmp_path / "vec.txt"
+    p.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
+    table = load_embeddings(p)
+    assert len(table) == 2
+    assert np.array_equal(table.matrix, [[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]])
+    assert table.rows == {"a": 1, "b": 2}
+
+
+def test_header_word_count_may_be_off_either_way(tmp_path):
+    p = tmp_path / "vec.txt"
+    p.write_text("1 2\na 1 2\nb 3 4\nc 5 6\n", encoding="utf-8")
+    table = load_embeddings(p)  # grows past the declared count
+    assert len(table) == 3 and table.matrix.shape == (4, 2)
+    assert np.array_equal(table.lookup("c"), [5.0, 6.0])
+    p.write_text("1000000000 2\na 1 2\n", encoding="utf-8")
+    table = load_embeddings(p)  # sized by the file, not by the header
+    assert len(table) == 1 and table.matrix.shape == (2, 2)
 
 
 def test_load_rejects_expected_dim_conflict(tmp_path):
@@ -116,48 +151,54 @@ def test_table_rebuild_from_source():
 def basis_table(words, dim=None):
     dim = dim or len(words)
     vectors = {w: np.eye(dim)[i] for i, w in enumerate(words)}
-    return EmbeddingTable(dim, vectors)
+    return EmbeddingTable.from_vectors(dim, vectors)
 
 
 def test_interior_gap_window_one():
     table = basis_table(["a", "b"])
     sent = AnnotatedSentence(("a", "b"))
-    ctx = context_embedding(sent, 1, 1, table)
-    assert np.array_equal(ctx.values, np.concatenate([table.lookup("a"), table.lookup("b")]))
-    assert ctx.values.shape == (2 * table.dim,)
+    ctx = context_embedding(sent, 1, table)[1]
+    assert np.array_equal(ctx, np.concatenate([table.lookup("a"), table.lookup("b")]))
+    assert ctx.shape == (2 * table.dim,)
 
 
 def test_boundary_gap_pads_with_zeros():
     table = basis_table(["a", "b"])
     sent = AnnotatedSentence(("a", "b"))
-    ctx = context_embedding(sent, 0, 1, table)
-    assert np.array_equal(ctx.values, np.concatenate([np.zeros(2), table.lookup("a")]))
+    ctx = context_embedding(sent, 1, table)[0]
+    assert np.array_equal(ctx, np.concatenate([np.zeros(2), table.lookup("a")]))
 
 
 def test_window_two_ordering_hand_derived():
     # gap 1 in [a, b, c] with W=2 reads: pad, a | b, c
     table = basis_table(["a", "b", "c"])
     sent = AnnotatedSentence(("a", "b", "c"))
-    ctx = context_embedding(sent, 1, 2, table)
+    ctx = context_embedding(sent, 2, table)[1]
     expected = np.concatenate(
         [np.zeros(3), table.lookup("a"), table.lookup("b"), table.lookup("c")]
     )
-    assert np.array_equal(ctx.values, expected)
-    assert ctx.values.shape == (4 * 3,)
+    assert np.array_equal(ctx, expected)
+    assert ctx.shape == (4 * 3,)
 
 
 def test_gap_out_of_range_rejected():
+    # the rows are gaps 0..n: a one-token sentence has no gap 2
     table = basis_table(["a"])
-    sent = AnnotatedSentence(("a",))
-    with pytest.raises(ValueError, match="out of range"):
-        context_embedding(sent, 2, 1, table)
+    features = context_embedding(AnnotatedSentence(("a",)), 1, table)
+    assert len(features) == 2
+    with pytest.raises(IndexError):
+        features[2]
+
+
+def test_window_below_one_rejected():
+    with pytest.raises(ValueError, match="window"):
+        context_embedding(AnnotatedSentence(("a",)), 0, basis_table(["a"]))
 
 
 def test_all_oov_sentence_gives_zero_vector():
     table = basis_table(["known"], dim=4)
     sent = AnnotatedSentence(("alien", "words"))
-    ctx = context_embedding(sent, 1, 2, table)
-    assert not ctx.values.any()
+    assert not context_embedding(sent, 2, table).any()
 
 
 @settings(max_examples=60)
@@ -170,16 +211,36 @@ def test_context_length_always_2wd(tokens, window, data):
     table = basis_table(["a", "b", "c"])
     sent = AnnotatedSentence(tuple(tokens))
     gap = data.draw(st.integers(min_value=0, max_value=len(tokens)))
-    ctx = context_embedding(sent, gap, window, table)
-    assert ctx.values.shape == (2 * window * table.dim,)
+    features = context_embedding(sent, window, table)
+    assert features.shape == (len(tokens) + 1, 2 * window * table.dim)
+    assert features[gap].shape == (2 * window * table.dim,)
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.sampled_from(["a", "b", "c", "oov"]), min_size=1, max_size=12),
+    st.integers(min_value=1, max_value=4),
+)
+def test_matrix_rows_match_per_gap_concatenation(tokens, window):
+    table = basis_table(["a", "b", "c"])
+    n = len(tokens)
+    reference = [
+        np.concatenate([
+            table.lookup(tokens[i]) if 0 <= i < n else np.zeros(table.dim)
+            for i in range(gap - window, gap + window)
+        ])
+        for gap in range(n + 1)
+    ]
+    assert np.array_equal(context_embedding(AnnotatedSentence(tuple(tokens)), window, table),
+                          np.array(reference))
 
 
 def test_adjacent_gaps_share_shifted_window():
     table = basis_table(["t0", "t1", "t2", "t3", "t4"])
     sent = AnnotatedSentence(("t0", "t1", "t2", "t3", "t4"))
     d = table.dim
-    a = context_embedding(sent, 2, 2, table).values
-    b = context_embedding(sent, 3, 2, table).values
+    features = context_embedding(sent, 2, table)
+    a, b = features[2], features[3]
     # tokens t1, t2, t3 appear in both windows, one slot over
     assert np.array_equal(a[d : 2 * d], b[0:d])
     assert np.array_equal(a[2 * d : 3 * d], b[d : 2 * d])

@@ -86,7 +86,7 @@ def test_all_negative_detector_scores_ninety_percent():
 
 def test_perfect_detector_scores_one():
     # cue-keyed detector: fires exactly between the two P tokens
-    table = EmbeddingTable(1, {"P": np.array([1.0]), "N": np.array([-1.0])})
+    table = EmbeddingTable.from_vectors(1, {"P": np.array([1.0]), "N": np.array([-1.0])})
     model = stub_recovery_model(table, window=1, threshold=0.5)
     model.dpi.layers[0].weights[:] = np.array([[0.0, 0.0], [10.0, 10.0]])
     model.dpi.layers[0].bias[:] = np.array([0.0, -15.0])

@@ -1,13 +1,14 @@
+import numpy as np
 import pytest
 
 from droprec.corpus import ACTUAL10, FULL14, AnnotatedSentence, Corpus, CorpusError
-from droprec.embeddings import deterministic_fallback_table
+from droprec.embeddings import EmbeddingTable, context_embedding, deterministic_fallback_table
 from droprec.hypotheses import (
     DROPPED,
     NOT_DROPPED,
     build_dpg_instances,
     build_dpi_instances,
-    enumerate_hypotheses,
+    gap_labels,
 )
 from droprec.rng import SplitMix64
 
@@ -21,19 +22,29 @@ def table_for(corpus, dim=4, seed=0):
     return deterministic_fallback_table(vocab, dim, seed)
 
 
+def index_table(n=50):
+    """Embeds t{i} as the scalar i + 1, so with window 1 the first feature
+    of gap g's row is g (its left neighbour, or zero padding at gap 0)."""
+    return EmbeddingTable.from_vectors(1, {f"t{i}": np.array([i + 1.0]) for i in range(n)})
+
+
+def gap_index_of(feature):
+    return int(feature[0])
+
+
 def test_five_tokens_six_hypotheses():
-    assert len(enumerate_hypotheses(sent_of(5))) == 6
+    assert len(context_embedding(sent_of(5), 1, index_table())) == 6
 
 
 def test_single_token_two_hypotheses():
-    hyps = enumerate_hypotheses(sent_of(1))
-    assert [h.gap_index for h in hyps] == [0, 1]
+    rows = context_embedding(sent_of(1), 1, index_table())
+    assert [gap_index_of(row) for row in rows] == [0, 1]
 
 
 def test_twelve_tokens_match_loop_oracle():
     sent = sent_of(12)
     expected = [gap for gap in range(len(sent.tokens) + 1)]
-    got = [h.gap_index for h in enumerate_hypotheses(sent)]
+    got = [gap_index_of(row) for row in context_embedding(sent, 1, index_table())]
     assert got == expected
     assert all(a < b for a, b in zip(got, got[1:]))
 
@@ -41,9 +52,14 @@ def test_twelve_tokens_match_loop_oracle():
 def test_hypotheses_carry_features_when_table_given():
     corpus = Corpus(FULL14, (sent_of(3),))
     table = table_for(corpus)
-    hyps = enumerate_hypotheses(corpus.sentences[0], table=table, window=2)
-    assert all(h.feature is not None for h in hyps)
-    assert hyps[0].feature.values.shape == (2 * 2 * table.dim,)
+    features = context_embedding(corpus.sentences[0], 2, table)
+    assert len(features) == 4
+    assert features[0].shape == (2 * 2 * table.dim,)
+
+
+def test_gap_labels_mark_annotated_gaps():
+    labels = gap_labels(sent_of(3, [(1, "wo"), (3, "ni")]))
+    assert labels.tolist() == [NOT_DROPPED, DROPPED, NOT_DROPPED, DROPPED]
 
 
 def test_empty_sentence_is_unconstructible():
@@ -70,7 +86,7 @@ def test_rate_one_keeps_every_gap():
 def test_half_rate_on_ten_gaps_keeps_five():
     # one 9-token sentence, no annotations: exactly 10 unannotated gaps
     corpus = Corpus(FULL14, (sent_of(9),))
-    table = table_for(corpus)
+    table = index_table()
     instances = build_dpi_instances(corpus, table, window=1, negative_rate=0.5, seed=17)
     assert len(instances) == 5
     assert all(i.label == NOT_DROPPED for i in instances)
@@ -79,10 +95,10 @@ def test_half_rate_on_ten_gaps_keeps_five():
     pool = [(0, gap) for gap in range(10)]
     SplitMix64(17).shuffle(pool)
     expected_gaps = sorted(gap for _, gap in pool[:5])
-    assert [i.feature.gap_index for i in instances] == expected_gaps
+    assert [gap_index_of(i.feature) for i in instances] == expected_gaps
 
     again = build_dpi_instances(corpus, table, window=1, negative_rate=0.5, seed=17)
-    assert [i.feature.gap_index for i in again] == expected_gaps
+    assert [gap_index_of(i.feature) for i in again] == expected_gaps
 
 
 def test_no_annotations_means_no_positives():

@@ -103,6 +103,27 @@ def test_forward_rejects_wrong_dim():
         forward(model, np.zeros(5))
 
 
+@pytest.mark.parametrize("layer_count", [1, 2, 3])
+def test_predict_matches_per_row_eval_forward(layer_count):
+    # one matrix product per layer reorders sums against the per-row
+    # reference, so probabilities agree to float64 rounding, not bitwise
+    hp = tiny_hp(embed_dim=8, layer_count=layer_count, hidden_dim=16, dropout_rate=0.5)
+    model = build_model(16, 5, hp)
+    features = np.random.default_rng(layer_count).normal(size=(37, 16))
+    classes, probs = mlp.predict(model, features)
+    reference = np.array([forward(model, x, mode="eval")[0] for x in features])
+    assert probs.shape == (37, 5)
+    np.testing.assert_allclose(probs, reference, rtol=0, atol=1e-14)
+    assert classes.tolist() == np.argmax(reference, axis=1).tolist()
+
+
+def test_predict_rejects_wrong_shape():
+    model = build_model(4, 2, tiny_hp())
+    for bad in (np.zeros(4), np.zeros((3, 5))):
+        with pytest.raises(ValueError, match="model expects"):
+            mlp.predict(model, bad)
+
+
 def test_cross_entropy_perfect_prediction_near_zero():
     loss = cross_entropy(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
     assert 0.0 <= loss <= 1e-11

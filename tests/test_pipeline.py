@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from droprec import mlp
 from droprec.corpus import ACTUAL10, FULL14, AnnotatedSentence, Corpus, split_corpus
-from droprec.embeddings import EmbeddingTable, deterministic_fallback_table
+from droprec.embeddings import EmbeddingTable, context_embedding, deterministic_fallback_table
 from droprec.mlp import Hyperparams, ModelFormatError
 from droprec.pipeline import (
     RecoveryModel,
+    dpi_gap_probability,
     load_recovery_model,
     predict_dpg,
     predict_dpi,
@@ -143,19 +144,22 @@ def test_hand_built_detector_matches_hand_computed_probabilities():
     # 1-dim embeddings: P -> +1, N -> -1; detector fires only on (P, P),
     # scoring z = 10*left + 10*right - 15 for the dropped class, so
     # P(dropped) = sigmoid(z).  Expectations computed with math.exp.
-    table = EmbeddingTable(1, {"P": np.array([1.0]), "N": np.array([-1.0])})
+    table = EmbeddingTable.from_vectors(1, {"P": np.array([1.0]), "N": np.array([-1.0])})
     model = stub_recovery_model(table, window=1, threshold=0.5)
     model.dpi.layers[0].weights[:] = np.array([[0.0, 0.0], [10.0, 10.0]])
     model.dpi.layers[0].bias[:] = np.array([0.0, -15.0])
     sent = AnnotatedSentence(("P", "P", "N"))
+    features = context_embedding(sent, 1, table)
     expected = {
         0: sigmoid(0 * 10 + 1 * 10 - 15),   # pad, P
         1: sigmoid(1 * 10 + 1 * 10 - 15),   # P, P  -> 0.9933...
         2: sigmoid(1 * 10 - 1 * 10 - 15),   # P, N
         3: sigmoid(-1 * 10 + 0 * 10 - 15),  # N, pad
     }
+    probs = dpi_gap_probability(model.dpi, features)
     for gap, want in expected.items():
-        assert predict_dpi(model, sent, gap) == pytest.approx(want, abs=1e-12)
+        assert probs[gap] == pytest.approx(want, abs=1e-12)
+    assert predict_dpi(model, features).tolist() == [False, True, False, False]
     result = recover(model, sent)
     assert [gap for gap, _, _ in result.recovered] == [1]
     gap, tag, confidence = result.recovered[0]
@@ -168,9 +172,10 @@ def test_predict_dpi_probabilities_sum_to_one():
     table = deterministic_fallback_table(["a", "b"], 4, seed=1)
     model = stub_recovery_model(table)
     sent = AnnotatedSentence(("a", "b"))
-    p1 = predict_dpi(model, sent, 1)
-    probs, _ = mlp.forward(model.dpi, np.zeros(model.dpi.input_dim))
-    assert abs(probs.sum() - 1.0) <= 1e-9
+    features = context_embedding(sent, 1, table)
+    p1 = dpi_gap_probability(model.dpi, features)[1]
+    _, probs = mlp.predict(model.dpi, features)
+    assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)
     assert 0.0 <= p1 <= 1.0
 
 
@@ -179,17 +184,18 @@ def test_predict_dpg_confidence_is_max_probability():
     bias = np.linspace(0.0, 1.3, 14)
     model = stub_recovery_model(table, dpg_bias=bias)
     sent = AnnotatedSentence(("a", "b"))
-    tag, confidence = predict_dpg(model, sent, 1)
-    assert tag == FULL14.labels[13]  # largest bias wins
+    (cls,), (confidence,) = predict_dpg(model, context_embedding(sent, 1, table)[[1]])
+    assert FULL14.labels[cls] == FULL14.labels[13]  # largest bias wins
     assert confidence == pytest.approx(float(np.max(mlp.softmax(bias))), abs=1e-12)
 
 
 def test_predictions_stable_across_calls():
     table = deterministic_fallback_table(["a", "b"], 4, seed=2)
     model = stub_recovery_model(table, dpg_bias=np.arange(14.0) / 10)
-    sent = AnnotatedSentence(("a", "b"))
-    assert predict_dpi(model, sent, 0) == predict_dpi(model, sent, 0)
-    assert predict_dpg(model, sent, 2) == predict_dpg(model, sent, 2)
+    features = context_embedding(AnnotatedSentence(("a", "b")), 1, table)
+    assert np.array_equal(predict_dpi(model, features), predict_dpi(model, features))
+    for a, b in zip(predict_dpg(model, features), predict_dpg(model, features)):
+        assert np.array_equal(a, b)
 
 
 @settings(max_examples=20, deadline=None)
@@ -224,9 +230,12 @@ def test_recovery_model_round_trip(tmp_path):
     assert again.label_set.name == model.label_set.name
     assert again.metadata == model.metadata
     sent = train.sentences[0]
-    for gap in range(len(sent.tokens) + 1):
-        assert predict_dpi(again, sent, gap) == predict_dpi(model, sent, gap)
-        assert predict_dpg(again, sent, gap) == predict_dpg(model, sent, gap)
+    features = context_embedding(sent, model.window, model.table)
+    again_features = context_embedding(sent, again.window, again.table)
+    assert np.array_equal(dpi_gap_probability(again.dpi, again_features),
+                          dpi_gap_probability(model.dpi, features))
+    for a, b in zip(predict_dpg(again, again_features), predict_dpg(model, features)):
+        assert np.array_equal(a, b)
 
 
 def test_recovery_load_rejects_bad_version():
@@ -234,6 +243,15 @@ def test_recovery_load_rejects_bad_version():
     obj = recovery_to_dict(stub_recovery_model(table))
     obj["format_version"] = 7
     with pytest.raises(ModelFormatError, match="version"):
+        recovery_from_dict(obj)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.05, 1.5])
+def test_recovery_load_rejects_threshold_outside_unit_interval(threshold):
+    table = deterministic_fallback_table(["a"], 2, seed=0)
+    obj = recovery_to_dict(stub_recovery_model(table))
+    obj["threshold"] = threshold
+    with pytest.raises(ModelFormatError, match="threshold"):
         recovery_from_dict(obj)
 
 
