@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import SplitMix64
+from .rng import BlockFloats, SplitMix64
 
 # Loss clamps probabilities at this floor before taking logs.
 PROB_EPS = 1e-12
@@ -27,6 +27,9 @@ PROB_EPS = 1e-12
 # Substream tags for deriving independent RNG streams from one seed.
 _INIT_STREAM = 0
 _DROPOUT_STREAM = 1
+
+# train() draws the dropout floats of this many steps with one call.
+_DROPOUT_BLOCK_STEPS = 64
 
 MODEL_FORMAT_VERSION = 1
 
@@ -179,9 +182,9 @@ def relu(z: np.ndarray) -> np.ndarray:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis via max subtraction."""
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / np.sum(exps, axis=-1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exps = np.exp(shifted, out=shifted)
+    return exps / exps.sum(axis=-1, keepdims=True)
 
 
 def one_hot(num_classes: int, index: int) -> np.ndarray:
@@ -198,8 +201,12 @@ def cross_entropy(y_true: np.ndarray, probs: np.ndarray) -> float:
     return float(-np.sum(y_true * np.log(np.maximum(probs, PROB_EPS))))
 
 
-def dropout_mask(dim: int, rate: float, rng: SplitMix64) -> np.ndarray:
-    """Inverted-dropout mask: 0 with probability `rate`, else 1/(1-rate)."""
+def dropout_mask(dim: int, rate: float, rng: SplitMix64 | BlockFloats) -> np.ndarray:
+    """Inverted-dropout mask: 0 with probability `rate`, else 1/(1-rate).
+
+    Unit k is dropped when the k-th of the next `dim` floats of `rng` is
+    below `rate`.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
@@ -212,7 +219,7 @@ def forward(
     model: MlpModel,
     x: np.ndarray,
     mode: str = "eval",
-    rng: SplitMix64 | None = None,
+    rng: SplitMix64 | BlockFloats | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """One forward pass; returns class probabilities and the cache that
     backward() needs.
@@ -226,7 +233,8 @@ def forward(
     if x.shape != (model.input_dim,):
         raise ValueError(f"input has shape {x.shape}, model expects ({model.input_dim},)")
     rate = model.hyperparams.dropout_rate
-    if mode == "train" and rate > 0.0 and rng is None:
+    drop = mode == "train" and rate > 0.0
+    if drop and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng")
 
     inputs: list[np.ndarray] = []
@@ -235,18 +243,21 @@ def forward(
     h = x
     for layer in model.layers[:-1]:
         inputs.append(h)
-        z = layer.weights @ h + layer.bias
+        z = layer.weights @ h
+        z += layer.bias
         relu_masks.append(z > 0.0)
-        h = relu(z)
-        if mode == "train" and rate > 0.0:
+        h = np.maximum(z, 0.0, out=z)
+        if drop:
             mask = dropout_mask(h.shape[0], rate, rng)
-            h = h * mask
+            h *= mask
             dropout_masks.append(mask)
         else:
             dropout_masks.append(None)
     inputs.append(h)
     out = model.layers[-1]
-    probs = softmax(out.weights @ h + out.bias)
+    logits = out.weights @ h
+    logits += out.bias
+    probs = softmax(logits)
     return probs, ForwardCache(inputs, relu_masks, dropout_masks, probs, mode)
 
 
@@ -266,29 +277,43 @@ def backward(model: MlpModel, cache: ForwardCache, y_true: np.ndarray) -> list[L
     grads: list[LayerGrads | None] = [None] * len(model.layers)
     delta = cache.probs - y_true
     for i in range(len(model.layers) - 1, -1, -1):
-        grads[i] = LayerGrads(np.outer(delta, cache.inputs[i]), delta.copy())
+        # db is delta itself: below, delta is rebound to a new array
+        # before anything is written in place.
+        grads[i] = LayerGrads(np.multiply.outer(delta, cache.inputs[i]), delta)
         if i > 0:
             delta = model.layers[i].weights.T @ delta
             if cache.dropout_masks[i - 1] is not None:
-                delta = delta * cache.dropout_masks[i - 1]
-            delta = delta * cache.relu_masks[i - 1]
+                delta *= cache.dropout_masks[i - 1]
+            delta *= cache.relu_masks[i - 1]
     return grads  # type: ignore[return-value]
 
 
 def sgd_step(model: MlpModel, grads: list[LayerGrads], learning_rate: float) -> None:
-    """In-place p <- p - lr * grad; aborts on non-finite gradients."""
+    """In-place p <- p - lr * grad; aborts on non-finite gradients.
+
+    The gradients are spent: each is scaled by lr in place.  Layers are
+    checked and updated in order, so a NumericError in layer i leaves
+    layers before i updated.
+    """
     if len(grads) != len(model.layers):
         raise ValueError(f"got {len(grads)} gradients for {len(model.layers)} layers")
     for i, (layer, g) in enumerate(zip(model.layers, grads)):
         if g.dW.shape != layer.weights.shape or g.db.shape != layer.bias.shape:
             raise ValueError(f"layer {i}: gradient shape mismatch")
-        if not (np.isfinite(g.dW).all() and np.isfinite(g.db).all()):
+        # A finite sum means every element is finite; only a sum that is
+        # not (a non-finite element, or finite ones that overflow) needs
+        # the elementwise test.
+        if not math.isfinite(g.dW.sum() + g.db.sum()) and not (
+            np.isfinite(g.dW).all() and np.isfinite(g.db).all()
+        ):
             raise NumericError(
                 f"non-finite gradient in layer {i} "
                 f"(|dW|_max={np.max(np.abs(g.dW))}, |db|_max={np.max(np.abs(g.db))})"
             )
-        layer.weights -= learning_rate * g.dW
-        layer.bias -= learning_rate * g.db
+        g.dW *= learning_rate
+        g.db *= learning_rate
+        layer.weights -= g.dW
+        layer.bias -= g.db
 
 
 def predict(model: MlpModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,8 +342,11 @@ def train(
 
     Epoch e visits instances in the order given by a Fisher-Yates shuffle
     seeded with hp.seed + e; dropout draws from SplitMix64 substream 1 of
-    hp.seed.  Gradients are averaged within each batch.  Returns per-epoch
-    mean loss and accuracy measured on the training passes themselves.
+    hp.seed, step after step and hidden layer after hidden layer, taken
+    from the stream a block of steps at a time.  Gradients are averaged
+    within each batch.  Returns per-epoch mean loss and accuracy measured
+    on the training passes themselves.  The feature arrays are used as
+    given, not copied, when they are float64.
     """
     if not instances:
         raise ValueError("cannot train on an empty instance list")
@@ -334,7 +362,11 @@ def train(
             raise ValueError(f"instance {i} label {lab} outside [0, {model.num_classes})")
 
     n = len(instances)
-    drop_rng = SplitMix64.for_stream(hp.seed, _DROPOUT_STREAM)
+    floats_per_step = sum(layer.out_dim for layer in model.layers[:-1])
+    drop_rng = BlockFloats(
+        SplitMix64.for_stream(hp.seed, _DROPOUT_STREAM), _DROPOUT_BLOCK_STEPS * floats_per_step
+    )
+    targets = np.eye(model.num_classes)  # row k is one_hot(num_classes, k)
     log: list[EpochStats] = []
     for epoch in range(hp.epochs):
         order = list(range(n))
@@ -345,15 +377,16 @@ def train(
             batch = order[start : start + hp.batch_size]
             acc: list[LayerGrads] | None = None
             for idx in batch:
+                label = labels[idx]
                 probs, cache = forward(model, feats[idx], mode="train", rng=drop_rng)
-                loss = -math.log(max(probs[labels[idx]], PROB_EPS))
+                loss = -math.log(max(probs.item(label), PROB_EPS))
                 if not math.isfinite(loss):
                     raise NumericError(
                         f"non-finite loss at epoch {epoch}, batch starting at {start}"
                     )
                 total_loss += loss
-                correct += int(np.argmax(probs)) == labels[idx]
-                grads = backward(model, cache, one_hot(model.num_classes, labels[idx]))
+                correct += int(probs.argmax()) == label
+                grads = backward(model, cache, targets[label])
                 if acc is None:
                     acc = grads
                 else:

@@ -53,7 +53,7 @@ class RecoveredSentence:
 def _check_dims(model: MlpModel, window: int, table: EmbeddingTable, stage: str) -> None:
     expected = 2 * window * table.dim
     if model.input_dim != expected:
-        raise ValueError(
+        raise ModelFormatError(
             f"{stage} model expects input dim {model.input_dim}, but window {window} "
             f"with embedding dim {table.dim} gives {expected}"
         )
@@ -215,9 +215,12 @@ def recovery_from_dict(obj: dict, table: EmbeddingTable | None = None) -> Recove
             f"unsupported recovery format version {obj.get('format_version')!r}"
         )
     try:
-        label_set = label_set_by_name(obj["label_set"])
         window = int(obj["window"])
         threshold = float(obj["threshold"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ModelFormatError(f"corrupt recovery model: {exc}") from None
+    try:
+        label_set = label_set_by_name(obj["label_set"])
         table_ref = dict(obj["table_ref"])
         dpi = mlp.model_from_dict(obj.pop("dpi"))
         dpg = mlp.model_from_dict(obj.pop("dpg"))

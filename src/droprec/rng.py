@@ -94,3 +94,32 @@ class SplitMix64:
     def uniform_array(self, n: int, lo: float, hi: float) -> np.ndarray:
         """Vectorized uniform doubles in [lo, hi)."""
         return lo + (hi - lo) * self.floats(n)
+
+
+class BlockFloats:
+    """A SplitMix64 stream's uniform doubles, drawn `block` at a time.
+
+    floats(n) hands out the next n values of the stream, the same values
+    that `rng.floats(n)` would give, because floats(a) followed by floats(b)
+    equals floats(a + b).  The wrapped stream runs ahead by up to one block.
+    The returned array is a view into the current block.
+    """
+
+    __slots__ = ("_rng", "_block", "_buf", "_pos")
+
+    def __init__(self, rng: SplitMix64, block: int):
+        self._rng = rng
+        self._block = block
+        self._buf = np.zeros(0)
+        self._pos = 0
+
+    def floats(self, n: int) -> np.ndarray:
+        end = self._pos + n
+        if end > self._buf.size:
+            fresh = self._rng.floats(max(self._block, n))
+            rest = self._buf[self._pos :]
+            self._buf = np.concatenate((rest, fresh)) if rest.size else fresh
+            self._pos, end = 0, n
+        out = self._buf[self._pos : end]
+        self._pos = end
+        return out

@@ -129,6 +129,16 @@ def test_compare_alpha_outside_unit_interval_is_usage_error(tmp_path, capsys, al
     assert "--alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_non_finite_learning_rate_is_usage_error(tmp_path, capsys, lr):
+    # the corpora do not exist: exit 1 shows parsing failed before any loading
+    args = ["train", "--train", str(tmp_path / "absent.jsonl"),
+            "--dev", str(tmp_path / "absent.jsonl"), "--fallback-dim", "4",
+            "--lr", lr, "--out-model", str(tmp_path / "m.json")]
+    assert main(args) == EXIT_USAGE
+    assert "--lr" in capsys.readouterr().err
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["gen", "--profile", "separable"]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err
@@ -149,6 +159,18 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert main(["split", "--in", str(missing), "--seed", "1",
                  "--out-dir", str(tmp_path / "out")]) == EXIT_DATA
     assert "file not found" in capsys.readouterr().err
+
+
+def test_model_with_non_numeric_threshold_is_data_error(workspace, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert main(train_args(workspace, model)) == EXIT_OK
+    obj = json.loads(model.read_text(encoding="utf-8"))
+    obj["threshold"] = "abc"
+    model.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["recover", "--model", str(model),
+                 "--in", str(workspace / "splits" / "test.jsonl"),
+                 "--out", str(tmp_path / "out.jsonl")]) == EXIT_DATA
+    assert "corrupt recovery model" in capsys.readouterr().err
 
 
 def test_label_set_conflict_is_data_error(workspace, tmp_path, capsys):

@@ -225,6 +225,24 @@ def test_sgd_rejects_non_finite_gradient():
         sgd_step(model, bad, 0.1)
 
 
+def test_sgd_rejects_infinite_gradient_naming_its_layer():
+    model = build_model(3, 2, tiny_hp())
+    _, cache = forward(model, np.ones(3), mode="train")
+    grads = backward(model, cache, one_hot(2, 0))
+    grads[1].dW[0, 2] = np.inf
+    with pytest.raises(NumericError, match="non-finite gradient in layer 1"):
+        sgd_step(model, grads, 0.1)
+
+
+def test_sgd_accepts_finite_gradient_whose_sum_overflows():
+    layer = DenseLayer(np.zeros((1, 2)), np.zeros(1))
+    model = MlpModel([layer], 2, 1, tiny_hp())
+    grads = [LayerGrads(np.array([[1e308, 1e308]]), np.array([0.0]))]
+    with np.errstate(over="ignore"):
+        sgd_step(model, grads, 0.5)
+    assert np.array_equal(layer.weights, [[-5e307, -5e307]])
+
+
 # --- dropout --------------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -253,6 +254,21 @@ def test_recovery_load_rejects_threshold_outside_unit_interval(threshold):
     obj["threshold"] = threshold
     with pytest.raises(ModelFormatError, match="threshold"):
         recovery_from_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [("threshold", "abc", "could not convert"), ("window", 0, "input dim")],
+    ids=["non-numeric-threshold", "window-zero"],
+)
+def test_load_recovery_model_raises_model_format_error(tmp_path, field, value, match):
+    table = deterministic_fallback_table(["a"], 2, seed=0)
+    path = tmp_path / "model.json"
+    obj = recovery_to_dict(stub_recovery_model(table))
+    obj[field] = value
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=match):
+        load_recovery_model(path)
 
 
 def test_recovery_load_rejects_class_count_mismatch():

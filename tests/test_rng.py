@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
-from droprec.rng import SplitMix64, fnv1a64, mix64
+from droprec.rng import BlockFloats, SplitMix64, fnv1a64, mix64
 
 
 def test_same_seed_same_stream():
@@ -24,6 +24,17 @@ def test_vectorized_floats_match_scalar_stream():
     assert np.array_equal(batch, scalar)
     # both generators must land on the same state afterwards
     assert a.next_u64() == b.next_u64()
+
+
+@given(st.lists(st.integers(0, 40), max_size=12), st.integers(1, 16))
+def test_block_floats_hand_out_the_stream_in_order(sizes, block):
+    # chunks smaller than, equal to and larger than the block, including
+    # ones that straddle a block boundary
+    source = BlockFloats(SplitMix64.for_stream(6, 1), block)
+    got = [source.floats(n) for n in sizes]
+    assert [len(chunk) for chunk in got] == sizes
+    want = SplitMix64.for_stream(6, 1).floats(sum(sizes))
+    assert np.array_equal(np.concatenate([np.zeros(0), *got]), want)
 
 
 def test_floats_in_unit_interval():
