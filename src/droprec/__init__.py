@@ -41,8 +41,6 @@ from .mlp import (
     ModelFormatError,
     NumericError,
     build_model,
-    load_model,
-    save_model,
     train,
 )
 from .pipeline import (

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import evaluate as ev
 from . import mlp, pipeline, synth
-from .corpus import Corpus, CorpusError, load_corpus, save_corpus, split_corpus
+from .corpus import Corpus, CorpusError, load_corpus, save_corpus, split_corpus, write_records
 from .embeddings import EmbeddingError, deterministic_fallback_table, load_embeddings
 from .hypotheses import build_dpg_instances
 from .mlp import Hyperparams, ModelFormatError, NumericError
@@ -223,25 +223,15 @@ def cmd_recover(args) -> int:
     if args.threshold is not None:
         model.threshold = args.threshold
     corpus = load_corpus(args.inp)
-    out = Path(args.out)
-    with out.open("w", encoding="utf-8") as fh:
-        header = {
-            "label_set": model.label_set.name,
-            "metadata": {**dict(corpus.metadata), "recovered_by": "droprec"},
-        }
-        fh.write(json.dumps(header, ensure_ascii=False) + "\n")
-        total = 0
-        for sent in corpus.sentences:
-            result = pipeline.recover(model, sent)
-            total += len(result.recovered)
-            obj = {
-                "tokens": list(result.tokens),
-                "annotations": [
-                    [gap, tag, confidence] for gap, tag, confidence in result.recovered
-                ],
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
-    print(f"recovered {total} dropped pronouns over {len(corpus)} sentences into {out}")
+    results = [pipeline.recover(model, sent) for sent in corpus.sentences]
+    write_records(
+        args.out,
+        model.label_set.name,
+        {**corpus.metadata, "recovered_by": "droprec"},
+        ((result.tokens, result.recovered) for result in results),
+    )
+    total = sum(len(result.recovered) for result in results)
+    print(f"recovered {total} dropped pronouns over {len(corpus)} sentences into {args.out}")
     return EXIT_OK
 
 

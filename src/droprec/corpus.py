@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .rng import SplitMix64
 
@@ -187,7 +187,7 @@ def load_corpus(path: str | Path) -> Corpus:
         text = fh.read()
     if not text:
         raise CorpusError(f"{path}: empty file (missing header line)")
-    # Only "\n" ends a record: json.dumps(..., ensure_ascii=False) writes
+    # Only "\n" ends a record: write_records (ensure_ascii=False) leaves
     # U+2028 and the other str.splitlines() breaks raw inside strings.
     lines = text.split("\n")
     try:
@@ -213,18 +213,35 @@ def load_corpus(path: str | Path) -> Corpus:
     return Corpus(label_set, tuple(sentences), dict(metadata))
 
 
+def write_records(
+    path: str | Path,
+    label_set_name: str,
+    metadata: Mapping[str, str],
+    rows: Iterable[tuple[Sequence[str], Iterable[tuple]]],
+) -> None:
+    """Write a header line, then one line per (tokens, annotations) row.
+
+    This is the one writer of corpus-shaped files: corpora and the
+    recover output.  Each annotation tuple becomes a JSON list, so a
+    recovered (gap, tag, confidence) triple keeps its confidence.  Only
+    "\n" ends a record; load_corpus splits on nothing else.
+    """
+    with Path(path).open("w", encoding="utf-8") as fh:
+        header = {"label_set": label_set_name, "metadata": dict(metadata)}
+        fh.write(json.dumps(header, ensure_ascii=False) + "\n")
+        for tokens, annotations in rows:
+            obj = {"tokens": list(tokens), "annotations": [list(a) for a in annotations]}
+            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+
+
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus as JSONL; load_corpus(save_corpus(c)) == c field-for-field."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        header = {"label_set": corpus.label_set.name, "metadata": dict(corpus.metadata)}
-        fh.write(json.dumps(header, ensure_ascii=False) + "\n")
-        for sent in corpus.sentences:
-            obj = {
-                "tokens": list(sent.tokens),
-                "annotations": [[gap, tag] for gap, tag in sent.annotations],
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    write_records(
+        path,
+        corpus.label_set.name,
+        corpus.metadata,
+        ((sent.tokens, sent.annotations) for sent in corpus.sentences),
+    )
 
 
 def split_corpus(corpus: Corpus, seed: int) -> tuple[Corpus, Corpus, Corpus]:

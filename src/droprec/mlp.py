@@ -12,10 +12,8 @@ bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -406,7 +404,8 @@ def train(
 
 # --- serialization --------------------------------------------------------
 #
-# Model files are versioned JSON.  Parameters are stored as C99 hex floats
+# A network is one versioned JSON object, nested in the recovery model file
+# (pipeline.recovery_to_dict).  Parameters are stored as C99 hex floats
 # (float.hex()) so a save/load round trip is bit exact.
 
 
@@ -474,15 +473,3 @@ def model_from_dict(obj: dict) -> MlpModel:
         raise ModelFormatError(f"corrupt model file: {exc}") from None
     model.validate_shapes()
     return model
-
-
-def save_model(model: MlpModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model)), encoding="utf-8")
-
-
-def load_model(path: str | Path) -> MlpModel:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: not valid JSON: {exc.msg}") from None
-    return model_from_dict(obj)

@@ -214,18 +214,20 @@ def recovery_from_dict(obj: dict, table: EmbeddingTable | None = None) -> Recove
         raise ModelFormatError(
             f"unsupported recovery format version {obj.get('format_version')!r}"
         )
+    # CorpusError (an unknown label set) is a ValueError, so it lands here too.
     try:
-        window = int(obj["window"])
+        window = obj["window"]
+        if isinstance(window, bool) or not isinstance(window, int):
+            raise TypeError(f"window must be an integer, got {window!r}")
         threshold = float(obj["threshold"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"corrupt recovery model: {exc}") from None
-    try:
         label_set = label_set_by_name(obj["label_set"])
         table_ref = dict(obj["table_ref"])
         dpi = mlp.model_from_dict(obj.pop("dpi"))
         dpg = mlp.model_from_dict(obj.pop("dpg"))
         metadata = dict(obj.get("metadata", {}))
-    except (KeyError, TypeError) as exc:
+    except ModelFormatError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"corrupt recovery model: {exc}") from None
     if not 0.0 <= threshold <= 1.0:
         raise ModelFormatError(f"detection threshold {threshold} is not in [0, 1]")

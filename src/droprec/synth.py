@@ -18,9 +18,7 @@ deterministic and parallelizable per sentence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from .corpus import (
     ACTUAL10,
@@ -305,51 +303,3 @@ def builtin_grammar(profile: str) -> TemplateGrammar:
             f"unknown profile {profile!r} (expected one of {', '.join(_PROFILES)})"
         ) from None
     return factory()
-
-
-# --- grammar files --------------------------------------------------------
-
-
-def grammar_to_dict(grammar: TemplateGrammar) -> dict:
-    return {
-        "name": grammar.name,
-        "templates": [
-            {"pattern": list(t.pattern), "weight": t.weight} for t in grammar.templates
-        ],
-        "slot_label_dist": dict(grammar.slot_label_dist),
-        "drop_rate": grammar.drop_rate,
-        "vocab": list(grammar.vocab),
-        "label_set": grammar.label_set_name,
-    }
-
-
-def grammar_from_dict(obj: dict) -> TemplateGrammar:
-    try:
-        templates = tuple(
-            Template(tuple(t["pattern"]), float(t.get("weight", 1.0)))
-            for t in obj["templates"]
-        )
-        return TemplateGrammar(
-            templates,
-            {str(k): float(v) for k, v in obj["slot_label_dist"].items()},
-            float(obj["drop_rate"]),
-            tuple(obj["vocab"]),
-            name=str(obj.get("name", "custom")),
-            label_set_name=obj.get("label_set"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise GrammarError(f"malformed grammar object: {exc}") from None
-
-
-def save_grammar(grammar: TemplateGrammar, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(grammar_to_dict(grammar), ensure_ascii=False, indent=2), encoding="utf-8"
-    )
-
-
-def load_grammar(path: str | Path) -> TemplateGrammar:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise GrammarError(f"{path}: not valid JSON: {exc.msg}") from None
-    return grammar_from_dict(obj)

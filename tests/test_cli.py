@@ -3,7 +3,7 @@ import json
 import pytest
 
 from droprec.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from droprec.corpus import load_corpus
+from droprec.corpus import FULL14, AnnotatedSentence, Corpus, load_corpus, save_corpus
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +28,14 @@ def train_args(workspace, out_model, extra=()):
         "--out-model", str(out_model),
         *extra,
     ]
+
+
+@pytest.fixture(scope="module")
+def model_file(workspace):
+    """One trained model for the tests that only read it."""
+    model = workspace / "model.json"
+    assert main(train_args(workspace, model)) == EXIT_OK
+    return model
 
 
 def test_gen_is_deterministic(tmp_path):
@@ -74,6 +82,27 @@ def test_train_then_recover_and_eval(workspace, tmp_path):
         confusion = block["confusion"]
         trace = sum(confusion[i][i] for i in range(len(confusion)))
         assert block["accuracy"] == trace / block["n"]
+
+
+def test_recover_output_ends_records_only_at_newline(model_file, tmp_path):
+    # str.splitlines() also breaks at these characters, which the writer
+    # leaves raw inside JSON strings
+    tokens = [("他\u2028说", "要"), ("买\u2029",), ("\u0085它", "好", "了")]
+    corpus = Corpus(FULL14, tuple(AnnotatedSentence(t) for t in tokens))
+    inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    save_corpus(corpus, inp)
+    assert main(["recover", "--model", str(model_file), "--in", str(inp),
+                 "--out", str(out), "--threshold", "0"]) == EXIT_OK
+    text = out.read_bytes().decode("utf-8")
+    assert "\r" not in text  # json.dumps escapes it inside strings
+    records = text.split("\n")
+    assert records.pop() == ""  # the last record ends with "\n" too
+    assert len(records) == 1 + len(corpus)
+    header, *body = [json.loads(record) for record in records]
+    assert header["label_set"] == "full14"
+    assert [tuple(obj["tokens"]) for obj in body] == tokens
+    # threshold 0 detects every gap, so each record carries n + 1 triples
+    assert [len(obj["annotations"]) for obj in body] == [len(t) + 1 for t in tokens]
 
 
 def test_train_is_idempotent(workspace, tmp_path):
@@ -171,6 +200,24 @@ def test_model_with_non_numeric_threshold_is_data_error(workspace, tmp_path, cap
                  "--in", str(workspace / "splits" / "test.jsonl"),
                  "--out", str(tmp_path / "out.jsonl")]) == EXIT_DATA
     assert "corrupt recovery model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("{broken", "not valid JSON"), (None, "corrupt recovery model: unknown label set")],
+    ids=["corrupt-json", "unknown-label-set"],
+)
+def test_unreadable_model_is_data_error(workspace, model_file, tmp_path, capsys, text, message):
+    if text is None:  # a well-formed model file naming an unknown label set
+        obj = json.loads(model_file.read_text(encoding="utf-8"))
+        obj["label_set"] = "nope"
+        text = json.dumps(obj)
+    model = tmp_path / "model.json"
+    model.write_text(text, encoding="utf-8")
+    assert main(["eval", "--model", str(model),
+                 "--test", str(workspace / "splits" / "test.jsonl"),
+                 "--report", str(tmp_path / "report.json")]) == EXIT_DATA
+    assert message in capsys.readouterr().err
 
 
 def test_label_set_conflict_is_data_error(workspace, tmp_path, capsys):

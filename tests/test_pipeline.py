@@ -258,8 +258,11 @@ def test_recovery_load_rejects_threshold_outside_unit_interval(threshold):
 
 @pytest.mark.parametrize(
     "field, value, match",
-    [("threshold", "abc", "could not convert"), ("window", 0, "input dim")],
-    ids=["non-numeric-threshold", "window-zero"],
+    [("threshold", "abc", "could not convert"), ("window", 0, "input dim"),
+     ("label_set", "nope", "unknown label set"), ("window", 1.7, "window must be an integer"),
+     ("window", True, "window must be an integer")],
+    ids=["non-numeric-threshold", "window-zero", "unknown-label-set", "window-float",
+         "window-bool"],
 )
 def test_load_recovery_model_raises_model_format_error(tmp_path, field, value, match):
     table = deterministic_fallback_table(["a"], 2, seed=0)
@@ -268,6 +271,13 @@ def test_load_recovery_model_raises_model_format_error(tmp_path, field, value, m
     obj[field] = value
     path.write_text(json.dumps(obj), encoding="utf-8")
     with pytest.raises(ModelFormatError, match=match):
+        load_recovery_model(path)
+
+
+def test_load_recovery_model_rejects_corrupt_json(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("{broken", encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="JSON"):
         load_recovery_model(path)
 
 

@@ -9,10 +9,6 @@ from droprec.synth import (
     TemplateGrammar,
     builtin_grammar,
     generate_corpus,
-    grammar_from_dict,
-    grammar_to_dict,
-    load_grammar,
-    save_grammar,
 )
 
 UNIFORM14 = {tag: 1.0 / 14.0 for tag in FULL14.labels}
@@ -144,24 +140,3 @@ def test_adjacent_dropped_slots_rejected():
 def test_drop_rate_bounds():
     with pytest.raises(GrammarError, match="drop_rate"):
         simple_grammar(1.5)
-
-
-# --- grammar files ----------------------------------------------------------------
-
-
-def test_grammar_json_round_trip(tmp_path):
-    g = builtin_grammar("ontonotes-like")
-    path = tmp_path / "grammar.json"
-    save_grammar(g, path)
-    again = load_grammar(path)
-    assert again == g
-
-
-def test_grammar_dict_round_trip_custom():
-    g = simple_grammar(0.25)
-    assert grammar_from_dict(grammar_to_dict(g)) == g
-
-
-def test_malformed_grammar_rejected():
-    with pytest.raises(GrammarError, match="malformed"):
-        grammar_from_dict({"templates": [{}]})
