@@ -1,4 +1,4 @@
-"""Word-embedding tables and the gap-feature matrix of a sentence.
+"""Word-embedding tables and the gap-feature matrix of a corpus.
 
 Tables load from the word2vec text format (header ``"vocab_size dim"``,
 then one ``"word v1 ... vD"`` line per word).  A table is one
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +20,10 @@ from .corpus import AnnotatedSentence
 from .rng import SplitMix64, fnv1a64
 
 log = logging.getLogger(__name__)
+
+# The fields that table_from_source reads, with their types, per source kind.
+SOURCE_FIELDS = {"word2vec": {"path": str, "dim": int},
+                 "fallback": {"vocab": list, "dim": int, "seed": int}}
 
 
 class EmbeddingError(ValueError):
@@ -188,21 +193,26 @@ def table_from_source(source: dict) -> EmbeddingTable:
 
 
 def context_embedding(
-    sentence: AnnotatedSentence, window: int, table: EmbeddingTable
+    sentences: Sequence[AnnotatedSentence], window: int, table: EmbeddingTable
 ) -> np.ndarray:
-    """Features of every candidate gap of a sentence, one row per gap.
+    """Features of every candidate gap of every sentence, one row per gap.
 
-    Returns an (n + 1, 2 * window * dim) matrix for a sentence of n
-    tokens; row g is gap g.  Row layout: the `window` tokens left of the
-    gap in sentence order (nearest token last), then the `window` tokens
-    right of it (nearest first).  Positions past either boundary read the
-    zero row, so every row has length 2 * window * dim.
+    Rows run in sentence order, then gap order: n + 1 for n tokens.  Row
+    layout: the `window` tokens left of the gap in sentence order (nearest
+    token last), then the `window` tokens right of it (nearest first).
+    Positions past either end of a sentence read the zero row, so every
+    row has length 2 * window * dim.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    n = len(sentence.tokens)
-    ids = np.zeros(n + 2 * window, dtype=np.intp)
-    ids[window : window + n] = [table.rows.get(tok, 0) for tok in sentence.tokens]
-    # Gap g reads the padded positions g .. g + 2 * window - 1.
-    windows = np.arange(n + 1)[:, None] + np.arange(2 * window)
-    return table.matrix[ids[windows]].reshape(n + 1, -1)
+    # Row ids of `window` pads, then of each sentence's tokens followed by
+    # `window` pads.  Gap g of a sentence whose first token sits at
+    # position p reads positions p - window + g .. p + window + g - 1.
+    ids = [0] * window
+    first: list[int] = []
+    for sent in sentences:
+        first.extend(range(len(ids) - window, len(ids) - window + len(sent.tokens) + 1))
+        ids.extend([table.rows.get(tok, 0) for tok in sent.tokens] + [0] * window)
+    windows = np.array(first, dtype=np.intp)[:, None] + np.arange(2 * window)
+    features = table.matrix[np.array(ids, dtype=np.intp)[windows]]
+    return features.reshape(len(first), 2 * window * table.dim)

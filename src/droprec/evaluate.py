@@ -85,13 +85,10 @@ def report_from_pairs(
 
 def evaluate_dpi(model: RecoveryModel, corpus: Corpus, table: EmbeddingTable) -> EvalReport:
     """Score gap detection over every candidate gap at the model threshold."""
-    gold: list[int] = []
-    pred: list[int] = []
-    for sent in corpus.sentences:
-        gold.extend(gap_labels(sent).tolist())
-        pred.extend(predict_dpi(model, context_embedding(sent, model.window, table)).tolist())
+    gold = gap_labels(corpus) >= 0
+    pred = predict_dpi(model, context_embedding(corpus.sentences, model.window, table))
     return report_from_pairs(
-        gold, pred, DPI_CLASS_NAMES,
+        gold.tolist(), pred.tolist(), DPI_CLASS_NAMES,
         scoring=f"one instance per candidate gap; threshold {model.threshold}",
     )
 
@@ -109,21 +106,15 @@ def evaluate_dpg(
         )
     labels = model.label_set.labels
     none_idx = len(labels)
-    gold: list[int] = []
-    pred: list[int] = []
-    for sent in corpus.sentences:
-        features = context_embedding(sent, model.window, table)
-        gold_row = np.full(len(features), none_idx)
-        for gap, tag in sent.annotations:
-            gold_row[gap] = model.label_set.index_of(tag)
-        annotated = gold_row != none_idx
-        detected = annotated if positions == "gold" else predict_dpi(model, features)
-        pred_row = np.full(len(features), none_idx)
-        if detected.any():
-            pred_row[detected] = predict_dpg(model, features[detected])[0]
-        scored = annotated | detected
-        gold.extend(gold_row[scored].tolist())
-        pred.extend(pred_row[scored].tolist())
+    gold = gap_labels(corpus)
+    annotated = gold >= 0
+    features = context_embedding(corpus.sentences, model.window, table)
+    detected = annotated if positions == "gold" else predict_dpi(model, features)
+    pred = np.full(len(gold), none_idx)
+    pred[detected] = predict_dpg(model, features[detected])[0]
+    gold[~annotated] = none_idx
+    scored = annotated | detected
+    gold, pred = gold[scored].tolist(), pred[scored].tolist()
     if positions == "gold":
         return report_from_pairs(gold, pred, labels, scoring=GOLD_SCORING)
     return report_from_pairs(gold, pred, labels + (NONE_CLASS,), scoring=PREDICTED_SCORING)

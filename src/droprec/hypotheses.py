@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import AnnotatedSentence, Corpus
+from .corpus import Corpus
 from .embeddings import EmbeddingTable, context_embedding
 from .rng import SplitMix64
 
@@ -30,10 +30,14 @@ class Instance(NamedTuple):
     label: int
 
 
-def gap_labels(sentence: AnnotatedSentence) -> np.ndarray:
-    """DROPPED at every annotated gap and NOT_DROPPED elsewhere, in gap order."""
-    labels = np.full(len(sentence.tokens) + 1, NOT_DROPPED)
-    labels[[gap for gap, _ in sentence.annotations]] = DROPPED
+def gap_labels(corpus: Corpus) -> np.ndarray:
+    """Label-set index of each gap's annotation, or -1 where there is none,
+    for the rows of `context_embedding(corpus.sentences, ...)`."""
+    starts = np.cumsum([0] + [len(sent.tokens) + 1 for sent in corpus.sentences]).tolist()
+    labels = np.full(starts[-1], -1, dtype=np.intp)
+    for start, sent in zip(starts, corpus.sentences):
+        for gap, tag in sent.annotations:
+            labels[start + gap] = corpus.label_set.index_of(tag)
     return labels
 
 
@@ -54,33 +58,18 @@ def build_dpi_instances(
     """
     if not 0.0 < negative_rate <= 1.0:
         raise ValueError(f"negative_rate must be in (0, 1], got {negative_rate}")
-    labels = [gap_labels(sent).tolist() for sent in corpus.sentences]
-    kept = None
+    dropped = gap_labels(corpus) >= 0
+    negatives = np.flatnonzero(~dropped).tolist()
     if negative_rate < 1.0:
-        negatives = [
-            (si, gap)
-            for si, sent_labels in enumerate(labels)
-            for gap, label in enumerate(sent_labels)
-            if label == NOT_DROPPED
-        ]
         SplitMix64(seed).shuffle(negatives)
-        kept = set(negatives[: int(len(negatives) * negative_rate + 0.5)])  # round half up
-
-    instances = []
-    for si, (sent, sent_labels) in enumerate(zip(corpus.sentences, labels)):
-        features = context_embedding(sent, window, table)
-        for gap, label in enumerate(sent_labels):
-            if label == DROPPED or kept is None or (si, gap) in kept:
-                instances.append(Instance(features[gap], label))
-    return instances
+    kept = dropped.copy()
+    kept[negatives[: int(len(negatives) * negative_rate + 0.5)]] = True  # round half up
+    features = context_embedding(corpus.sentences, window, table)
+    return [Instance(features[row], int(dropped[row])) for row in np.flatnonzero(kept).tolist()]
 
 
 def build_dpg_instances(corpus: Corpus, table: EmbeddingTable, window: int) -> list[Instance]:
-    """One pronoun-generation instance per annotation, at its gold gap."""
-    instances = []
-    for sent in corpus.sentences:
-        if sent.annotations:
-            features = context_embedding(sent, window, table)
-            for gap, tag in sent.annotations:
-                instances.append(Instance(features[gap], corpus.label_set.index_of(tag)))
-    return instances
+    """One pronoun-generation instance per annotated gap, in sentence then gap order."""
+    labels = gap_labels(corpus)
+    features = context_embedding(corpus.sentences, window, table)
+    return [Instance(features[row], int(labels[row])) for row in np.flatnonzero(labels >= 0)]

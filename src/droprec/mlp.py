@@ -325,7 +325,9 @@ def predict(model: MlpModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarr
     if h.ndim != 2 or h.shape[1] != model.input_dim:
         raise ValueError(f"input has shape {h.shape}, model expects (m, {model.input_dim})")
     for layer in model.layers[:-1]:
-        h = relu(h @ layer.weights.T + layer.bias)
+        h = h @ layer.weights.T
+        h += layer.bias
+        np.maximum(h, 0.0, out=h)
     out = model.layers[-1]
     probs = softmax(h @ out.weights.T + out.bias)
     return np.argmax(probs, axis=1), probs
@@ -409,11 +411,20 @@ def train(
 # (float.hex()) so a save/load round trip is bit exact.
 
 
+def require_int(value, name: str) -> int:
+    """`value` itself if it is an int (a bool is not); TypeError otherwise."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _array_to_hex(a: np.ndarray) -> list[str]:
     return [float(v).hex() for v in a.ravel()]
 
 
 def _array_from_hex(values: list[str], shape: tuple[int, ...]) -> np.ndarray:
+    for size in shape:
+        require_int(size, "layer size")
     try:
         flat = np.array([float.fromhex(v) for v in values])
     except (ValueError, TypeError):
@@ -464,8 +475,8 @@ def model_from_dict(obj: dict) -> MlpModel:
         ]
         model = MlpModel(
             layers,
-            int(obj["input_dim"]),
-            int(obj["num_classes"]),
+            require_int(obj["input_dim"], "input_dim"),
+            require_int(obj["num_classes"], "num_classes"),
             hp,
             obj.get("label_set"),
         )

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import mlp
 from .corpus import Corpus, AnnotatedSentence, LabelSet, label_set_by_name
-from .embeddings import EmbeddingTable, context_embedding, table_from_source
+from .embeddings import SOURCE_FIELDS, EmbeddingTable, context_embedding, table_from_source
 from .hypotheses import DROPPED, build_dpg_instances, build_dpi_instances, gap_labels
-from .mlp import EpochStats, Hyperparams, MlpModel, ModelFormatError
+from .mlp import EpochStats, Hyperparams, MlpModel, ModelFormatError, require_int
 
 RECOVERY_FORMAT_VERSION = 1
 
@@ -72,18 +72,11 @@ def tune_threshold(
 
     Returns (threshold, accuracy).  Ties prefer the threshold nearest 0.5.
     """
-    probs = np.concatenate([
-        dpi_gap_probability(dpi_model, context_embedding(sent, window, table))
-        for sent in dev.sentences
-    ])
-    gold = np.concatenate([gap_labels(sent) == DROPPED for sent in dev.sentences])
-    best = None
-    for t in THRESHOLD_GRID:
-        acc = int(np.count_nonzero((probs >= t) == gold)) / len(probs)
-        key = (-acc, abs(t - 0.5), t)
-        if best is None or key < best[0]:
-            best = (key, t, acc)
-    return best[1], best[2]
+    probs = dpi_gap_probability(dpi_model, context_embedding(dev.sentences, window, table))
+    gold = gap_labels(dev) >= 0
+    correct = {t: int(np.count_nonzero((probs >= t) == gold)) for t in THRESHOLD_GRID}
+    best = min(THRESHOLD_GRID, key=lambda t: (-correct[t], abs(t - 0.5), t))
+    return best, correct[best] / len(probs)
 
 
 def train_recovery(
@@ -173,7 +166,7 @@ def predict_dpg(model: RecoveryModel, features: np.ndarray) -> tuple[np.ndarray,
 
 def recover(model: RecoveryModel, sentence: AnnotatedSentence) -> RecoveredSentence:
     """Run the two-stage pipeline over every candidate gap of a sentence."""
-    features = context_embedding(sentence, model.window, model.table)
+    features = context_embedding((sentence,), model.window, model.table)
     gaps = np.flatnonzero(predict_dpi(model, features))
     if not gaps.size:
         return RecoveredSentence(sentence.tokens, ())
@@ -216,12 +209,17 @@ def recovery_from_dict(obj: dict, table: EmbeddingTable | None = None) -> Recove
         )
     # CorpusError (an unknown label set) is a ValueError, so it lands here too.
     try:
-        window = obj["window"]
-        if isinstance(window, bool) or not isinstance(window, int):
-            raise TypeError(f"window must be an integer, got {window!r}")
+        window = require_int(obj["window"], "window")
+        if type(obj["threshold"]) not in (int, float):
+            raise TypeError(f"could not convert threshold {obj['threshold']!r} to a number")
         threshold = float(obj["threshold"])
         label_set = label_set_by_name(obj["label_set"])
         table_ref = dict(obj["table_ref"])
+        for key, kind in SOURCE_FIELDS.get(table_ref.get("kind"), {}).items():
+            if type(table_ref[key]) is not kind:
+                raise TypeError(f"table_ref {key} must be {kind.__name__}, got {table_ref[key]!r}")
+        if not all(type(word) is str for word in table_ref.get("vocab", ())):
+            raise TypeError("table_ref vocab must be a list of words")
         dpi = mlp.model_from_dict(obj.pop("dpi"))
         dpg = mlp.model_from_dict(obj.pop("dpg"))
         metadata = dict(obj.get("metadata", {}))

@@ -73,7 +73,7 @@ def test_criterion_3_hypothesis_cardinality():
     for _ in range(1000):
         n = int(rng.integers(1, 51))
         sent = AnnotatedSentence(tuple(f"t{i}" for i in range(n)))
-        features = context_embedding(sent, 1, table)
+        features = context_embedding((sent,), 1, table)
         assert len(features) == n + 1
         assert features[:, 0].tolist() == list(range(n + 1))
     print("PASS criterion 3: every sentence of length n yields exactly n+1 gap rows, in order")

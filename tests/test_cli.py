@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from droprec.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from droprec.corpus import FULL14, AnnotatedSentence, Corpus, load_corpus, save_corpus
+from droprec.embeddings import context_embedding
+from droprec.pipeline import dpi_gap_probability, load_recovery_model, predict_dpi, recover
 
 
 @pytest.fixture(scope="module")
@@ -203,21 +206,51 @@ def test_model_with_non_numeric_threshold_is_data_error(workspace, tmp_path, cap
 
 
 @pytest.mark.parametrize(
-    "text, message",
-    [("{broken", "not valid JSON"), (None, "corrupt recovery model: unknown label set")],
-    ids=["corrupt-json", "unknown-label-set"],
+    "contents, message",
+    [("{broken", "not valid JSON"),
+     ({"label_set": "nope"}, "corrupt recovery model: unknown label set"),
+     ({"table_ref": {"kind": "fallback", "dim": 4}}, "corrupt recovery model: 'vocab'"),
+     ({"table_ref": {"kind": "word2vec"}}, "corrupt recovery model: 'path'"),
+     ({"table_ref": {"kind": "fallback", "dim": "4", "seed": 0, "vocab": ["a"]}},
+      "corrupt recovery model: table_ref dim must be int"),
+     ({"table_ref": {"kind": "fallback", "dim": 8, "seed": 0, "vocab": "abc"}},
+      "corrupt recovery model: table_ref vocab must be list")],
+    ids=["corrupt-json", "unknown-label-set", "table-ref-without-vocab",
+         "table-ref-without-path", "table-ref-dim-string", "table-ref-vocab-string"],
 )
-def test_unreadable_model_is_data_error(workspace, model_file, tmp_path, capsys, text, message):
-    if text is None:  # a well-formed model file naming an unknown label set
+def test_unreadable_model_is_data_error(workspace, model_file, tmp_path, capsys, contents,
+                                        message):
+    if isinstance(contents, dict):  # a well-formed model file with these fields replaced
         obj = json.loads(model_file.read_text(encoding="utf-8"))
-        obj["label_set"] = "nope"
-        text = json.dumps(obj)
+        obj.update(contents)
+        contents = json.dumps(obj)
     model = tmp_path / "model.json"
-    model.write_text(text, encoding="utf-8")
+    model.write_text(contents, encoding="utf-8")
     assert main(["eval", "--model", str(model),
                  "--test", str(workspace / "splits" / "test.jsonl"),
                  "--report", str(tmp_path / "report.json")]) == EXIT_DATA
     assert message in capsys.readouterr().err
+
+
+def test_corpus_and_sentence_detection_agree(workspace, model_file):
+    # eval --positions predicted scores one matrix for the whole corpus,
+    # recover one matrix per sentence: both must detect the same gaps.
+    model = load_recovery_model(model_file)
+    corpus = load_corpus(workspace / "splits" / "test.jsonl")
+    features = context_embedding(corpus.sentences, model.window, model.table)
+    # The fixture's tuned threshold detects nothing; halfway between the two
+    # middle probabilities detects about half the gaps, and lies far from
+    # any last-bit difference between the two paths.
+    values = np.unique(dpi_gap_probability(model.dpi, features))
+    model.threshold = float(values[len(values) // 2 - 1 : len(values) // 2 + 1].mean())
+    whole = predict_dpi(model, features)
+    per_sentence = [predict_dpi(model, context_embedding((sent,), model.window, model.table))
+                    for sent in corpus.sentences]
+    assert np.array_equal(whole, np.concatenate(per_sentence))
+    assert 0 < np.count_nonzero(whole) < len(whole)
+    for sent, detected in zip(corpus.sentences, per_sentence):
+        recovered = [gap for gap, _, _ in recover(model, sent).recovered]
+        assert recovered == np.flatnonzero(detected).tolist()
 
 
 def test_label_set_conflict_is_data_error(workspace, tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from droprec.corpus import AnnotatedSentence
 from droprec.embeddings import (
@@ -157,7 +157,7 @@ def basis_table(words, dim=None):
 def test_interior_gap_window_one():
     table = basis_table(["a", "b"])
     sent = AnnotatedSentence(("a", "b"))
-    ctx = context_embedding(sent, 1, table)[1]
+    ctx = context_embedding((sent,), 1, table)[1]
     assert np.array_equal(ctx, np.concatenate([table.lookup("a"), table.lookup("b")]))
     assert ctx.shape == (2 * table.dim,)
 
@@ -165,7 +165,7 @@ def test_interior_gap_window_one():
 def test_boundary_gap_pads_with_zeros():
     table = basis_table(["a", "b"])
     sent = AnnotatedSentence(("a", "b"))
-    ctx = context_embedding(sent, 1, table)[0]
+    ctx = context_embedding((sent,), 1, table)[0]
     assert np.array_equal(ctx, np.concatenate([np.zeros(2), table.lookup("a")]))
 
 
@@ -173,7 +173,7 @@ def test_window_two_ordering_hand_derived():
     # gap 1 in [a, b, c] with W=2 reads: pad, a | b, c
     table = basis_table(["a", "b", "c"])
     sent = AnnotatedSentence(("a", "b", "c"))
-    ctx = context_embedding(sent, 2, table)[1]
+    ctx = context_embedding((sent,), 2, table)[1]
     expected = np.concatenate(
         [np.zeros(3), table.lookup("a"), table.lookup("b"), table.lookup("c")]
     )
@@ -184,7 +184,7 @@ def test_window_two_ordering_hand_derived():
 def test_gap_out_of_range_rejected():
     # the rows are gaps 0..n: a one-token sentence has no gap 2
     table = basis_table(["a"])
-    features = context_embedding(AnnotatedSentence(("a",)), 1, table)
+    features = context_embedding((AnnotatedSentence(("a",)),), 1, table)
     assert len(features) == 2
     with pytest.raises(IndexError):
         features[2]
@@ -192,13 +192,13 @@ def test_gap_out_of_range_rejected():
 
 def test_window_below_one_rejected():
     with pytest.raises(ValueError, match="window"):
-        context_embedding(AnnotatedSentence(("a",)), 0, basis_table(["a"]))
+        context_embedding((AnnotatedSentence(("a",)),), 0, basis_table(["a"]))
 
 
 def test_all_oov_sentence_gives_zero_vector():
     table = basis_table(["known"], dim=4)
     sent = AnnotatedSentence(("alien", "words"))
-    assert not context_embedding(sent, 2, table).any()
+    assert not context_embedding((sent,), 2, table).any()
 
 
 @settings(max_examples=60)
@@ -211,7 +211,7 @@ def test_context_length_always_2wd(tokens, window, data):
     table = basis_table(["a", "b", "c"])
     sent = AnnotatedSentence(tuple(tokens))
     gap = data.draw(st.integers(min_value=0, max_value=len(tokens)))
-    features = context_embedding(sent, window, table)
+    features = context_embedding((sent,), window, table)
     assert features.shape == (len(tokens) + 1, 2 * window * table.dim)
     assert features[gap].shape == (2 * window * table.dim,)
 
@@ -231,7 +231,7 @@ def test_matrix_rows_match_per_gap_concatenation(tokens, window):
         ])
         for gap in range(n + 1)
     ]
-    assert np.array_equal(context_embedding(AnnotatedSentence(tuple(tokens)), window, table),
+    assert np.array_equal(context_embedding((AnnotatedSentence(tuple(tokens)),), window, table),
                           np.array(reference))
 
 
@@ -239,9 +239,29 @@ def test_adjacent_gaps_share_shifted_window():
     table = basis_table(["t0", "t1", "t2", "t3", "t4"])
     sent = AnnotatedSentence(("t0", "t1", "t2", "t3", "t4"))
     d = table.dim
-    features = context_embedding(sent, 2, table)
+    features = context_embedding((sent,), 2, table)
     a, b = features[2], features[3]
     # tokens t1, t2, t3 appear in both windows, one slot over
     assert np.array_equal(a[d : 2 * d], b[0:d])
     assert np.array_equal(a[2 * d : 3 * d], b[d : 2 * d])
     assert np.array_equal(a[3 * d : 4 * d], b[2 * d : 3 * d])
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.lists(st.sampled_from(["a", "b", "c", "oov"]), min_size=1, max_size=6),
+             min_size=1, max_size=5),
+    st.integers(min_value=1, max_value=8),
+)
+@example([["a"], ["oov"], ["b"]], 3)  # single-token sentences, window wider than each
+def test_corpus_matrix_stacks_the_sentence_matrices(token_lists, window):
+    table = basis_table(["a", "b", "c"])
+    sents = [AnnotatedSentence(tuple(tokens)) for tokens in token_lists]
+    expected = np.concatenate([context_embedding((sent,), window, table) for sent in sents])
+    assert np.array_equal(context_embedding(sents, window, table), expected)
+
+
+@pytest.mark.parametrize("window", [1, 3])
+def test_no_sentences_give_no_rows(window):
+    table = basis_table(["a", "b"])
+    assert context_embedding((), window, table).shape == (0, 2 * window * table.dim)

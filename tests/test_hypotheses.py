@@ -33,18 +33,18 @@ def gap_index_of(feature):
 
 
 def test_five_tokens_six_hypotheses():
-    assert len(context_embedding(sent_of(5), 1, index_table())) == 6
+    assert len(context_embedding((sent_of(5),), 1, index_table())) == 6
 
 
 def test_single_token_two_hypotheses():
-    rows = context_embedding(sent_of(1), 1, index_table())
+    rows = context_embedding((sent_of(1),), 1, index_table())
     assert [gap_index_of(row) for row in rows] == [0, 1]
 
 
 def test_twelve_tokens_match_loop_oracle():
     sent = sent_of(12)
     expected = [gap for gap in range(len(sent.tokens) + 1)]
-    got = [gap_index_of(row) for row in context_embedding(sent, 1, index_table())]
+    got = [gap_index_of(row) for row in context_embedding((sent,), 1, index_table())]
     assert got == expected
     assert all(a < b for a, b in zip(got, got[1:]))
 
@@ -52,14 +52,26 @@ def test_twelve_tokens_match_loop_oracle():
 def test_hypotheses_carry_features_when_table_given():
     corpus = Corpus(FULL14, (sent_of(3),))
     table = table_for(corpus)
-    features = context_embedding(corpus.sentences[0], 2, table)
+    features = context_embedding(corpus.sentences, 2, table)
     assert len(features) == 4
     assert features[0].shape == (2 * 2 * table.dim,)
 
 
 def test_gap_labels_mark_annotated_gaps():
-    labels = gap_labels(sent_of(3, [(1, "wo"), (3, "ni")]))
-    assert labels.tolist() == [NOT_DROPPED, DROPPED, NOT_DROPPED, DROPPED]
+    labels = gap_labels(Corpus(FULL14, (sent_of(3, [(1, "wo"), (3, "ni")]),))) >= 0
+    assert labels.astype(int).tolist() == [NOT_DROPPED, DROPPED, NOT_DROPPED, DROPPED]
+
+
+def test_gap_labels_follow_the_rows_of_a_corpus_matrix():
+    corpus = Corpus(FULL14, (
+        sent_of(2, [(0, "ni")]),
+        sent_of(1),
+        sent_of(3, [(3, "wo"), (1, "ta_m")]),
+    ))
+    labels = gap_labels(corpus)
+    assert len(labels) == len(context_embedding(corpus.sentences, 1, index_table()))
+    ni, wo, ta_m = (FULL14.index_of(tag) for tag in ("ni", "wo", "ta_m"))
+    assert labels.tolist() == [ni, -1, -1] + [-1, -1] + [-1, ta_m, -1, wo]
 
 
 def test_empty_sentence_is_unconstructible():
@@ -127,6 +139,15 @@ def test_dpg_label_is_class_index():
     corpus = Corpus(FULL14, (sent_of(2, [(1, "ta_n")]),))
     (inst,) = build_dpg_instances(corpus, table_for(corpus), window=1)
     assert inst.label == FULL14.index_of("ta_n") == 8
+
+
+def test_dpg_instances_follow_gap_order():
+    corpus = Corpus(FULL14, (sent_of(2, [(0, "ni")]), sent_of(3, [(3, "wo"), (1, "ta_m")])))
+    instances = build_dpg_instances(corpus, index_table(), window=1)
+    assert [gap_index_of(inst.feature) for inst in instances] == [0, 1, 3]
+    assert [inst.label for inst in instances] == [
+        FULL14.index_of(tag) for tag in ("ni", "ta_m", "wo")
+    ]
 
 
 def test_dpg_one_instance_per_annotation():

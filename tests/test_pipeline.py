@@ -150,7 +150,7 @@ def test_hand_built_detector_matches_hand_computed_probabilities():
     model.dpi.layers[0].weights[:] = np.array([[0.0, 0.0], [10.0, 10.0]])
     model.dpi.layers[0].bias[:] = np.array([0.0, -15.0])
     sent = AnnotatedSentence(("P", "P", "N"))
-    features = context_embedding(sent, 1, table)
+    features = context_embedding((sent,), 1, table)
     expected = {
         0: sigmoid(0 * 10 + 1 * 10 - 15),   # pad, P
         1: sigmoid(1 * 10 + 1 * 10 - 15),   # P, P  -> 0.9933...
@@ -173,7 +173,7 @@ def test_predict_dpi_probabilities_sum_to_one():
     table = deterministic_fallback_table(["a", "b"], 4, seed=1)
     model = stub_recovery_model(table)
     sent = AnnotatedSentence(("a", "b"))
-    features = context_embedding(sent, 1, table)
+    features = context_embedding((sent,), 1, table)
     p1 = dpi_gap_probability(model.dpi, features)[1]
     _, probs = mlp.predict(model.dpi, features)
     assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)
@@ -185,7 +185,7 @@ def test_predict_dpg_confidence_is_max_probability():
     bias = np.linspace(0.0, 1.3, 14)
     model = stub_recovery_model(table, dpg_bias=bias)
     sent = AnnotatedSentence(("a", "b"))
-    (cls,), (confidence,) = predict_dpg(model, context_embedding(sent, 1, table)[[1]])
+    (cls,), (confidence,) = predict_dpg(model, context_embedding((sent,), 1, table)[[1]])
     assert FULL14.labels[cls] == FULL14.labels[13]  # largest bias wins
     assert confidence == pytest.approx(float(np.max(mlp.softmax(bias))), abs=1e-12)
 
@@ -193,7 +193,7 @@ def test_predict_dpg_confidence_is_max_probability():
 def test_predictions_stable_across_calls():
     table = deterministic_fallback_table(["a", "b"], 4, seed=2)
     model = stub_recovery_model(table, dpg_bias=np.arange(14.0) / 10)
-    features = context_embedding(AnnotatedSentence(("a", "b")), 1, table)
+    features = context_embedding((AnnotatedSentence(("a", "b")),), 1, table)
     assert np.array_equal(predict_dpi(model, features), predict_dpi(model, features))
     for a, b in zip(predict_dpg(model, features), predict_dpg(model, features)):
         assert np.array_equal(a, b)
@@ -231,8 +231,8 @@ def test_recovery_model_round_trip(tmp_path):
     assert again.label_set.name == model.label_set.name
     assert again.metadata == model.metadata
     sent = train.sentences[0]
-    features = context_embedding(sent, model.window, model.table)
-    again_features = context_embedding(sent, again.window, again.table)
+    features = context_embedding((sent,), model.window, model.table)
+    again_features = context_embedding((sent,), again.window, again.table)
     assert np.array_equal(dpi_gap_probability(again.dpi, again_features),
                           dpi_gap_probability(model.dpi, features))
     for a, b in zip(predict_dpg(again, again_features), predict_dpg(model, features)):
@@ -260,15 +260,25 @@ def test_recovery_load_rejects_threshold_outside_unit_interval(threshold):
     "field, value, match",
     [("threshold", "abc", "could not convert"), ("window", 0, "input dim"),
      ("label_set", "nope", "unknown label set"), ("window", 1.7, "window must be an integer"),
-     ("window", True, "window must be an integer")],
+     ("window", True, "window must be an integer"),
+     ("threshold", True, "could not convert"), ("threshold", "0.5", "could not convert"),
+     (("dpi", "input_dim"), 8.7, "input_dim must be an integer"),
+     (("dpg", "num_classes"), 14.0, "num_classes must be an integer"),
+     (("dpi", "layers", 0, "out_dim"), 2.0, "layer size must be an integer"),
+     (("dpg", "layers", 0, "in_dim"), True, "layer size must be an integer")],
     ids=["non-numeric-threshold", "window-zero", "unknown-label-set", "window-float",
-         "window-bool"],
+         "window-bool", "threshold-bool", "threshold-string", "input-dim-float",
+         "num-classes-float", "out-dim-float", "in-dim-bool"],
 )
 def test_load_recovery_model_raises_model_format_error(tmp_path, field, value, match):
     table = deterministic_fallback_table(["a"], 2, seed=0)
     path = tmp_path / "model.json"
     obj = recovery_to_dict(stub_recovery_model(table))
-    obj[field] = value
+    *parents, key = (field,) if isinstance(field, str) else field
+    target = obj
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
     path.write_text(json.dumps(obj), encoding="utf-8")
     with pytest.raises(ModelFormatError, match=match):
         load_recovery_model(path)
