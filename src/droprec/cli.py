@@ -17,7 +17,15 @@ import numpy as np
 
 from . import evaluate as ev
 from . import mlp, pipeline, synth
-from .corpus import Corpus, CorpusError, load_corpus, save_corpus, split_corpus, write_records
+from .corpus import (
+    Corpus,
+    CorpusError,
+    atomic_open,
+    load_corpus,
+    save_corpus,
+    split_corpus,
+    write_records,
+)
 from .embeddings import EmbeddingError, deterministic_fallback_table, load_embeddings
 from .hypotheses import build_dpg_instances
 from .mlp import Hyperparams, ModelFormatError, NumericError
@@ -248,10 +256,8 @@ def cmd_eval(args) -> int:
         "dpi": ev.report_to_dict(dpi_report),
         "dpg": ev.report_to_dict(dpg_report),
     }
-    Path(args.report).write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    with atomic_open(args.report) as fh:
+        fh.write(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
     print(f"\nwrote report to {args.report}")
     return EXIT_OK
 

@@ -16,9 +16,12 @@ n + 1 candidate gaps.
 from __future__ import annotations
 
 import json
+import os
+import secrets
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .rng import SplitMix64
 
@@ -213,6 +216,30 @@ def load_corpus(path: str | Path) -> Corpus:
     return Corpus(label_set, tuple(sentences), dict(metadata))
 
 
+@contextmanager
+def atomic_open(path: str | Path) -> Iterator[IO[str]]:
+    """A UTF-8 text file whose contents replace `path` when the block ends.
+
+    The writes go to a temporary file in the same directory, which
+    `os.replace` renames over `path` only once the block has finished
+    without error.  So a crash part-way leaves the old file, not a
+    truncated one; the temporary file is removed on error.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(6)}.tmp")
+    try:
+        fh = tmp.open("x", encoding="utf-8")
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_records(
     path: str | Path,
     label_set_name: str,
@@ -226,7 +253,7 @@ def write_records(
     recovered (gap, tag, confidence) triple keeps its confidence.  Only
     "\n" ends a record; load_corpus splits on nothing else.
     """
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         header = {"label_set": label_set_name, "metadata": dict(metadata)}
         fh.write(json.dumps(header, ensure_ascii=False) + "\n")
         for tokens, annotations in rows:

@@ -10,20 +10,31 @@ sentence boundaries both read row 0, so every gap's features have length
 
 from __future__ import annotations
 
+import hashlib
+import io
 import logging
+import re
+from array import array
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
 from .corpus import AnnotatedSentence
+from .mlp import ModelFormatError
 from .rng import SplitMix64, fnv1a64
 
 log = logging.getLogger(__name__)
 
-# The fields that table_from_source reads, with their types, per source kind.
-SOURCE_FIELDS = {"word2vec": {"path": str, "dim": int},
+# The fields that table_from_source reads, per source kind.  A type marks a
+# required field of that type; a pattern marks an optional string field
+# that must match it in full.
+SOURCE_FIELDS = {"word2vec": {"path": str, "dim": int, "sha256": re.compile("[0-9a-f]{64}")},
                  "fallback": {"vocab": list, "dim": int, "seed": int}}
+
+# A line as text-mode reading sees it: up to "\r\n", "\r" or "\n", or the
+# end of the data.  Both are single bytes in UTF-8, so no character splits.
+_TEXT_LINE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
 
 class EmbeddingError(ValueError):
@@ -31,13 +42,19 @@ class EmbeddingError(ValueError):
 
 
 class EmbeddingTable:
-    """Immutable word -> float64 vector map with a zero unknown-word vector.
+    """Word -> float64 vector map with a zero unknown-word vector.
 
     `matrix` has shape (V + 1, dim): row 0 is all zeros and stands for
     unknown words and padding, and `rows` maps each of the V words to its
     row.  `source` describes how the table was built (word2vec file or
     fallback generator) so a serialized model can name the table it was
     trained with.
+
+    A table that `load_embeddings` reads lazily parses a word's line the
+    first time the word is looked up.  Until then `rows` maps the word to
+    -1 - k, where `_spans[3k : 3k + 3]` holds the offset, length and
+    `hash()` of its line in the file; `matrix` holds only the rows read so
+    far, and `unread` counts the words still waiting.
     """
 
     def __init__(
@@ -53,11 +70,14 @@ class EmbeddingTable:
             raise EmbeddingError(
                 f"embedding matrix needs a zero row 0 plus one row per word ({len(rows)})"
             )
-        self.matrix = matrix
+        self.matrix = self._buffer = matrix
         self.rows = rows
         self.dim = matrix.shape[1]
         self.source = source or {"kind": "inline", "dim": self.dim}
         self.duplicates_skipped = duplicates_skipped
+        self.unread = 0
+        self._spans = array("q")
+        self._path: Path | None = None
 
     @classmethod
     def from_vectors(
@@ -78,67 +98,114 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.rows
-
     def lookup(self, word: str) -> np.ndarray:
         """Vector for `word`, or the zero unk vector when absent."""
-        return self.matrix[self.rows.get(word, 0)]
+        row = self.rows.get(word, 0)
+        if row < 0:
+            row = self._read(row)
+        return self.matrix[row]
 
+    def _read_rows(self, ids: np.ndarray) -> None:
+        """Replace the unread-word markers among `ids` by the words' rows."""
+        unread = ids < 0
+        markers, which = np.unique(ids[unread], return_inverse=True)
+        ids[unread] = np.array([self._read(m) for m in markers.tolist()], dtype=np.intp)[which]
 
-def load_embeddings(path: str | Path, expected_dim: int | None = None) -> EmbeddingTable:
-    """Load a word2vec text file; duplicates keep the first occurrence.
+    def _read(self, marker: int) -> int:
+        """Parse and check the line of an unread word, give the word the
+        next row, and return that row.
 
-    Rows are written in place into a matrix sized from the header (capped
-    by what the file's size can hold), grown only if the file has more
-    distinct words than the header declares.
-    """
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise EmbeddingError(f"{path}: header must be 'vocab_size dim'")
-        try:
-            vocab_size, dim = int(header[0]), int(header[1])
-        except ValueError:
-            raise EmbeddingError(f"{path}: non-integer header fields {header!r}") from None
-        if dim < 1:
-            raise EmbeddingError(f"{path}: dimension must be positive, got {dim}")
-        if expected_dim is not None and dim != expected_dim:
-            raise EmbeddingError(
-                f"{path}: file dimension {dim} conflicts with expected {expected_dim}"
-            )
-        # A word line takes at least 2 * dim + 2 bytes ("w", dim times " x",
-        # "\n"), so the file size caps the rows a header can ask for.
-        capacity = max(1, min(vocab_size, path.stat().st_size // (2 * dim + 2)))
-        matrix = None  # allocated once a word line has shown `dim` to be real
-        rows: dict[str, int] = {}
-        duplicates = 0
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(" ")
-            word, comps = parts[0], [p for p in parts[1:] if p]
-            if len(comps) != dim:
+        The line is read from the file again.  It must still have the
+        keyed 64-bit `hash()` taken in the pass that computed the file's
+        SHA-256, so an edit of the line since that pass is caught, not
+        served.
+        """
+        k = -1 - marker
+        start, length, check = self._spans[3 * k : 3 * k + 3]
+        with open(self._path, "rb") as fh:
+            fh.seek(start)
+            line = fh.read(length)
+            if hash(line) != check:
                 raise EmbeddingError(
-                    f"{path} line {line_no}: expected {dim} components, got {len(comps)}"
+                    f"{self.source['path']}: file changed since its SHA-256 was checked"
                 )
             try:
-                vec = [float(c) for c in comps]
-            except ValueError:
-                raise EmbeddingError(
-                    f"{path} line {line_no}: non-numeric vector component"
-                ) from None
-            if word in rows:
-                duplicates += 1
-                continue
-            row = len(rows) + 1
-            if matrix is None:
-                matrix = np.zeros((capacity + 1, dim))
-            elif row == len(matrix):
-                matrix = np.concatenate([matrix, np.zeros_like(matrix)])
-            matrix[row] = vec
-            rows[word] = row
+                word, vec = _parse_row(line.rstrip(b"\r\n").decode("utf-8"), self.dim)
+            except EmbeddingError as exc:
+                fh.seek(0)
+                head = fh.read(start)
+                line_no = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+                raise EmbeddingError(f"{self.source['path']} line {line_no}: {exc}") from None
+        vec = np.array(vec)
+        if not np.isfinite(vec).all():
+            raise EmbeddingError(
+                f"{self.source['path']}: non-finite vector component for word {word!r}"
+            )
+        row = len(self.matrix)
+        if row == len(self._buffer):
+            self._buffer = np.concatenate([self._buffer, np.zeros_like(self._buffer)])
+        self._buffer[row] = vec
+        self.matrix = self._buffer[: row + 1]
+        self.rows[word] = row
+        self.unread -= 1
+        return row
+
+
+def _parse_header(line: str, path: Path, expected_dim: int | None) -> tuple[int, int]:
+    header = line.split()
+    if len(header) != 2:
+        raise EmbeddingError(f"{path}: header must be 'vocab_size dim'")
+    try:
+        vocab_size, dim = int(header[0]), int(header[1])
+    except ValueError:
+        raise EmbeddingError(f"{path}: non-integer header fields {header!r}") from None
+    if dim < 1:
+        raise EmbeddingError(f"{path}: dimension must be positive, got {dim}")
+    if expected_dim is not None and dim != expected_dim:
+        raise EmbeddingError(
+            f"{path}: file dimension {dim} conflicts with expected {expected_dim}"
+        )
+    return vocab_size, dim
+
+
+def _parse_row(line: str, dim: int) -> tuple[str, list[float]]:
+    """Word and components of one word line; errors carry no location."""
+    parts = line.rstrip("\n").split(" ")
+    word, comps = parts[0], [p for p in parts[1:] if p]
+    if len(comps) != dim:
+        raise EmbeddingError(f"expected {dim} components, got {len(comps)}")
+    try:
+        return word, [float(c) for c in comps]
+    except ValueError:
+        raise EmbeddingError("non-numeric vector component") from None
+
+
+def _parse_all(fh: io.TextIOBase, path: Path, dim: int, capacity: int) -> EmbeddingTable:
+    """Parse and check every word line; duplicates keep the first occurrence.
+
+    Rows are written in place into a matrix sized for `capacity` words,
+    grown only if the file has more distinct words.
+    """
+    matrix = None  # allocated once a word line has shown `dim` to be real
+    rows: dict[str, int] = {}
+    duplicates = 0
+    for line_no, line in enumerate(fh, start=2):
+        if not line.strip():
+            continue
+        try:
+            word, vec = _parse_row(line, dim)
+        except EmbeddingError as exc:
+            raise EmbeddingError(f"{path} line {line_no}: {exc}") from None
+        if word in rows:
+            duplicates += 1
+            continue
+        row = len(rows) + 1
+        if matrix is None:
+            matrix = np.zeros((capacity + 1, dim))
+        elif row == len(matrix):
+            matrix = np.concatenate([matrix, np.zeros_like(matrix)])
+        matrix[row] = vec
+        rows[word] = row
     if matrix is None:
         matrix = np.zeros((1, dim))
     elif len(matrix) > len(rows) + 1:
@@ -147,18 +214,85 @@ def load_embeddings(path: str | Path, expected_dim: int | None = None) -> Embedd
         bad = int(np.argmin(np.isfinite(matrix).all(axis=1)))
         word = next(w for w, row in rows.items() if row == bad)
         raise EmbeddingError(f"{path}: non-finite vector component for word {word!r}")
-    if duplicates:
-        log.warning("%s: skipped %d duplicate word(s), kept first occurrence", path, duplicates)
-    if len(rows) != vocab_size:
+    return EmbeddingTable(matrix, rows, duplicates_skipped=duplicates)
+
+
+def _index_words(fh: BinaryIO) -> tuple[str, str, dict[str, int], array, int]:
+    """One pass over a word2vec file: its SHA-256 and header line, and the
+    first line of each word, skipping blank lines and later duplicates
+    exactly as `_parse_all` does.  No vector is parsed.
+
+    Returns (hex digest, header, rows, spans, duplicates skipped), with
+    `rows` and `spans` as a lazy `EmbeddingTable` holds them.
+    """
+    sha = hashlib.sha256()
+    header = None
+    rows: dict[str, int] = {}
+    spans = array("q")
+    duplicates = 0
+    offset = 0
+    for raw in fh:  # binary reading ends a line at "\n" only
+        sha.update(raw)
+        for line in _TEXT_LINE.findall(raw) if b"\r" in raw else (raw,):
+            if header is None:
+                header = line.decode("utf-8")
+            else:
+                space = line.find(b" ")
+                word = (line[:space] if space >= 0 else line.rstrip(b"\r\n")).decode("utf-8")
+                if word.strip() or line.decode("utf-8").strip():  # else a blank line
+                    if word in rows:
+                        duplicates += 1
+                    else:
+                        rows[word] = -1 - len(spans) // 3
+                        spans.extend((offset, len(line), hash(line)))
+            offset += len(line)
+    return sha.hexdigest(), header or "", rows, spans, duplicates
+
+
+def load_embeddings(
+    path: str | Path, expected_dim: int | None = None, sha256: str | None = None
+) -> EmbeddingTable:
+    """Load a word2vec text file; duplicates keep the first occurrence.
+
+    The table's source records the file's SHA-256.  Without `sha256`,
+    every line is parsed and checked now.  With it, the file must have
+    that hash, or ModelFormatError is raised; one pass then notes where
+    each word's line is, and the line is parsed and checked only when the
+    word is first looked up.  A file with the hash a model recorded at
+    training passed the full parse then, so the lines never read hold no
+    error.
+    """
+    path = Path(path)
+    if sha256 is None:
+        data = path.read_bytes()
+        digest = hashlib.sha256(data).hexdigest()
+        fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        vocab_size, dim = _parse_header(fh.readline(), path, expected_dim)
+        # A word line takes at least 2 * dim + 2 bytes ("w", dim times " x",
+        # "\n"), so the file size caps the rows a header can ask for.
+        capacity = max(1, min(vocab_size, len(data) // (2 * dim + 2)))
+        table = _parse_all(fh, path, dim, capacity)
+    else:
+        with path.open("rb") as fh:
+            digest, header, rows, spans, duplicates = _index_words(fh)
+        if digest != sha256:
+            raise ModelFormatError(
+                f"{path}: file SHA-256 {digest} differs from the {sha256} the model was "
+                "trained with"
+            )
+        vocab_size, dim = _parse_header(header, path, expected_dim)
+        table = EmbeddingTable(np.zeros((1, dim)), {}, duplicates_skipped=duplicates)
+        table.rows, table.unread, table._spans = rows, len(rows), spans
+        table._path = path.absolute()
+    table.source = {"kind": "word2vec", "path": str(path), "dim": dim, "sha256": digest}
+    if table.duplicates_skipped:
+        log.warning("%s: skipped %d duplicate word(s), kept first occurrence", path,
+                    table.duplicates_skipped)
+    if len(table) != vocab_size:
         log.warning(
-            "%s: header declares %d words, file has %d distinct", path, vocab_size, len(rows)
+            "%s: header declares %d words, file has %d distinct", path, vocab_size, len(table)
         )
-    return EmbeddingTable(
-        matrix,
-        rows,
-        source={"kind": "word2vec", "path": str(path), "dim": dim},
-        duplicates_skipped=duplicates,
-    )
+    return table
 
 
 def fallback_vector(word: str, dim: int, seed: int) -> np.ndarray:
@@ -186,7 +320,9 @@ def table_from_source(source: dict) -> EmbeddingTable:
     """Rebuild a table from its `source` descriptor (used by model loading)."""
     kind = source.get("kind")
     if kind == "word2vec":
-        return load_embeddings(source["path"], expected_dim=source.get("dim"))
+        return load_embeddings(
+            source["path"], expected_dim=source.get("dim"), sha256=source.get("sha256")
+        )
     if kind == "fallback":
         return deterministic_fallback_table(source["vocab"], source["dim"], source["seed"])
     raise EmbeddingError(f"cannot rebuild embedding table from source kind {kind!r}")
@@ -213,6 +349,9 @@ def context_embedding(
     for sent in sentences:
         first.extend(range(len(ids) - window, len(ids) - window + len(sent.tokens) + 1))
         ids.extend([table.rows.get(tok, 0) for tok in sent.tokens] + [0] * window)
+    row_ids = np.array(ids, dtype=np.intp)
+    if table.unread and min(ids) < 0:
+        table._read_rows(row_ids)
     windows = np.array(first, dtype=np.intp)[:, None] + np.arange(2 * window)
-    features = table.matrix[np.array(ids, dtype=np.intp)[windows]]
+    features = table.matrix[row_ids[windows]]
     return features.reshape(len(first), 2 * window * table.dim)

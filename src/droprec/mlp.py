@@ -173,11 +173,6 @@ def build_model(input_dim: int, num_classes: int, hp: Hyperparams) -> MlpModel:
     return model
 
 
-def relu(z: np.ndarray) -> np.ndarray:
-    """Elementwise max(z, 0)."""
-    return np.maximum(z, 0.0)
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis via max subtraction."""
     shifted = logits - logits.max(axis=-1, keepdims=True)

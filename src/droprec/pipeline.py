@@ -11,6 +11,8 @@ confidence.
 from __future__ import annotations
 
 import json
+import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -18,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import mlp
-from .corpus import Corpus, AnnotatedSentence, LabelSet, label_set_by_name
+from .corpus import Corpus, AnnotatedSentence, LabelSet, atomic_open, label_set_by_name
 from .embeddings import SOURCE_FIELDS, EmbeddingTable, context_embedding, table_from_source
 from .hypotheses import DROPPED, build_dpg_instances, build_dpi_instances, gap_labels
 from .mlp import EpochStats, Hyperparams, MlpModel, ModelFormatError, require_int
@@ -195,11 +197,17 @@ def recovery_to_dict(model: RecoveryModel) -> dict:
     }
 
 
-def recovery_from_dict(obj: dict, table: EmbeddingTable | None = None) -> RecoveryModel:
+def recovery_from_dict(
+    obj: dict, table: EmbeddingTable | None = None, model_dir: str | Path = "."
+) -> RecoveryModel:
     """Build a recovery model from its JSON object.
 
-    The two parameter blocks are popped from `obj` as they are converted,
-    so their hex strings are freed before the embedding table is built.
+    A word2vec `table_ref` with a `sha256` names its file relative to
+    `model_dir`, the directory of the model file; one without (written
+    before the hash was recorded) names it relative to the working
+    directory, and its file is parsed in full.  The two parameter blocks
+    are popped from `obj` as they are converted, so their hex strings are
+    freed before the embedding table is built.
     """
     if not isinstance(obj, dict) or obj.get("kind") != "recovery":
         raise ModelFormatError("not a recovery model object")
@@ -216,7 +224,14 @@ def recovery_from_dict(obj: dict, table: EmbeddingTable | None = None) -> Recove
         label_set = label_set_by_name(obj["label_set"])
         table_ref = dict(obj["table_ref"])
         for key, kind in SOURCE_FIELDS.get(table_ref.get("kind"), {}).items():
-            if type(table_ref[key]) is not kind:
+            if isinstance(kind, re.Pattern):
+                if key in table_ref and not (
+                    type(table_ref[key]) is str and kind.fullmatch(table_ref[key])
+                ):
+                    raise ValueError(
+                        f"table_ref {key} must match {kind.pattern}, got {table_ref[key]!r}"
+                    )
+            elif type(table_ref[key]) is not kind:
                 raise TypeError(f"table_ref {key} must be {kind.__name__}, got {table_ref[key]!r}")
         if not all(type(word) is str for word in table_ref.get("vocab", ())):
             raise TypeError("table_ref vocab must be a list of words")
@@ -229,6 +244,8 @@ def recovery_from_dict(obj: dict, table: EmbeddingTable | None = None) -> Recove
         raise ModelFormatError(f"corrupt recovery model: {exc}") from None
     if not 0.0 <= threshold <= 1.0:
         raise ModelFormatError(f"detection threshold {threshold} is not in [0, 1]")
+    if "sha256" in table_ref:
+        table_ref["path"] = str(Path(model_dir) / table_ref["path"])
     if table is None:
         table = table_from_source(table_ref)
     if dpg.num_classes != len(label_set):
@@ -242,7 +259,15 @@ def recovery_from_dict(obj: dict, table: EmbeddingTable | None = None) -> Recove
 
 
 def save_recovery_model(model: RecoveryModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(recovery_to_dict(model)), encoding="utf-8")
+    """Write the model as JSON.  A hashed word2vec `table_ref` is stored
+    with its path relative to the model file's directory, so the bytes do
+    not depend on the working directory."""
+    obj = recovery_to_dict(model)
+    ref = obj["table_ref"]
+    if "sha256" in ref:
+        obj["table_ref"] = {**ref, "path": os.path.relpath(ref["path"], Path(path).parent)}
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(obj))
 
 
 def load_recovery_model(path: str | Path, table: EmbeddingTable | None = None) -> RecoveryModel:
@@ -252,4 +277,4 @@ def load_recovery_model(path: str | Path, table: EmbeddingTable | None = None) -
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON: {exc.msg}") from None
-    return recovery_from_dict(obj, table)
+    return recovery_from_dict(obj, table, Path(path).parent)

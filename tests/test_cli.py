@@ -1,4 +1,7 @@
+import hashlib
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -21,12 +24,12 @@ def workspace(tmp_path_factory):
     return root
 
 
-def train_args(workspace, out_model, extra=()):
+def train_args(workspace, out_model, extra=(), table=("--fallback-dim", "8")):
     return [
         "train",
         "--train", str(workspace / "splits" / "train.jsonl"),
         "--dev", str(workspace / "splits" / "dev.jsonl"),
-        "--fallback-dim", "8", "--window", "1", "--layers", "2",
+        *table, "--window", "1", "--layers", "2",
         "--epochs", "3", "--lr", "0.01", "--seed", "5",
         "--out-model", str(out_model),
         *extra,
@@ -39,6 +42,44 @@ def model_file(workspace):
     model = workspace / "model.json"
     assert main(train_args(workspace, model)) == EXIT_OK
     return model
+
+
+@pytest.fixture(scope="module")
+def w2v_model(workspace):
+    """A model trained with --embeddings, in a directory beside its table.
+
+    The table holds the train and dev words, so some test words are out
+    of vocabulary, plus unused words that no corpus has."""
+    run = workspace / "w2v"
+    run.mkdir()
+    words = sorted({tok for part in ("train", "dev") for sent in
+                    load_corpus(workspace / "splits" / f"{part}.jsonl").sentences
+                    for tok in sent.tokens}) + ["unused1", "unused2"]
+    rng = np.random.default_rng(0)
+    lines = [f"{word} " + " ".join(f"{x:.4f}" for x in rng.uniform(-1, 1, 8)) for word in words]
+    (run / "vec.txt").write_text(f"{len(words)} 8\n" + "\n".join(lines) + "\n",
+                                 encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(run)  # trained as a user would, with paths relative to the working directory
+    try:
+        assert main(train_args(workspace, "model.json", table=("--embeddings", "vec.txt"))) \
+            == EXIT_OK
+    finally:
+        os.chdir(cwd)
+    return run / "model.json"
+
+
+def recover_and_eval(workspace, model, out_dir):
+    """Exit codes of recover and eval on the test split, outputs in out_dir."""
+    test = str(workspace / "splits" / "test.jsonl")
+    return (main(["recover", "--model", str(model), "--in", test,
+                  "--out", str(out_dir / "recovered.jsonl"), "--threshold", "0.3"]),
+            main(["eval", "--model", str(model), "--test", test, "--positions", "predicted",
+                  "--report", str(out_dir / "report.json")]))
+
+
+def output_bytes(out_dir):
+    return [(out_dir / name).read_bytes() for name in ("recovered.jsonl", "report.json")]
 
 
 def test_gen_is_deterministic(tmp_path):
@@ -113,6 +154,62 @@ def test_train_is_idempotent(workspace, tmp_path):
     assert main(train_args(workspace, m1)) == EXIT_OK
     assert main(train_args(workspace, m2)) == EXIT_OK
     assert m1.read_bytes() == m2.read_bytes()
+
+
+def test_word2vec_model_names_its_table_by_hash_and_relative_path(workspace, w2v_model,
+                                                                   tmp_path, monkeypatch):
+    run = w2v_model.parent
+    ref = json.loads(w2v_model.read_text(encoding="utf-8"))["table_ref"]
+    assert ref["path"] == "vec.txt"
+    assert ref["sha256"] == hashlib.sha256((run / "vec.txt").read_bytes()).hexdigest()
+    # The same training run from elsewhere writes the same bytes.
+    monkeypatch.chdir(tmp_path)
+    again = run / "again.json"
+    assert main(train_args(workspace, os.path.relpath(again),
+                           table=("--embeddings", os.path.relpath(run / "vec.txt")))) == EXIT_OK
+    assert again.read_bytes() == w2v_model.read_bytes()
+
+
+def test_word2vec_model_runs_from_another_directory(workspace, w2v_model, tmp_path,
+                                                    monkeypatch):
+    home, away = tmp_path / "home", tmp_path / "away"
+    home.mkdir(), away.mkdir()
+    monkeypatch.chdir(w2v_model.parent)
+    assert recover_and_eval(workspace, "model.json", home) == (EXIT_OK, EXIT_OK)
+    monkeypatch.chdir(away)
+    assert recover_and_eval(workspace, os.path.relpath(w2v_model), away) == (EXIT_OK, EXIT_OK)
+    assert output_bytes(away) == output_bytes(home)
+
+
+def test_edited_word2vec_file_is_data_error(workspace, w2v_model, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(w2v_model.parent, run)
+    table = run / "vec.txt"
+    content = table.read_bytes()
+    at = content.index(b"\nunused1 ") + len(b"\nunused1 ") + 1  # a digit of an unused row
+    table.write_bytes(content[:at] + bytes([content[at] ^ 1]) + content[at + 1:])
+    capsys.readouterr()
+    assert recover_and_eval(workspace, run / "model.json", tmp_path) == (EXIT_DATA, EXIT_DATA)
+    err = capsys.readouterr().err
+    assert err.count("SHA-256") == 2 and "Traceback" not in err
+    assert not (tmp_path / "recovered.jsonl").exists() and not (tmp_path / "report.json").exists()
+
+
+def test_model_without_table_hash_loads_through_the_full_parse(workspace, w2v_model, tmp_path,
+                                                              monkeypatch):
+    run = tmp_path / "run"
+    shutil.copytree(w2v_model.parent, run)
+    obj = json.loads((run / "model.json").read_text(encoding="utf-8"))
+    del obj["table_ref"]["sha256"]
+    (run / "model.json").write_text(json.dumps(obj), encoding="utf-8")
+    monkeypatch.chdir(run)  # without a hash the path is relative to the working directory
+    model = load_recovery_model("model.json")
+    assert model.table.unread == 0 and len(model.table.matrix) == len(model.table) + 1
+    hashed, bare = tmp_path / "hashed", tmp_path / "bare"
+    hashed.mkdir(), bare.mkdir()
+    assert recover_and_eval(workspace, w2v_model, hashed) == (EXIT_OK, EXIT_OK)
+    assert recover_and_eval(workspace, "model.json", bare) == (EXIT_OK, EXIT_OK)
+    assert output_bytes(bare) == output_bytes(hashed)
 
 
 def test_train_accepts_reference_generation_settings(workspace, tmp_path):
@@ -193,6 +290,15 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert "file not found" in capsys.readouterr().err
 
 
+def test_output_into_missing_directory_names_the_output(model_file, workspace, tmp_path,
+                                                        capsys):
+    out = tmp_path / "absent" / "out.jsonl"
+    assert main(["recover", "--model", str(model_file),
+                 "--in", str(workspace / "splits" / "test.jsonl"),
+                 "--out", str(out)]) == EXIT_DATA
+    assert f"file not found: {out}\n" in capsys.readouterr().err
+
+
 def test_model_with_non_numeric_threshold_is_data_error(workspace, tmp_path, capsys):
     model = tmp_path / "model.json"
     assert main(train_args(workspace, model)) == EXIT_OK
@@ -214,9 +320,12 @@ def test_model_with_non_numeric_threshold_is_data_error(workspace, tmp_path, cap
      ({"table_ref": {"kind": "fallback", "dim": "4", "seed": 0, "vocab": ["a"]}},
       "corrupt recovery model: table_ref dim must be int"),
      ({"table_ref": {"kind": "fallback", "dim": 8, "seed": 0, "vocab": "abc"}},
-      "corrupt recovery model: table_ref vocab must be list")],
+      "corrupt recovery model: table_ref vocab must be list"),
+     ({"table_ref": {"kind": "word2vec", "path": "vec.txt", "dim": 8, "sha256": "ab" * 31}},
+      "corrupt recovery model: table_ref sha256 must match")],
     ids=["corrupt-json", "unknown-label-set", "table-ref-without-vocab",
-         "table-ref-without-path", "table-ref-dim-string", "table-ref-vocab-string"],
+         "table-ref-without-path", "table-ref-dim-string", "table-ref-vocab-string",
+         "table-ref-sha256-not-hex"],
 )
 def test_unreadable_model_is_data_error(workspace, model_file, tmp_path, capsys, contents,
                                         message):

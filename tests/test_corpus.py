@@ -16,6 +16,7 @@ from droprec.corpus import (
     load_corpus,
     save_corpus,
     split_corpus,
+    write_records,
 )
 
 
@@ -187,6 +188,20 @@ def test_round_trip_tokens_holding_line_break_characters(tmp_path, char):
     path = tmp_path / "c.jsonl"
     save_corpus(corpus, path)
     assert load_corpus(path) == corpus
+
+
+def test_write_failing_part_way_leaves_the_old_file(tmp_path):
+    path = tmp_path / "out.jsonl"
+    path.write_text("old contents\n", encoding="utf-8")
+
+    def rows():
+        yield ("a", "b"), ()
+        raise RuntimeError("crash part-way")
+
+    with pytest.raises(RuntimeError, match="part-way"):
+        write_records(path, "full14", {}, rows())
+    assert path.read_text(encoding="utf-8") == "old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]  # no temporary file left
 
 
 def test_load_reports_line_number_on_empty_token_list(tmp_path):

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from droprec.corpus import AnnotatedSentence
+from droprec.mlp import ModelFormatError
 from droprec.embeddings import (
     EmbeddingError,
     EmbeddingTable,
@@ -108,6 +111,116 @@ def test_duplicate_words_keep_first_and_count(tmp_path):
     table = load_embeddings(p)
     assert np.array_equal(table.lookup("a"), [1.0, 2.0])
     assert table.duplicates_skipped == 1
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_full_load_records_the_file_hash(tmp_path):
+    p = tmp_path / "vec.txt"
+    p.write_text("1 2\na 1 2\n", encoding="utf-8")
+    assert load_embeddings(p).source == {"kind": "word2vec", "path": str(p), "dim": 2,
+                                         "sha256": sha256_of(p)}
+
+
+# --- lazy word2vec table ------------------------------------------------------
+
+
+def test_hashed_load_parses_only_the_rows_looked_up(tmp_path):
+    p = tmp_path / "vec.txt"
+    p.write_text("3 2\na 1 2\nb 3 4\nc 5 6\n", encoding="utf-8")
+    table = load_embeddings(p, sha256=sha256_of(p))
+    assert len(table) == 3 and table.unread == 3 and table.matrix.shape == (1, 2)
+    features = context_embedding((AnnotatedSentence(("c", "x", "c")),), 1, table)
+    assert np.array_equal(features[1], [5.0, 6.0, 0.0, 0.0])
+    assert table.matrix.shape == (2, 2) and table.unread == 2
+    assert np.array_equal(table.lookup("a"), [1.0, 2.0])
+    assert table.rows == {"a": 2, "b": -2, "c": 1}  # b: not read, the second word line
+
+
+def test_hashed_load_rejects_another_file(tmp_path):
+    p = tmp_path / "vec.txt"
+    p.write_text("1 2\na 1 2\n", encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="SHA-256"):
+        load_embeddings(p, sha256="0" * 64)
+
+
+@pytest.mark.parametrize("edit", ["2 2\na 1 2\nb 3 5\n", "2 2\na 1 2\nb 3 4 \n"],
+                         ids=["same-length", "longer"])
+def test_lazy_table_serves_no_row_edited_after_the_hash(tmp_path, edit):
+    p = tmp_path / "vec.txt"
+    p.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
+    table = load_embeddings(p, sha256=sha256_of(p))
+    assert np.array_equal(table.lookup("a"), [1.0, 2.0])
+    p.write_text(edit, encoding="utf-8")
+    with pytest.raises(EmbeddingError, match="changed since its SHA-256 was checked"):
+        table.lookup("b")
+    assert np.array_equal(table.lookup("a"), [1.0, 2.0])  # read before the edit
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("b 3", "line 3: expected 2 components, got 1"), ("b 3 x", "line 3: non-numeric"),
+     ("b 3 1e999", "non-finite vector component for word 'b'")],
+    ids=["component-count", "non-numeric", "non-finite"],
+)
+def test_lazily_read_row_gets_the_full_checks(tmp_path, row, message):
+    p = tmp_path / "vec.txt"
+    p.write_text(f"2 2\r\na 1 2\r\n{row}\r\n", encoding="utf-8")
+    table = load_embeddings(p, sha256=sha256_of(p))  # a hash of a file never fully parsed
+    assert np.array_equal(table.lookup("a"), [1.0, 2.0])
+    with pytest.raises(EmbeddingError, match=message):
+        context_embedding((AnnotatedSentence(("a", "b")),), 1, table)
+
+
+# Word characters: multi-byte UTF-8, and characters str.splitlines() or
+# str.split() treat as breaks but word2vec lines do not.
+WORDS = st.text(st.sampled_from("ab\u00e9\u4e2d\U0001f600\t\x0b\x85\u2028"), min_size=1,
+                max_size=3)
+COMPONENT = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+@st.composite
+def word2vec_files(draw):
+    """(file bytes, words) with duplicates, blank lines and mixed line ends."""
+    dim = draw(st.integers(1, 3))
+    words = draw(st.lists(WORDS, min_size=1, max_size=8))
+    lines = []
+    for word in words + draw(st.lists(st.sampled_from(words), max_size=3)):  # + duplicates
+        comps = draw(st.lists(COMPONENT, min_size=dim, max_size=dim))
+        sep = draw(st.sampled_from([" ", "  "]))
+        lines.append(word + " " + sep.join(comps) + draw(st.sampled_from(["", " "])))
+        lines.extend(draw(st.lists(st.sampled_from(["", " ", "\t", "\u3000"]), max_size=1)))
+    header = f"{len(set(words)) + draw(st.integers(-1, 1))} {dim}"
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines) + 1,
+                         max_size=len(lines) + 1))
+    text = "".join(line + end for line, end in zip([header] + lines, ends))
+    if draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no line end after the last line
+    return text.encode("utf-8"), words
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(word2vec_files(), st.data())
+def test_lazy_table_gives_the_features_of_the_full_table(tmp_path, file, data):
+    content, words = file
+    p = tmp_path / "vec.txt"
+    p.write_bytes(content)
+    full = load_embeddings(p)
+    lazy = load_embeddings(p, sha256=full.source["sha256"])
+    assert (len(lazy), lazy.duplicates_skipped) == (len(full), full.duplicates_skipped)
+    tokens = st.sampled_from(words + ["oov", "\u4e2d\u6587"])
+    sentences = data.draw(st.lists(st.lists(tokens, min_size=1, max_size=5), min_size=1,
+                                   max_size=4))
+    window = data.draw(st.integers(1, 7))
+    for batch in (sentences[:1], sentences):  # a second call reads only the rest
+        sents = [AnnotatedSentence(tuple(tokens)) for tokens in batch]
+        expected = context_embedding(sents, window, full)
+        got = context_embedding(sents, window, lazy)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    for word in words:
+        assert lazy.lookup(word).tobytes() == full.lookup(word).tobytes()
 
 
 # --- fallback table ---------------------------------------------------------

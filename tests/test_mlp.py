@@ -21,7 +21,6 @@ from droprec.mlp import (
     dropout_mask,
     forward,
     one_hot,
-    relu,
     sgd_step,
     softmax,
     train,
@@ -33,22 +32,6 @@ def tiny_hp(**kw):
     defaults = dict(embed_dim=2, window=1, layer_count=2, hidden_dim=5, seed=1)
     defaults.update(kw)
     return Hyperparams(**defaults)
-
-
-# --- relu ------------------------------------------------------------------
-
-
-def test_relu_mixed_signs():
-    assert np.array_equal(relu(np.array([-3.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
-
-
-def test_relu_identity_on_nonnegative():
-    x = np.array([0.0, 1.5, 7.0])
-    assert np.array_equal(relu(x), x)
-
-
-def test_relu_zeroes_negatives():
-    assert not relu(np.array([-1.0, -0.5, -100.0])).any()
 
 
 # --- softmax / cross entropy -------------------------------------------------
