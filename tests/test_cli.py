@@ -212,6 +212,17 @@ def test_model_without_table_hash_loads_through_the_full_parse(workspace, w2v_mo
     assert output_bytes(bare) == output_bytes(hashed)
 
 
+def test_train_rejects_a_malformed_duplicate_embedding_line(workspace, tmp_path, capsys):
+    vec = tmp_path / "vec.txt"
+    vec.write_text("2 8\nthe " + " ".join(["0.5"] * 8) + "\nthe 5\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(train_args(workspace, tmp_path / "m.json",
+                           table=("--embeddings", str(vec)))) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "line 3: expected 8 components, got 1" in err and "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_train_accepts_reference_generation_settings(workspace, tmp_path):
     # reference generation settings for the larger dataset:
     # 10 layers, dropout 0.8, 10 epochs

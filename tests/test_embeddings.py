@@ -113,6 +113,14 @@ def test_duplicate_words_keep_first_and_count(tmp_path):
     assert table.duplicates_skipped == 1
 
 
+def test_malformed_duplicate_line_is_rejected(tmp_path):
+    # A duplicate word's line is checked like any other before it is skipped.
+    p = tmp_path / "vec.txt"
+    p.write_text("2 2\na 1 2\nb 3 4\na 5\n", encoding="utf-8")
+    with pytest.raises(EmbeddingError, match="line 4: expected 2 components, got 1"):
+        load_embeddings(p)
+
+
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
