@@ -186,8 +186,11 @@ def load_corpus(path: str | Path) -> Corpus:
     Raises CorpusError with the offending line number on malformed input.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not valid UTF-8: {exc.reason}") from None
     if not text:
         raise CorpusError(f"{path}: empty file (missing header line)")
     # Only "\n" ends a record: write_records (ensure_ascii=False) leaves

@@ -11,12 +11,12 @@ sentence boundaries both read row 0, so every gap's features have length
 from __future__ import annotations
 
 import hashlib
-import io
 import logging
+import os
 import re
 from array import array
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -130,8 +130,8 @@ class EmbeddingTable:
                     f"{self.source['path']}: file changed since its SHA-256 was checked"
                 )
             try:
-                word, vec = _parse_row(line.rstrip(b"\r\n").decode("utf-8"), self.dim)
-            except EmbeddingError as exc:
+                word, vec = _parse_row(line, self.dim)
+            except (EmbeddingError, UnicodeDecodeError) as exc:
                 fh.seek(0)
                 head = fh.read(start)
                 line_no = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
@@ -151,8 +151,11 @@ class EmbeddingTable:
         return row
 
 
-def _parse_header(line: str, path: Path, expected_dim: int | None) -> tuple[int, int]:
-    header = line.split()
+def _parse_header(line: bytes, path: Path, expected_dim: int | None) -> tuple[int, int]:
+    try:
+        header = line.decode("utf-8").split()
+    except UnicodeDecodeError as exc:
+        raise EmbeddingError(f"{path} line 1: {exc}") from None
     if len(header) != 2:
         raise EmbeddingError(f"{path}: header must be 'vocab_size dim'")
     try:
@@ -168,9 +171,9 @@ def _parse_header(line: str, path: Path, expected_dim: int | None) -> tuple[int,
     return vocab_size, dim
 
 
-def _parse_row(line: str, dim: int) -> tuple[str, list[float]]:
+def _parse_row(line: bytes, dim: int) -> tuple[str, list[float]]:
     """Word and components of one word line; errors carry no location."""
-    parts = line.rstrip("\n").split(" ")
+    parts = line.rstrip(b"\r\n").decode("utf-8").split(" ")
     word, comps = parts[0], [p for p in parts[1:] if p]
     if len(comps) != dim:
         raise EmbeddingError(f"expected {dim} components, got {len(comps)}")
@@ -180,101 +183,81 @@ def _parse_row(line: str, dim: int) -> tuple[str, list[float]]:
         raise EmbeddingError("non-numeric vector component") from None
 
 
-def _parse_all(fh: io.TextIOBase, path: Path, dim: int, capacity: int) -> EmbeddingTable:
-    """Parse and check every word line; duplicates keep the first occurrence.
-
-    Rows are written in place into a matrix sized for `capacity` words,
-    grown only if the file has more distinct words.
-    """
-    matrix = None  # allocated once a word line has shown `dim` to be real
-    rows: dict[str, int] = {}
-    duplicates = 0
-    for line_no, line in enumerate(fh, start=2):
-        if not line.strip():
-            continue
-        try:
-            word, vec = _parse_row(line, dim)
-        except EmbeddingError as exc:
-            raise EmbeddingError(f"{path} line {line_no}: {exc}") from None
-        if word in rows:
-            duplicates += 1
-            continue
-        row = len(rows) + 1
-        if matrix is None:
-            matrix = np.zeros((capacity + 1, dim))
-        elif row == len(matrix):
-            matrix = np.concatenate([matrix, np.zeros_like(matrix)])
-        matrix[row] = vec
-        rows[word] = row
-    if matrix is None:
-        matrix = np.zeros((1, dim))
-    elif len(matrix) > len(rows) + 1:
-        matrix = matrix[: len(rows) + 1].copy()
-    if not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):  # no full-size temporary
-        bad = int(np.argmin(np.isfinite(matrix).all(axis=1)))
-        word = next(w for w, row in rows.items() if row == bad)
-        raise EmbeddingError(f"{path}: non-finite vector component for word {word!r}")
-    return EmbeddingTable(matrix, rows, duplicates_skipped=duplicates)
-
-
-def _index_words(fh: BinaryIO) -> tuple[str, str, dict[str, int], array, int]:
-    """One pass over a word2vec file: its SHA-256 and header line, and the
-    first line of each word, skipping blank lines and later duplicates
-    exactly as `_parse_all` does.  No vector is parsed.
-
-    Returns (hex digest, header, rows, spans, duplicates skipped), with
-    `rows` and `spans` as a lazy `EmbeddingTable` holds them.
-    """
-    sha = hashlib.sha256()
-    header = None
-    rows: dict[str, int] = {}
-    spans = array("q")
-    duplicates = 0
-    offset = 0
+def _text_lines(fh: BinaryIO, sha) -> Iterator[tuple[int, int, bytes]]:
+    """Number, byte offset and bytes of each line of `fh` as text-mode
+    reading splits them, feeding every byte to `sha` on the way."""
+    line_no = offset = 0
     for raw in fh:  # binary reading ends a line at "\n" only
         sha.update(raw)
         for line in _TEXT_LINE.findall(raw) if b"\r" in raw else (raw,):
-            if header is None:
-                header = line.decode("utf-8")
-            else:
-                space = line.find(b" ")
-                word = (line[:space] if space >= 0 else line.rstrip(b"\r\n")).decode("utf-8")
-                if word.strip() or line.decode("utf-8").strip():  # else a blank line
-                    if word in rows:
-                        duplicates += 1
-                    else:
-                        rows[word] = -1 - len(spans) // 3
-                        spans.extend((offset, len(line), hash(line)))
+            line_no += 1
+            yield line_no, offset, line
             offset += len(line)
-    return sha.hexdigest(), header or "", rows, spans, duplicates
 
 
 def load_embeddings(
     path: str | Path, expected_dim: int | None = None, sha256: str | None = None
 ) -> EmbeddingTable:
-    """Load a word2vec text file; duplicates keep the first occurrence.
+    """Load a word2vec text file; blank lines are skipped, and duplicates
+    keep the first occurrence.
 
-    The table's source records the file's SHA-256.  Without `sha256`,
-    every line is parsed and checked now.  With it, the file must have
-    that hash, or ModelFormatError is raised; one pass then notes where
-    each word's line is, and the line is parsed and checked only when the
-    word is first looked up.  A file with the hash a model recorded at
-    training passed the full parse then, so the lines never read hold no
-    error.
+    One pass hashes the file and notes each word's line; the table's
+    source records the hash.  Without `sha256`, the pass also parses and
+    checks every word line, duplicates included.  With it, the file must
+    have that hash, or ModelFormatError is raised, and a word's line is
+    parsed and checked only when the word is first looked up.  A file
+    with the hash a model recorded at training was fully checked then, so
+    the lines never read hold no error.
     """
     path = Path(path)
+    sha = hashlib.sha256()
+    rows: dict[str, int] = {}
+    spans = array("q")
+    matrix = None  # allocated once a word line has shown `dim` to be real
+    duplicates = 0
+    with path.open("rb") as fh:
+        lines = _text_lines(fh, sha)
+        header = next(lines, (1, 0, b""))[2]
+        if sha256 is None:
+            vocab_size, dim = _parse_header(header, path, expected_dim)
+            # A word line takes at least 2 * dim + 2 bytes ("w", dim times
+            # " x", "\n"), so the file size caps the rows a header can ask for.
+            capacity = max(1, min(vocab_size, os.fstat(fh.fileno()).st_size // (2 * dim + 2)))
+        for line_no, offset, line in lines:
+            try:
+                space = line.find(b" ")
+                word = (line[:space] if space >= 0 else line.rstrip(b"\r\n")).decode("utf-8")
+                if not (word.strip() or line.decode("utf-8").strip()):
+                    continue  # a blank line
+                if sha256 is None:
+                    vec = _parse_row(line, dim)[1]
+            except (EmbeddingError, UnicodeDecodeError) as exc:
+                raise EmbeddingError(f"{path} line {line_no}: {exc}") from None
+            if word in rows:
+                duplicates += 1
+            elif sha256 is not None:
+                rows[word] = -1 - len(spans) // 3
+                spans.extend((offset, len(line), hash(line)))
+            else:
+                row = len(rows) + 1
+                if matrix is None:
+                    matrix = np.zeros((capacity + 1, dim))
+                elif row == len(matrix):
+                    matrix = np.concatenate([matrix, np.zeros_like(matrix)])
+                matrix[row] = vec
+                rows[word] = row
+    digest = sha.hexdigest()
     if sha256 is None:
-        data = path.read_bytes()
-        digest = hashlib.sha256(data).hexdigest()
-        fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-        vocab_size, dim = _parse_header(fh.readline(), path, expected_dim)
-        # A word line takes at least 2 * dim + 2 bytes ("w", dim times " x",
-        # "\n"), so the file size caps the rows a header can ask for.
-        capacity = max(1, min(vocab_size, len(data) // (2 * dim + 2)))
-        table = _parse_all(fh, path, dim, capacity)
+        if matrix is None:
+            matrix = np.zeros((1, dim))
+        elif len(matrix) > len(rows) + 1:
+            matrix = matrix[: len(rows) + 1].copy()
+        if not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):  # no full-size temporary
+            bad = int(np.argmin(np.isfinite(matrix).all(axis=1)))
+            word = next(w for w, row in rows.items() if row == bad)
+            raise EmbeddingError(f"{path}: non-finite vector component for word {word!r}")
+        table = EmbeddingTable(matrix, rows, duplicates_skipped=duplicates)
     else:
-        with path.open("rb") as fh:
-            digest, header, rows, spans, duplicates = _index_words(fh)
         if digest != sha256:
             raise ModelFormatError(
                 f"{path}: file SHA-256 {digest} differs from the {sha256} the model was "

@@ -42,7 +42,6 @@ class RecoveryModel:
     window: int
     threshold: float
     table: EmbeddingTable
-    table_ref: dict
     metadata: dict = field(default_factory=dict)
 
 
@@ -136,9 +135,7 @@ def train_recovery(
             progress("dpg", stats)
 
     threshold, dev_dpi_acc = tune_threshold(dpi_model, dev, table, window)
-    model = RecoveryModel(
-        dpi_model, dpg_model, train.label_set, window, threshold, table, dict(table.source)
-    )
+    model = RecoveryModel(dpi_model, dpg_model, train.label_set, window, threshold, table)
     if dev.total_annotations():
         from .evaluate import evaluate_dpg  # evaluate imports this module
 
@@ -190,24 +187,22 @@ def recovery_to_dict(model: RecoveryModel) -> dict:
         "label_set": model.label_set.name,
         "window": model.window,
         "threshold": model.threshold,
-        "table_ref": model.table_ref,
+        "table_ref": model.table.source,
         "metadata": model.metadata,
         "dpi": mlp.model_to_dict(model.dpi),
         "dpg": mlp.model_to_dict(model.dpg),
     }
 
 
-def recovery_from_dict(
-    obj: dict, table: EmbeddingTable | None = None, model_dir: str | Path = "."
-) -> RecoveryModel:
+def recovery_from_dict(obj: dict, model_dir: str | Path = ".") -> RecoveryModel:
     """Build a recovery model from its JSON object.
 
     A word2vec `table_ref` with a `sha256` names its file relative to
     `model_dir`, the directory of the model file; one without (written
     before the hash was recorded) names it relative to the working
-    directory, and its file is parsed in full.  The two parameter blocks
-    are popped from `obj` as they are converted, so their hex strings are
-    freed before the embedding table is built.
+    directory.  The two parameter blocks are popped from `obj` as they
+    are converted, so their hex strings are freed before the embedding
+    table is built.
     """
     if not isinstance(obj, dict) or obj.get("kind") != "recovery":
         raise ModelFormatError("not a recovery model object")
@@ -246,8 +241,7 @@ def recovery_from_dict(
         raise ModelFormatError(f"detection threshold {threshold} is not in [0, 1]")
     if "sha256" in table_ref:
         table_ref["path"] = str(Path(model_dir) / table_ref["path"])
-    if table is None:
-        table = table_from_source(table_ref)
+    table = table_from_source(table_ref)
     if dpg.num_classes != len(label_set):
         raise ModelFormatError(
             f"generation model has {dpg.num_classes} classes but label set "
@@ -255,7 +249,7 @@ def recovery_from_dict(
         )
     _check_dims(dpi, window, table, "detection")
     _check_dims(dpg, window, table, "generation")
-    return RecoveryModel(dpi, dpg, label_set, window, threshold, table, table_ref, metadata)
+    return RecoveryModel(dpi, dpg, label_set, window, threshold, table, metadata)
 
 
 def save_recovery_model(model: RecoveryModel, path: str | Path) -> None:
@@ -270,11 +264,13 @@ def save_recovery_model(model: RecoveryModel, path: str | Path) -> None:
         fh.write(json.dumps(obj))
 
 
-def load_recovery_model(path: str | Path, table: EmbeddingTable | None = None) -> RecoveryModel:
+def load_recovery_model(path: str | Path) -> RecoveryModel:
     """Load a recovery model, rebuilding its embedding table from the
-    file's table_ref unless one is passed in."""
+    file's table_ref."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON: {exc.msg}") from None
-    return recovery_from_dict(obj, table, Path(path).parent)
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: not valid UTF-8: {exc.reason}") from None
+    return recovery_from_dict(obj, Path(path).parent)

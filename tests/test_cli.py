@@ -223,6 +223,25 @@ def test_train_rejects_a_malformed_duplicate_embedding_line(workspace, tmp_path,
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("kind", ["embeddings", "corpus", "model"])
+def test_invalid_utf8_input_is_data_error_naming_the_file(workspace, model_file, tmp_path,
+                                                          capsys, kind):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes({"embeddings": b"1 2\n\xff 1 2\n", "corpus": b'{"label_set": "\xff"}\n',
+                     "model": b'{"kind": "\xff"}'}[kind])
+    test = str(workspace / "splits" / "test.jsonl")
+    args = {"embeddings": train_args(workspace, tmp_path / "m.json",
+                                     table=("--embeddings", str(bad))),
+            "corpus": ["eval", "--model", str(model_file), "--test", str(bad),
+                       "--report", str(tmp_path / "report.json")],
+            "model": ["recover", "--model", str(bad), "--in", test,
+                      "--out", str(tmp_path / "out.jsonl")]}[kind]
+    capsys.readouterr()
+    assert main(args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
+
+
 def test_train_accepts_reference_generation_settings(workspace, tmp_path):
     # reference generation settings for the larger dataset:
     # 10 layers, dropout 0.8, 10 epochs

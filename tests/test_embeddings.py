@@ -218,6 +218,17 @@ def test_lazy_table_gives_the_features_of_the_full_table(tmp_path, file, data):
     full = load_embeddings(p)
     lazy = load_embeddings(p, sha256=full.source["sha256"])
     assert (len(lazy), lazy.duplicates_skipped) == (len(full), full.duplicates_skipped)
+    reference, word_lines = {}, 0  # a text-mode parse that shares no code with the loader
+    with open(p, encoding="utf-8") as fh:
+        next(fh)
+        for line in fh:
+            if line.strip():
+                word, *comps = line.rstrip("\n").split(" ")
+                reference.setdefault(word, [float(c) for c in comps if c])
+                word_lines += 1
+    assert list(full.rows) == list(reference)
+    assert full.duplicates_skipped == word_lines - len(reference)
+    assert full.matrix[1:].tobytes() == np.array(list(reference.values())).tobytes()
     tokens = st.sampled_from(words + ["oov", "\u4e2d\u6587"])
     sentences = data.draw(st.lists(st.lists(tokens, min_size=1, max_size=5), min_size=1,
                                    max_size=4))
@@ -229,6 +240,7 @@ def test_lazy_table_gives_the_features_of_the_full_table(tmp_path, file, data):
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
     for word in words:
         assert lazy.lookup(word).tobytes() == full.lookup(word).tobytes()
+        assert lazy.lookup(word).tolist() == reference[word]
 
 
 # --- fallback table ---------------------------------------------------------

@@ -1,13 +1,17 @@
+import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from droprec import mlp
-from droprec.corpus import ACTUAL10, FULL14, AnnotatedSentence, Corpus, split_corpus
-from droprec.embeddings import EmbeddingTable, context_embedding, deterministic_fallback_table
+from droprec.corpus import (ACTUAL10, FULL14, AnnotatedSentence, Corpus, CorpusError,
+                            load_corpus, split_corpus)
+from droprec.embeddings import (EmbeddingError, EmbeddingTable, context_embedding,
+                                deterministic_fallback_table, load_embeddings)
 from droprec.mlp import Hyperparams, ModelFormatError
 from droprec.pipeline import (
     RecoveryModel,
@@ -45,8 +49,7 @@ def stub_recovery_model(table, label_set=FULL14, window=1, threshold=0.5,
     dpg = mlp.build_model(input_dim, len(label_set), hp)
     dpg.layers[0].weights[:] = 0.0
     dpg.layers[0].bias[:] = 0.0 if dpg_bias is None else np.array(dpg_bias)
-    return RecoveryModel(dpi, dpg, label_set, window, threshold, table,
-                         dict(table.source), {})
+    return RecoveryModel(dpi, dpg, label_set, window, threshold, table, {})
 
 
 # --- training ----------------------------------------------------------------
@@ -307,3 +310,20 @@ def test_tune_threshold_prefers_half_on_ties():
     threshold, acc = tune_threshold(model.dpi, dev, table, window=1)
     assert threshold == 0.5
     assert acc == 1.0
+
+
+@pytest.mark.parametrize(
+    "content, load, error",
+    [(b"2 2\na 1 2\n\xff 3 4\n", load_embeddings, EmbeddingError),
+     (b"2 2\na 1 2\nb 3 \xff\n",
+      lambda p: load_embeddings(p, sha256=hashlib.sha256(p.read_bytes()).hexdigest()).lookup("b"),
+      EmbeddingError),
+     (b'{"label_set": "full14"}\n{"tokens": ["\xff"]}\n', load_corpus, CorpusError),
+     (b'{"kind": "recovery", "window": "\xff"}', load_recovery_model, ModelFormatError)],
+    ids=["embeddings", "embeddings-hashed", "corpus", "model"],
+)
+def test_invalid_utf8_raises_the_loader_error_naming_the_file(tmp_path, content, load, error):
+    p = tmp_path / "input.bin"
+    p.write_bytes(content)
+    with pytest.raises(error, match=re.escape(str(p))):
+        load(p)
