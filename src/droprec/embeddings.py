@@ -125,17 +125,15 @@ class EmbeddingTable:
         with open(self._path, "rb") as fh:
             fh.seek(start)
             line = fh.read(length)
-            if hash(line) != check:
-                raise EmbeddingError(
-                    f"{self.source['path']}: file changed since its SHA-256 was checked"
-                )
-            try:
-                word, vec = _parse_row(line, self.dim)
-            except (EmbeddingError, UnicodeDecodeError) as exc:
-                fh.seek(0)
-                head = fh.read(start)
-                line_no = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-                raise EmbeddingError(f"{self.source['path']} line {line_no}: {exc}") from None
+        if hash(line) != check:
+            raise EmbeddingError(
+                f"{self.source['path']}: file changed since its SHA-256 was checked"
+            )
+        try:
+            word, vec = _parse_row(line, self.dim)
+        except (EmbeddingError, UnicodeDecodeError) as exc:
+            line_no = _line_number(self._path, start)
+            raise EmbeddingError(f"{self.source['path']} line {line_no}: {exc}") from None
         vec = np.array(vec)
         if not np.isfinite(vec).all():
             raise EmbeddingError(
@@ -183,16 +181,23 @@ def _parse_row(line: bytes, dim: int) -> tuple[str, list[float]]:
         raise EmbeddingError("non-numeric vector component") from None
 
 
-def _text_lines(fh: BinaryIO, sha) -> Iterator[tuple[int, int, bytes]]:
-    """Number, byte offset and bytes of each line of `fh` as text-mode
-    reading splits them, feeding every byte to `sha` on the way."""
-    line_no = offset = 0
+def _text_lines(fh: BinaryIO, sha) -> Iterator[tuple[int, bytes]]:
+    """Byte offset and bytes of each line of `fh` as text-mode reading
+    splits them, feeding every byte to `sha` on the way."""
+    offset = 0
     for raw in fh:  # binary reading ends a line at "\n" only
         sha.update(raw)
         for line in _TEXT_LINE.findall(raw) if b"\r" in raw else (raw,):
-            line_no += 1
-            yield line_no, offset, line
+            yield offset, line
             offset += len(line)
+
+
+def _line_number(path: Path, offset: int) -> int:
+    """Number of the line that starts at byte `offset` of a file, counted
+    as text-mode reading counts lines."""
+    with open(path, "rb") as fh:
+        head = fh.read(offset)
+    return 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
 
 
 def load_embeddings(
@@ -217,13 +222,13 @@ def load_embeddings(
     duplicates = 0
     with path.open("rb") as fh:
         lines = _text_lines(fh, sha)
-        header = next(lines, (1, 0, b""))[2]
+        header = next(lines, (0, b""))[1]
         if sha256 is None:
             vocab_size, dim = _parse_header(header, path, expected_dim)
             # A word line takes at least 2 * dim + 2 bytes ("w", dim times
             # " x", "\n"), so the file size caps the rows a header can ask for.
             capacity = max(1, min(vocab_size, os.fstat(fh.fileno()).st_size // (2 * dim + 2)))
-        for line_no, offset, line in lines:
+        for offset, line in lines:
             try:
                 space = line.find(b" ")
                 word = (line[:space] if space >= 0 else line.rstrip(b"\r\n")).decode("utf-8")
@@ -232,7 +237,7 @@ def load_embeddings(
                 if sha256 is None:
                     vec = _parse_row(line, dim)[1]
             except (EmbeddingError, UnicodeDecodeError) as exc:
-                raise EmbeddingError(f"{path} line {line_no}: {exc}") from None
+                raise EmbeddingError(f"{path} line {_line_number(path, offset)}: {exc}") from None
             if word in rows:
                 duplicates += 1
             elif sha256 is not None:
