@@ -16,7 +16,7 @@ import os
 import re
 from array import array
 from pathlib import Path
-from typing import BinaryIO, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -181,17 +181,6 @@ def _parse_row(line: bytes, dim: int) -> tuple[str, list[float]]:
         raise EmbeddingError("non-numeric vector component") from None
 
 
-def _text_lines(fh: BinaryIO, sha) -> Iterator[tuple[int, bytes]]:
-    """Byte offset and bytes of each line of `fh` as text-mode reading
-    splits them, feeding every byte to `sha` on the way."""
-    offset = 0
-    for raw in fh:  # binary reading ends a line at "\n" only
-        sha.update(raw)
-        for line in _TEXT_LINE.findall(raw) if b"\r" in raw else (raw,):
-            yield offset, line
-            offset += len(line)
-
-
 def _line_number(path: Path, offset: int) -> int:
     """Number of the line that starts at byte `offset` of a file, counted
     as text-mode reading counts lines."""
@@ -216,42 +205,56 @@ def load_embeddings(
     """
     path = Path(path)
     sha = hashlib.sha256()
+    header = None
     rows: dict[str, int] = {}
     spans = array("q")
     matrix = None  # allocated once a word line has shown `dim` to be real
-    duplicates = 0
+    duplicates = offset = 0
     with path.open("rb") as fh:
-        lines = _text_lines(fh, sha)
-        header = next(lines, (0, b""))[1]
-        if sha256 is None:
-            vocab_size, dim = _parse_header(header, path, expected_dim)
-            # A word line takes at least 2 * dim + 2 bytes ("w", dim times
-            # " x", "\n"), so the file size caps the rows a header can ask for.
-            capacity = max(1, min(vocab_size, os.fstat(fh.fileno()).st_size // (2 * dim + 2)))
-        for offset, line in lines:
-            try:
-                space = line.find(b" ")
-                word = (line[:space] if space >= 0 else line.rstrip(b"\r\n")).decode("utf-8")
-                if not (word.strip() or line.decode("utf-8").strip()):
-                    continue  # a blank line
-                if sha256 is None:
-                    vec = _parse_row(line, dim)[1]
-            except (EmbeddingError, UnicodeDecodeError) as exc:
-                raise EmbeddingError(f"{path} line {_line_number(path, offset)}: {exc}") from None
-            if word in rows:
-                duplicates += 1
-            elif sha256 is not None:
-                rows[word] = -1 - len(spans) // 3
-                spans.extend((offset, len(line), hash(line)))
-            else:
-                row = len(rows) + 1
-                if matrix is None:
-                    matrix = np.zeros((capacity + 1, dim))
-                elif row == len(matrix):
-                    matrix = np.concatenate([matrix, np.zeros_like(matrix)])
-                matrix[row] = vec
-                rows[word] = row
+        for raw in fh:  # binary reading ends a line at "\n" only
+            sha.update(raw)
+            for line in _TEXT_LINE.findall(raw) if b"\r" in raw else (raw,):
+                start = offset
+                offset += len(line)
+                if header is None:
+                    header = line
+                    if sha256 is None:
+                        vocab_size, dim = _parse_header(header, path, expected_dim)
+                        # A word line takes at least 2 * dim + 2 bytes ("w", dim times
+                        # " x", "\n"), so the file size caps the rows a header can ask for.
+                        size = os.fstat(fh.fileno()).st_size
+                        capacity = max(1, min(vocab_size, size // (2 * dim + 2)))
+                    continue
+                try:
+                    space = line.find(b" ")
+                    word = (line[:space] if space >= 0 else line.rstrip(b"\r\n")).decode("utf-8")
+                    if not (word.strip() or line.decode("utf-8").strip()):
+                        continue  # a blank line
+                    if sha256 is None:
+                        vec = _parse_row(line, dim)[1]
+                except (EmbeddingError, UnicodeDecodeError) as exc:
+                    line_no = _line_number(path, start)
+                    raise EmbeddingError(f"{path} line {line_no}: {exc}") from None
+                if word in rows:
+                    duplicates += 1
+                elif sha256 is not None:
+                    rows[word] = -1 - len(spans) // 3
+                    spans.extend((start, len(line), hash(line)))
+                else:
+                    row = len(rows) + 1
+                    if matrix is None:
+                        matrix = np.zeros((capacity + 1, dim))
+                    elif row == len(matrix):
+                        matrix = np.concatenate([matrix, np.zeros_like(matrix)])
+                    matrix[row] = vec
+                    rows[word] = row
     digest = sha.hexdigest()
+    if sha256 is not None and digest != sha256:
+        raise ModelFormatError(
+            f"{path}: file SHA-256 {digest} differs from the {sha256} the model was trained with"
+        )
+    if sha256 is not None or header is None:  # the header is not parsed yet
+        vocab_size, dim = _parse_header(header or b"", path, expected_dim)
     if sha256 is None:
         if matrix is None:
             matrix = np.zeros((1, dim))
@@ -263,12 +266,6 @@ def load_embeddings(
             raise EmbeddingError(f"{path}: non-finite vector component for word {word!r}")
         table = EmbeddingTable(matrix, rows, duplicates_skipped=duplicates)
     else:
-        if digest != sha256:
-            raise ModelFormatError(
-                f"{path}: file SHA-256 {digest} differs from the {sha256} the model was "
-                "trained with"
-            )
-        vocab_size, dim = _parse_header(header, path, expected_dim)
         table = EmbeddingTable(np.zeros((1, dim)), {}, duplicates_skipped=duplicates)
         table.rows, table.unread, table._spans = rows, len(rows), spans
         table._path = path.absolute()
