@@ -242,6 +242,33 @@ def test_recovery_model_round_trip(tmp_path):
         assert np.array_equal(a, b)
 
 
+def test_model_file_with_batch_size_and_negative_rate_keys_loads(tmp_path):
+    # Model files written while training had batch and negative-sampling
+    # options carry "batch_size": 1 in both hyperparams blocks and
+    # "negative_rate": 1.0 in the metadata.
+    train, dev, test, table = small_separable_setup(n=60)
+    hp = Hyperparams(embed_dim=8, window=1, layer_count=2, epochs=10, learning_rate=0.05,
+                     seed=6)
+    model = train_recovery(train, dev, table, hp, hp)
+    save_recovery_model(model, tmp_path / "model.json")
+    obj = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+    for stage in ("dpi", "dpg"):
+        obj[stage]["hyperparams"]["batch_size"] = 1
+    obj["metadata"]["negative_rate"] = 1.0
+    (tmp_path / "old.json").write_text(json.dumps(obj), encoding="utf-8")
+
+    old = load_recovery_model(tmp_path / "old.json")
+    for got, want in ((old.dpi, model.dpi), (old.dpg, model.dpg)):
+        assert got.hyperparams == want.hyperparams
+        for a, b in zip(got.layers, want.layers):
+            assert np.array_equal(a.weights, b.weights)
+            assert np.array_equal(a.bias, b.bias)
+    assert old.threshold == model.threshold
+    recovered = [recover(model, s) for s in test.sentences]
+    assert any(r.recovered for r in recovered)
+    assert [recover(old, s) for s in test.sentences] == recovered
+
+
 def test_recovery_load_rejects_bad_version():
     table = deterministic_fallback_table(["a"], 2, seed=0)
     obj = recovery_to_dict(stub_recovery_model(table))
