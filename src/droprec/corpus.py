@@ -95,10 +95,10 @@ _BUILTIN_LABEL_SETS = {"full14": FULL14, "actual10": ACTUAL10}
 
 
 def label_set_by_name(name: str) -> LabelSet:
-    try:
-        return _BUILTIN_LABEL_SETS[name]
-    except KeyError:
-        raise CorpusError(f"unknown label set {name!r} (expected full14 or actual10)") from None
+    label_set = _BUILTIN_LABEL_SETS.get(name) if isinstance(name, str) else None
+    if label_set is None:
+        raise CorpusError(f"unknown label set {name!r} (expected full14 or actual10)")
+    return label_set
 
 
 @dataclass(frozen=True)

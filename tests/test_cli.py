@@ -398,6 +398,15 @@ def test_label_set_conflict_is_data_error(workspace, tmp_path, capsys):
     assert "conflicts" in capsys.readouterr().err
 
 
+def test_corpus_with_a_list_label_set_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"label_set": ["x"]}\n{"tokens": ["a"]}\n', encoding="utf-8")
+    assert main(["split", "--in", str(bad), "--seed", "1",
+                 "--out-dir", str(tmp_path / "s")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "unknown label set ['x']" in err and "Traceback" not in err
+
+
 def test_corpus_too_small_to_split_is_data_error(tmp_path, capsys):
     tiny = tmp_path / "tiny.jsonl"
     assert main(["gen", "--profile", "separable", "--n", "3",

@@ -58,6 +58,12 @@ def test_builtin_label_sets():
         label_set_by_name("full15")
 
 
+@pytest.mark.parametrize("name", [["full14"], {"name": "full14"}], ids=["list", "dict"])
+def test_non_string_label_set_name_is_corpus_error(name):
+    with pytest.raises(CorpusError, match="unknown label set"):
+        label_set_by_name(name)
+
+
 # --- loading --------------------------------------------------------------
 
 
