@@ -201,7 +201,8 @@ def load_embeddings(
     have that hash, or ModelFormatError is raised, and a word's line is
     parsed and checked only when the word is first looked up.  A file
     with the hash a model recorded at training was fully checked then, so
-    the lines never read hold no error.
+    the lines never read hold no error.  A file with no word line is
+    rejected: nothing in it shows that the header's `dim` is real.
     """
     path = Path(path)
     sha = hashlib.sha256()
@@ -255,10 +256,10 @@ def load_embeddings(
         )
     if sha256 is not None or header is None:  # the header is not parsed yet
         vocab_size, dim = _parse_header(header or b"", path, expected_dim)
+    if not rows:
+        raise EmbeddingError(f"{path}: no word lines, so nothing confirms dimension {dim}")
     if sha256 is None:
-        if matrix is None:
-            matrix = np.zeros((1, dim))
-        elif len(matrix) > len(rows) + 1:
+        if len(matrix) > len(rows) + 1:
             matrix = matrix[: len(rows) + 1].copy()
         if not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):  # no full-size temporary
             bad = int(np.argmin(np.isfinite(matrix).all(axis=1)))
@@ -266,6 +267,9 @@ def load_embeddings(
             raise EmbeddingError(f"{path}: non-finite vector component for word {word!r}")
         table = EmbeddingTable(matrix, rows, duplicates_skipped=duplicates)
     else:
+        # A word line with `dim` components takes at least 2 * dim + 1 bytes.
+        if max(spans[1::3]) < 2 * dim + 1:
+            raise EmbeddingError(f"{path}: no word line is long enough for dimension {dim}")
         table = EmbeddingTable(np.zeros((1, dim)), {}, duplicates_skipped=duplicates)
         table.rows, table.unread, table._spans = rows, len(rows), spans
         table._path = path.absolute()

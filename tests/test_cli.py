@@ -223,6 +223,17 @@ def test_train_rejects_a_malformed_duplicate_embedding_line(workspace, tmp_path,
     assert not (tmp_path / "m.json").exists()
 
 
+def test_train_rejects_an_embedding_file_with_no_word_line(workspace, tmp_path, capsys):
+    vec = tmp_path / "vec.txt"
+    vec.write_text("0 100000000000\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(train_args(workspace, tmp_path / "m.json",
+                           table=("--embeddings", str(vec)))) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "no word lines" in err and "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("kind", ["embeddings", "corpus", "model"])
 def test_invalid_utf8_input_is_data_error_naming_the_file(workspace, model_file, tmp_path,
                                                           capsys, kind):

@@ -56,6 +56,21 @@ def test_load_checks_rows_before_sizing_from_a_huge_header_dim(tmp_path):
         load_embeddings(p)
 
 
+@pytest.mark.parametrize("hashed", [False, True], ids=["full", "hashed"])
+def test_load_rejects_a_file_with_no_word_line(tmp_path, hashed):
+    p = tmp_path / "vec.txt"
+    p.write_text("0 100000000000\n\n", encoding="utf-8")
+    with pytest.raises(EmbeddingError, match="no word lines"):
+        load_embeddings(p, sha256=sha256_of(p) if hashed else None)
+
+
+def test_hashed_load_rejects_a_dim_no_line_can_hold(tmp_path):
+    p = tmp_path / "vec.txt"
+    p.write_text("1 100000000000\na 1\n", encoding="utf-8")
+    with pytest.raises(EmbeddingError, match="no word line is long enough"):
+        load_embeddings(p, expected_dim=10**11, sha256=sha256_of(p))
+
+
 def test_load_rejects_non_numeric(tmp_path):
     p = tmp_path / "vec.txt"
     p.write_text("1 2\na 1 oops\n", encoding="utf-8")
