@@ -45,8 +45,8 @@ class Hyperparams:
     """Training configuration.
 
     embed_dim and window shape the input; the rest drive the optimizer.
-    learning_rate, batch_size, hidden_dim and seed are this
-    implementation's knobs and are recorded in every saved model.
+    learning_rate, hidden_dim and seed are this implementation's knobs
+    and are recorded in every saved model.
     """
 
     embed_dim: int
@@ -55,7 +55,6 @@ class Hyperparams:
     dropout_rate: float = 0.0
     epochs: int = 10
     learning_rate: float = 0.01
-    batch_size: int = 1
     hidden_dim: int = 200
     seed: int = 0
 
@@ -72,8 +71,6 @@ class Hyperparams:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.hidden_dim < 1:
             raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
 
@@ -333,15 +330,15 @@ def train(
     instances: list[tuple[np.ndarray, int]],
     hp: Hyperparams,
 ) -> list[EpochStats]:
-    """Run exactly hp.epochs of SGD over (feature, label) pairs, in place.
+    """Run exactly hp.epochs of SGD over (feature, label) pairs, in place,
+    one step per instance.
 
     Epoch e visits instances in the order given by a Fisher-Yates shuffle
     seeded with hp.seed + e; dropout draws from SplitMix64 substream 1 of
     hp.seed, step after step and hidden layer after hidden layer, taken
-    from the stream a block of steps at a time.  Gradients are averaged
-    within each batch.  Returns per-epoch mean loss and accuracy measured
-    on the training passes themselves.  The feature arrays are used as
-    given, not copied, when they are float64.
+    from the stream a block of steps at a time.  Returns per-epoch mean
+    loss and accuracy measured on the training passes themselves.  The
+    feature arrays are used as given, not copied, when they are float64.
     """
     if not instances:
         raise ValueError("cannot train on an empty instance list")
@@ -368,33 +365,15 @@ def train(
         SplitMix64(hp.seed + epoch).shuffle(order)
         total_loss = 0.0
         correct = 0
-        for start in range(0, n, hp.batch_size):
-            batch = order[start : start + hp.batch_size]
-            acc: list[LayerGrads] | None = None
-            for idx in batch:
-                label = labels[idx]
-                probs, cache = forward(model, feats[idx], mode="train", rng=drop_rng)
-                loss = -math.log(max(probs.item(label), PROB_EPS))
-                if not math.isfinite(loss):
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch}, batch starting at {start}"
-                    )
-                total_loss += loss
-                correct += int(probs.argmax()) == label
-                grads = backward(model, cache, targets[label])
-                if acc is None:
-                    acc = grads
-                else:
-                    for a, g in zip(acc, grads):
-                        a.dW += g.dW
-                        a.db += g.db
-            assert acc is not None
-            if len(batch) > 1:
-                scale = 1.0 / len(batch)
-                for a in acc:
-                    a.dW *= scale
-                    a.db *= scale
-            sgd_step(model, acc, hp.learning_rate)
+        for step, idx in enumerate(order):
+            label = labels[idx]
+            probs, cache = forward(model, feats[idx], mode="train", rng=drop_rng)
+            loss = -math.log(max(probs.item(label), PROB_EPS))
+            if not math.isfinite(loss):
+                raise NumericError(f"non-finite loss at epoch {epoch}, step {step}")
+            total_loss += loss
+            correct += int(probs.argmax()) == label
+            sgd_step(model, backward(model, cache, targets[label]), hp.learning_rate)
         log.append(EpochStats(epoch, total_loss / n, correct / n))
     return log
 
@@ -460,7 +439,9 @@ def model_from_dict(obj: dict) -> MlpModel:
             f"expected {MODEL_FORMAT_VERSION}"
         )
     try:
-        hp = Hyperparams(**obj["hyperparams"])
+        fields = {**obj["hyperparams"]}  # TypeError unless a mapping
+        fields.pop("batch_size", None)  # written by versions that had batched training
+        hp = Hyperparams(**fields)
         layers = [
             DenseLayer(
                 _array_from_hex(entry["weights"], (entry["out_dim"], entry["in_dim"])),

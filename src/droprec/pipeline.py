@@ -86,7 +86,6 @@ def train_recovery(
     table: EmbeddingTable,
     hp_dpi: Hyperparams,
     hp_dpg: Hyperparams,
-    negative_rate: float = 1.0,
     progress: ProgressFn | None = None,
 ) -> RecoveryModel:
     """Train both stages and tune the detection threshold on dev.
@@ -119,10 +118,7 @@ def train_recovery(
 
     dpi_model = mlp.build_model(hp_dpi.input_dim, 2, hp_dpi)
     dpi_model.label_set_name = train.label_set.name
-    dpi_instances = build_dpi_instances(
-        train, table, window, negative_rate=negative_rate, seed=hp_dpi.seed
-    )
-    dpi_log = mlp.train(dpi_model, dpi_instances, hp_dpi)
+    dpi_log = mlp.train(dpi_model, build_dpi_instances(train, table, window), hp_dpi)
     if progress:
         for stats in dpi_log:
             progress("dpi", stats)
@@ -145,7 +141,6 @@ def train_recovery(
     model.metadata = {
         "dev_dpi_accuracy": dev_dpi_acc,
         "dev_dpg_accuracy_gold": dev_dpg_acc,
-        "negative_rate": negative_rate,
         "train_sentences": len(train.sentences),
         "train_annotations": train.total_annotations(),
     }

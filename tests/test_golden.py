@@ -12,7 +12,7 @@ import hashlib
 from droprec.cli import EXIT_OK, main
 from droprec.corpus import load_corpus
 
-MODEL_SHA256 = "817ca5a6ce2173376ae111099bd72a698259e690f07b33affa06e90da2150bf0"
+MODEL_SHA256 = "569fff57b79095c29d2f66c921f5f1cf4a066735117e195b4a485f4467d11751"
 GOLD_REPORT_SHA256 = "4c4aca89314eaa06f303e1f5e4f258a3b5422426db6f34a24957fb548a23969c"
 PREDICTED_REPORT_SHA256 = "928ddcd6f20ad9be59fb7e802e7a059f275b729c6a6620eeedd788d2e25d75ba"
 RECOVER_SHA256 = "08b98c022d539c88b3450e1eba9fe9a6fb51c69c93deb7c19e23d5332ebf4417"
@@ -45,7 +45,7 @@ def test_criterion_7_chain_digests(tmp_path, monkeypatch, capsys):
     assert _sha256(tmp_path / "recovered.jsonl") == RECOVER_SHA256
 
 
-W2V_MODEL_SHA256 = "e603aeb52a1b712318917bec1f3c4909f1fa6e259c135c9bac6be225001749c0"
+W2V_MODEL_SHA256 = "fab841e7434a148768630e566901f1d29a7535a0b3df054b0c8d6af3170962b4"
 W2V_PREDICTED_REPORT_SHA256 = "46ad0b242dd725771f0f1038bcb8928ce905bf0ec0268b408f38cbf065a0fd44"
 W2V_RECOVER_SHA256 = "9b5efafc7e0353fc40c3d1f035ff714dea21dcf5e509345cd6231eaaf0cefdd5"
 

@@ -10,7 +10,6 @@ from droprec.hypotheses import (
     build_dpi_instances,
     gap_labels,
 )
-from droprec.rng import SplitMix64
 
 
 def sent_of(n, annotations=()):
@@ -88,29 +87,18 @@ def test_rate_one_keeps_every_gap():
         (sent_of(3, [(1, "wo")]), sent_of(2, [(0, "ni"), (2, "ta_m")])),
     )
     table = table_for(corpus)
-    instances = build_dpi_instances(corpus, table, window=1, negative_rate=1.0)
+    instances = build_dpi_instances(corpus, table, window=1)
     total_gaps = sum(len(s.tokens) + 1 for s in corpus.sentences)
     assert len(instances) == total_gaps
     assert sum(i.label == DROPPED for i in instances) == 3
     assert sum(i.label == NOT_DROPPED for i in instances) == total_gaps - 3
 
 
-def test_half_rate_on_ten_gaps_keeps_five():
-    # one 9-token sentence, no annotations: exactly 10 unannotated gaps
-    corpus = Corpus(FULL14, (sent_of(9),))
-    table = index_table()
-    instances = build_dpi_instances(corpus, table, window=1, negative_rate=0.5, seed=17)
-    assert len(instances) == 5
-    assert all(i.label == NOT_DROPPED for i in instances)
-
-    # oracle: replay the documented selection rule (shuffle, keep prefix)
-    pool = [(0, gap) for gap in range(10)]
-    SplitMix64(17).shuffle(pool)
-    expected_gaps = sorted(gap for _, gap in pool[:5])
-    assert [gap_index_of(i.feature) for i in instances] == expected_gaps
-
-    again = build_dpi_instances(corpus, table, window=1, negative_rate=0.5, seed=17)
-    assert [gap_index_of(i.feature) for i in again] == expected_gaps
+def test_dpi_instances_follow_gap_order():
+    corpus = Corpus(FULL14, (sent_of(2, [(0, "ni")]), sent_of(3, [(3, "wo")])))
+    instances = build_dpi_instances(corpus, index_table(), window=1)
+    assert [gap_index_of(i.feature) for i in instances] == [0, 1, 2, 0, 1, 2, 3]
+    assert [i.label for i in instances] == [DROPPED] + [NOT_DROPPED] * 5 + [DROPPED]
 
 
 def test_no_annotations_means_no_positives():
@@ -122,14 +110,8 @@ def test_no_annotations_means_no_positives():
 def test_positive_count_equals_annotation_count():
     sents = tuple(sent_of(5, [(i % 6, "wo")]) for i in range(8))
     corpus = Corpus(FULL14, sents)
-    instances = build_dpi_instances(corpus, table_for(corpus), window=2, negative_rate=0.3)
+    instances = build_dpi_instances(corpus, table_for(corpus), window=2)
     assert sum(i.label == DROPPED for i in instances) == corpus.total_annotations() == 8
-
-
-def test_invalid_negative_rate_rejected():
-    corpus = Corpus(FULL14, (sent_of(2),))
-    with pytest.raises(ValueError, match="negative_rate"):
-        build_dpi_instances(corpus, table_for(corpus), window=1, negative_rate=0.0)
 
 
 # --- generation instances ------------------------------------------------------

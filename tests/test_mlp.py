@@ -350,6 +350,18 @@ def test_load_rejects_wrong_version():
         mlp.model_from_dict(obj)
 
 
+@pytest.mark.parametrize("hyperparams", [{"momentum": 0.9}, [["embed_dim", 1]]],
+                         ids=["unknown-key", "not-an-object"])
+def test_load_rejects_malformed_hyperparams(hyperparams):
+    obj = json.loads(json.dumps(mlp.model_to_dict(build_model(2, 2, tiny_hp(embed_dim=1)))))
+    if isinstance(hyperparams, dict):
+        obj["hyperparams"].update(hyperparams)
+    else:
+        obj["hyperparams"] = hyperparams
+    with pytest.raises(ModelFormatError, match="corrupt model file"):
+        mlp.model_from_dict(obj)
+
+
 def test_load_rejects_broken_shape_chain():
     model = build_model(4, 2, tiny_hp())
     obj = json.loads(json.dumps(mlp.model_to_dict(model)))
@@ -365,7 +377,7 @@ def test_load_rejects_broken_shape_chain():
     "kw",
     [dict(embed_dim=0), dict(window=0), dict(layer_count=0), dict(dropout_rate=1.0),
      dict(dropout_rate=-0.1), dict(epochs=0), dict(learning_rate=0.0),
-     dict(batch_size=0), dict(hidden_dim=0)],
+     dict(hidden_dim=0)],
 )
 def test_hyperparams_validation(kw):
     base = dict(embed_dim=2)

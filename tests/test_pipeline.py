@@ -83,8 +83,7 @@ def test_train_recovery_accepts_reference_hyperparams():
     model = train_recovery(train, dev, table, hp, hp)
     assert model.dpi.hyperparams == hp
     assert model.dpg.hyperparams == hp
-    assert set(model.metadata) >= {"dev_dpi_accuracy", "dev_dpg_accuracy_gold",
-                                   "negative_rate"}
+    assert set(model.metadata) >= {"dev_dpi_accuracy", "dev_dpg_accuracy_gold"}
 
 
 def test_train_recovery_rejects_empty_dev():
