@@ -268,7 +268,7 @@ def load_embeddings(
         table = EmbeddingTable(matrix, rows, duplicates_skipped=duplicates)
     else:
         # A word line with `dim` components takes at least 2 * dim + 1 bytes.
-        if max(spans[1::3]) < 2 * dim + 1:
+        if not any(length > 2 * dim for length in spans[1::3]):
             raise EmbeddingError(f"{path}: no word line is long enough for dimension {dim}")
         table = EmbeddingTable(np.zeros((1, dim)), {}, duplicates_skipped=duplicates)
         table.rows, table.unread, table._spans = rows, len(rows), spans
