@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 import re
 from array import array
@@ -134,11 +135,6 @@ class EmbeddingTable:
         except (EmbeddingError, UnicodeDecodeError) as exc:
             line_no = _line_number(self._path, start)
             raise EmbeddingError(f"{self.source['path']} line {line_no}: {exc}") from None
-        vec = np.array(vec)
-        if not np.isfinite(vec).all():
-            raise EmbeddingError(
-                f"{self.source['path']}: non-finite vector component for word {word!r}"
-            )
         row = len(self.matrix)
         if row == len(self._buffer):
             self._buffer = np.concatenate([self._buffer, np.zeros_like(self._buffer)])
@@ -170,15 +166,19 @@ def _parse_header(line: bytes, path: Path, expected_dim: int | None) -> tuple[in
 
 
 def _parse_row(line: bytes, dim: int) -> tuple[str, list[float]]:
-    """Word and components of one word line; errors carry no location."""
+    """Word and finite components of one word line; errors carry no location."""
     parts = line.rstrip(b"\r\n").decode("utf-8").split(" ")
     word, comps = parts[0], [p for p in parts[1:] if p]
     if len(comps) != dim:
         raise EmbeddingError(f"expected {dim} components, got {len(comps)}")
     try:
-        return word, [float(c) for c in comps]
+        vec = [float(c) for c in comps]
     except ValueError:
         raise EmbeddingError("non-numeric vector component") from None
+    # A finite sum proves every component finite; one that overflows does not.
+    if not math.isfinite(sum(vec)) and not all(map(math.isfinite, vec)):
+        raise EmbeddingError(f"non-finite vector component for word {word!r}")
+    return word, vec
 
 
 def _line_number(path: Path, offset: int) -> int:
@@ -261,10 +261,6 @@ def load_embeddings(
     if sha256 is None:
         if len(matrix) > len(rows) + 1:
             matrix = matrix[: len(rows) + 1].copy()
-        if not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):  # no full-size temporary
-            bad = int(np.argmin(np.isfinite(matrix).all(axis=1)))
-            word = next(w for w, row in rows.items() if row == bad)
-            raise EmbeddingError(f"{path}: non-finite vector component for word {word!r}")
         table = EmbeddingTable(matrix, rows, duplicates_skipped=duplicates)
     else:
         # A word line with `dim` components takes at least 2 * dim + 1 bytes.

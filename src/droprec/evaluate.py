@@ -123,65 +123,32 @@ def evaluate_dpg(
 # --- significance ---------------------------------------------------------
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the regularized incomplete beta (Lentz)."""
-    max_iter, eps, fpmin = 300, 3e-16, 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            break
-    return h
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b), accurate to well under 1e-6 over the t-test range."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def student_t_two_sided_p(t: float, df: int) -> float:
-    """Two-sided p-value of a t statistic with df degrees of freedom."""
-    if df < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {df}")
+    """Two-sided p-value of a t statistic with df degrees of freedom.
+
+    Uses the exact finite sums for integer df (Abramowitz & Stegun 26.7.3
+    and 26.7.4): with theta = atan(|t| / sqrt(df)) and c = cos^2 theta,
+    P(|T| < |t|) is sin(theta) * S for even df and
+    2/pi * (theta + sin(theta) cos(theta) * S) for odd df, where S sums the
+    df // 2 terms c^k (2k - 1)!!/(2k)!! (even) or c^k (2k)!!/(2k + 1)!! (odd).
+    A NaN t gives a NaN p-value.
+    """
+    if type(df) is not int or df < 1:
+        raise ValueError(f"degrees of freedom must be an integer >= 1, got {df!r}")
     if math.isinf(t):
         return 0.0
-    return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
+    theta = math.atan(abs(t) / math.sqrt(df))
+    c = math.cos(theta) ** 2
+    odd = df % 2
+    term, total = 1.0, 0.0
+    for k in range(df // 2):
+        total += term
+        term *= c * (2 * k + 1 + odd) / (2 * k + 2 + odd)
+    if odd:
+        inside = 2 / math.pi * (theta + math.sin(theta) * math.cos(theta) * total)
+    else:
+        inside = math.sin(theta) * total
+    return max(1.0 - inside, 0.0)  # in this order, so a NaN stays NaN
 
 
 def paired_significance(

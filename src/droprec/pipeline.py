@@ -213,7 +213,9 @@ def recovery_from_dict(obj: dict, model_dir: str | Path = ".") -> RecoveryModel:
         threshold = float(obj["threshold"])
         label_set = label_set_by_name(obj["label_set"])
         table_ref = dict(obj["table_ref"])
-        for key, kind in SOURCE_FIELDS.get(table_ref.get("kind"), {}).items():
+        if table_ref.get("kind") not in SOURCE_FIELDS:
+            raise ValueError(f"table_ref kind {table_ref.get('kind')!r} cannot be rebuilt")
+        for key, kind in SOURCE_FIELDS[table_ref["kind"]].items():
             if isinstance(kind, re.Pattern):
                 if key in table_ref and not (
                     type(table_ref[key]) is str and kind.fullmatch(table_ref[key])
@@ -250,9 +252,12 @@ def recovery_from_dict(obj: dict, model_dir: str | Path = ".") -> RecoveryModel:
 def save_recovery_model(model: RecoveryModel, path: str | Path) -> None:
     """Write the model as JSON.  A hashed word2vec `table_ref` is stored
     with its path relative to the model file's directory, so the bytes do
-    not depend on the working directory."""
+    not depend on the working directory.  A table whose source kind model
+    loading cannot rebuild raises ValueError, and nothing is written."""
     obj = recovery_to_dict(model)
     ref = obj["table_ref"]
+    if ref.get("kind") not in SOURCE_FIELDS:
+        raise ValueError(f"embedding table source kind {ref.get('kind')!r} cannot be rebuilt")
     if "sha256" in ref:
         obj["table_ref"] = {**ref, "path": os.path.relpath(ref["path"], Path(path).parent)}
     with atomic_open(path) as fh:

@@ -86,6 +86,13 @@ def test_load_rejects_non_finite_components(tmp_path, value):
         load_embeddings(p)
 
 
+def test_non_finite_line_is_reported_by_number_before_a_later_malformed_line(tmp_path):
+    p = tmp_path / "vec.txt"
+    p.write_text("3 2\na 1 2\nb 3 nan\nc 4\n", encoding="utf-8")
+    with pytest.raises(EmbeddingError, match="line 3: non-finite vector component for word 'b'"):
+        load_embeddings(p)
+
+
 def test_table_matrix_has_zero_row_then_one_row_per_word(tmp_path):
     p = tmp_path / "vec.txt"
     p.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")

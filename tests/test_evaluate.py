@@ -12,7 +12,6 @@ from droprec.evaluate import (
     evaluate_dpi,
     format_report,
     paired_significance,
-    regularized_incomplete_beta,
     report_from_pairs,
     report_to_dict,
     student_t_two_sided_p,
@@ -222,16 +221,21 @@ def test_significance_input_validation():
 
 def test_p_value_matches_scipy_reference():
     stats = pytest.importorskip("scipy.stats")
-    for df in (1, 2, 4, 9, 29, 99):
+    for df in (1, 2, 4, 9, 29, 99, 999, 1000, 99999, 100000):
         for t in (0.0, 0.3, 1.0, 1.633, 2.5, 6.0, 15.0):
             assert student_t_two_sided_p(t, df) == pytest.approx(
                 2 * float(stats.t.sf(t, df)), abs=1e-10
             )
 
 
-def test_incomplete_beta_edges():
-    assert regularized_incomplete_beta(2.0, 0.5, 0.0) == 0.0
-    assert regularized_incomplete_beta(2.0, 0.5, 1.0) == 1.0
+def test_p_value_edges():
+    for df in (4, 5):
+        assert student_t_two_sided_p(0.0, df) == 1.0
+        assert student_t_two_sided_p(math.inf, df) == 0.0
+        assert math.isnan(student_t_two_sided_p(math.nan, df))
+    for df in (0, 2.5, True):
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            student_t_two_sided_p(1.0, df)
 
 
 @settings(max_examples=40)

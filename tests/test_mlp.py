@@ -377,7 +377,8 @@ def test_load_rejects_broken_shape_chain():
     "kw",
     [dict(embed_dim=0), dict(window=0), dict(layer_count=0), dict(dropout_rate=1.0),
      dict(dropout_rate=-0.1), dict(epochs=0), dict(learning_rate=0.0),
-     dict(learning_rate=-0.01), dict(hidden_dim=0)],
+     dict(learning_rate=-0.01), dict(hidden_dim=0), dict(learning_rate=float("nan")),
+     dict(learning_rate=float("inf"))],
 )
 def test_hyperparams_validation(kw):
     base = dict(embed_dim=2)

@@ -294,10 +294,13 @@ def test_recovery_load_rejects_threshold_outside_unit_interval(threshold):
      (("dpi", "input_dim"), 8.7, "input_dim must be an integer"),
      (("dpg", "num_classes"), 14.0, "num_classes must be an integer"),
      (("dpi", "layers", 0, "out_dim"), 2.0, "layer size must be an integer"),
-     (("dpg", "layers", 0, "in_dim"), True, "layer size must be an integer")],
+     (("dpg", "layers", 0, "in_dim"), True, "layer size must be an integer"),
+     (("dpi", "hyperparams", "learning_rate"), float("nan"), "learning_rate"),
+     (("table_ref", "kind"), "bogus", "kind 'bogus' cannot be rebuilt")],
     ids=["non-numeric-threshold", "window-zero", "unknown-label-set", "window-float",
          "window-bool", "threshold-bool", "threshold-string", "input-dim-float",
-         "num-classes-float", "out-dim-float", "in-dim-bool"],
+         "num-classes-float", "out-dim-float", "in-dim-bool", "learning-rate-nan",
+         "table-kind-unknown"],
 )
 def test_load_recovery_model_raises_model_format_error(tmp_path, field, value, match):
     table = deterministic_fallback_table(["a"], 2, seed=0)
@@ -311,6 +314,14 @@ def test_load_recovery_model_raises_model_format_error(tmp_path, field, value, m
     path.write_text(json.dumps(obj), encoding="utf-8")
     with pytest.raises(ModelFormatError, match=match):
         load_recovery_model(path)
+
+
+def test_saving_a_model_whose_table_cannot_be_rebuilt_writes_nothing(tmp_path):
+    table = EmbeddingTable.from_vectors(2, {"a": np.ones(2)})  # source kind "inline"
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match="'inline' cannot be rebuilt"):
+        save_recovery_model(stub_recovery_model(table), path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_recovery_model_rejects_corrupt_json(tmp_path):
