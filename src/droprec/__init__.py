@@ -24,6 +24,7 @@ from .embeddings import (
     EmbeddingError,
     EmbeddingTable,
     context_embedding,
+    context_rows,
     deterministic_fallback_table,
     load_embeddings,
 )

@@ -246,8 +246,7 @@ def cmd_recover(args) -> int:
 def cmd_eval(args) -> int:
     model = pipeline.load_recovery_model(args.model)
     corpus = load_corpus(args.test)
-    dpi_report = ev.evaluate_dpi(model, corpus, model.table)
-    dpg_report = ev.evaluate_dpg(model, corpus, model.table, positions=args.positions)
+    dpi_report, dpg_report = ev.evaluate_both(model, corpus, model.table, args.positions)
     print(ev.format_report(dpi_report, title="== dropped position identification =="))
     print()
     print(ev.format_report(dpg_report, title=f"== pronoun generation ({args.positions}) =="))

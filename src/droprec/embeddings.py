@@ -15,6 +15,7 @@ import logging
 import math
 import os
 import re
+import weakref
 from array import array
 from pathlib import Path
 from typing import Sequence
@@ -36,6 +37,9 @@ SOURCE_FIELDS = {"word2vec": {"path": str, "dim": int, "sha256": re.compile("[0-
 # A line as text-mode reading sees it: up to "\r\n", "\r" or "\n", or the
 # end of the data.  Both are single bytes in UTF-8, so no character splits.
 _TEXT_LINE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+# Gaps whose first-layer products context_projection sums at a time.
+_SUM_BLOCK = 256
 
 
 class EmbeddingError(ValueError):
@@ -79,6 +83,7 @@ class EmbeddingTable:
         self.unread = 0
         self._spans = array("q")
         self._path: Path | None = None
+        self._projections: dict[int, _Projections] = {}  # by id() of the weight matrix
 
     @classmethod
     def from_vectors(
@@ -313,16 +318,17 @@ def table_from_source(source: dict) -> EmbeddingTable:
     raise EmbeddingError(f"cannot rebuild embedding table from source kind {kind!r}")
 
 
-def context_embedding(
+def context_rows(
     sentences: Sequence[AnnotatedSentence], window: int, table: EmbeddingTable
 ) -> np.ndarray:
-    """Features of every candidate gap of every sentence, one row per gap.
+    """Table-row ids of every candidate gap's context, one row per gap.
 
     Rows run in sentence order, then gap order: n + 1 for n tokens.  Row
     layout: the `window` tokens left of the gap in sentence order (nearest
     token last), then the `window` tokens right of it (nearest first).
-    Positions past either end of a sentence read the zero row, so every
-    row has length 2 * window * dim.
+    Positions past either end of a sentence read row 0, so the result has
+    shape (gaps, 2 * window).  Words of a lazily read table that these
+    rows need are read first.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -337,6 +343,89 @@ def context_embedding(
     row_ids = np.array(ids, dtype=np.intp)
     if table.unread and min(ids) < 0:
         table._read_rows(row_ids)
-    windows = np.array(first, dtype=np.intp)[:, None] + np.arange(2 * window)
-    features = table.matrix[row_ids[windows]]
-    return features.reshape(len(first), 2 * window * table.dim)
+    return row_ids[np.array(first, dtype=np.intp)[:, None] + np.arange(2 * window)]
+
+
+def context_embedding(
+    sentences: Sequence[AnnotatedSentence], window: int, table: EmbeddingTable
+) -> np.ndarray:
+    """Features of every candidate gap of every sentence, one row per gap:
+    the table rows of `context_rows`, side by side, so every row has length
+    2 * window * dim."""
+    rows = context_rows(sentences, window, table)
+    return table.matrix[rows].reshape(len(rows), 2 * window * table.dim)
+
+
+class _Projections:
+    """Per-slot products of one weight matrix with the table rows scored so
+    far: `products[k, where[r]]` is `W[:, k*D:(k+1)*D] @ matrix[r]`, and
+    `where[r]` is -1 for a row not computed yet."""
+
+    def __init__(self, slots: int, hidden: int):
+        self.products = np.empty((slots, 16, hidden))
+        self.where = np.empty(0, dtype=np.intp)
+        self.count = 0
+
+    def add(self, new: np.ndarray, matrix: np.ndarray, weights: np.ndarray) -> None:
+        """Compute the products of table rows `new`.
+
+        Each product accumulates over the D components in index order with
+        elementwise operations, so its bytes depend on neither the other
+        rows computed with it nor the BLAS build or thread count.
+        """
+        slots, capacity, hidden = self.products.shape
+        start, stop = self.count, self.count + len(new)
+        if stop > capacity:
+            grown = np.empty((slots, max(2 * capacity, stop), hidden))
+            grown[:, :start] = self.products[:, :start]
+            self.products = grown
+        comps = matrix[new].T[:, None, :, None]  # (D, 1, rows, 1)
+        per_comp = weights.reshape(hidden, slots, -1).T[:, :, None, :]  # (D, slots, 1, H)
+        acc = np.multiply(per_comp[0], comps[0], out=self.products[:, start:stop])
+        term = np.empty_like(acc)
+        for d in range(1, len(comps)):
+            acc += np.multiply(per_comp[d], comps[d], out=term)
+        self.where[new] = np.arange(start, stop)
+        self.count = stop
+
+
+def context_projection(rows: np.ndarray, table: EmbeddingTable, weights: np.ndarray) -> np.ndarray:
+    """First-layer products of the gaps whose context rows are `rows`.
+
+    `rows` is a `context_rows` matrix and `weights` an (H, 2 * window * dim)
+    first-layer matrix.  Gap g gets the sum, in slot order, of the
+    products `W[:, k*D:(k+1)*D] @ matrix[rows[g, k]]`: the same value as
+    `context_embedding(...)[g] @ weights.T` up to rounding.  A gap's bytes
+    do not depend on the other gaps scored with it or on the BLAS thread
+    count.
+
+    The products are cached per table and weight matrix, for the table
+    rows that scored gaps have read, and `weights` is made read-only so
+    the cache cannot go stale.  Sums run a block of gaps at a time, so no
+    (gaps, 2 * window, H) array is built.
+    """
+    hidden, width = weights.shape
+    slots = rows.shape[1]
+    if width != slots * table.dim:
+        raise ValueError(f"weights of width {width} do not fit {slots} slots of dim {table.dim}")
+    cache = table._projections.get(id(weights))
+    if cache is None:
+        weights.flags.writeable = False
+        cache = table._projections[id(weights)] = _Projections(slots, hidden)
+        weakref.finalize(weights, table._projections.pop, id(weights), None)
+    if len(cache.where) < len(table.matrix):
+        missing = len(table.matrix) - len(cache.where)
+        cache.where = np.concatenate([cache.where, np.full(missing, -1, dtype=np.intp)])
+    at = cache.where[rows]
+    if at.size and at.min() < 0:
+        new = np.zeros(len(cache.where), dtype=bool)
+        new[rows[at < 0]] = True  # not np.unique, which imports numpy.ma (~1.3 MB)
+        cache.add(np.flatnonzero(new), table.matrix, weights)
+        at = cache.where[rows]
+    out = np.empty((len(rows), hidden))
+    for lo in range(0, len(rows), _SUM_BLOCK):
+        block = at[lo : lo + _SUM_BLOCK]
+        part = cache.products[0].take(block[:, 0], axis=0, out=out[lo : lo + _SUM_BLOCK])
+        for k in range(1, slots):
+            part += cache.products[k][block[:, k]]
+    return out

@@ -12,12 +12,12 @@ so position mistakes are classification errors and the report invariants
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .corpus import Corpus
-from .embeddings import EmbeddingTable, context_embedding
+from .embeddings import EmbeddingTable, context_rows
 from .hypotheses import gap_labels
 from .pipeline import RecoveryModel, predict_dpg, predict_dpi
 
@@ -85,18 +85,42 @@ def report_from_pairs(
 
 def evaluate_dpi(model: RecoveryModel, corpus: Corpus, table: EmbeddingTable) -> EvalReport:
     """Score gap detection over every candidate gap at the model threshold."""
-    gold = gap_labels(corpus) >= 0
-    pred = predict_dpi(model, context_embedding(corpus.sentences, model.window, table))
-    return report_from_pairs(
-        gold.tolist(), pred.tolist(), DPI_CLASS_NAMES,
-        scoring=f"one instance per candidate gap; threshold {model.threshold}",
-    )
+    model, rows, gold = _gaps(model, corpus, table)
+    return _dpi_report(model, gold, predict_dpi(model, rows))
 
 
 def evaluate_dpg(
     model: RecoveryModel, corpus: Corpus, table: EmbeddingTable, positions: str = "gold"
 ) -> EvalReport:
     """Score pronoun generation at gold or detector-predicted positions."""
+    _check_dpg(model, corpus, positions)
+    model, rows, gold = _gaps(model, corpus, table)
+    detected = gold >= 0 if positions == "gold" else predict_dpi(model, rows)
+    return _dpg_report(model, rows, gold, detected, positions)
+
+
+def evaluate_both(
+    model: RecoveryModel, corpus: Corpus, table: EmbeddingTable, positions: str = "gold"
+) -> tuple[EvalReport, EvalReport]:
+    """The reports of `evaluate_dpi` and `evaluate_dpg`, from one detection
+    pass over the corpus."""
+    _check_dpg(model, corpus, positions)
+    model, rows, gold = _gaps(model, corpus, table)
+    detected = predict_dpi(model, rows)
+    generated = gold >= 0 if positions == "gold" else detected
+    return _dpi_report(model, gold, detected), _dpg_report(model, rows, gold, generated, positions)
+
+
+def _gaps(
+    model: RecoveryModel, corpus: Corpus, table: EmbeddingTable
+) -> tuple[RecoveryModel, np.ndarray, np.ndarray]:
+    """The model scoring with `table` (callers pass the model's own), the
+    context rows of every gap of the corpus in it, and the gaps' labels."""
+    rows = context_rows(corpus.sentences, model.window, table)
+    return replace(model, table=table), rows, gap_labels(corpus)
+
+
+def _check_dpg(model: RecoveryModel, corpus: Corpus, positions: str) -> None:
     if positions not in ("gold", "predicted"):
         raise ValueError(f"positions must be 'gold' or 'predicted', got {positions!r}")
     if corpus.label_set.name != model.label_set.name:
@@ -104,15 +128,27 @@ def evaluate_dpg(
             f"label set mismatch: corpus={corpus.label_set.name!r} "
             f"model={model.label_set.name!r}"
         )
+
+
+def _dpi_report(model: RecoveryModel, gold: np.ndarray, detected: np.ndarray) -> EvalReport:
+    return report_from_pairs(
+        (gold >= 0).tolist(), detected.tolist(), DPI_CLASS_NAMES,
+        scoring=f"one instance per candidate gap; threshold {model.threshold}",
+    )
+
+
+def _dpg_report(
+    model: RecoveryModel, rows: np.ndarray, gold: np.ndarray, detected: np.ndarray,
+    positions: str,
+) -> EvalReport:
+    """Generation report over the gaps that are annotated or `detected`;
+    the generator scores the detected ones."""
     labels = model.label_set.labels
     none_idx = len(labels)
-    gold = gap_labels(corpus)
     annotated = gold >= 0
-    features = context_embedding(corpus.sentences, model.window, table)
-    detected = annotated if positions == "gold" else predict_dpi(model, features)
     pred = np.full(len(gold), none_idx)
-    pred[detected] = predict_dpg(model, features[detected])[0]
-    gold[~annotated] = none_idx
+    pred[detected] = predict_dpg(model, rows[detected])[0]
+    gold = np.where(annotated, gold, none_idx)
     scored = annotated | detected
     gold, pred = gold[scored].tolist(), pred[scored].tolist()
     if positions == "gold":

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import mlp
 from .corpus import Corpus, AnnotatedSentence, LabelSet, atomic_open, label_set_by_name
-from .embeddings import SOURCE_FIELDS, EmbeddingTable, context_embedding, table_from_source
+from .embeddings import (SOURCE_FIELDS, EmbeddingTable, context_projection, context_rows,
+                         table_from_source)
 from .hypotheses import DROPPED, build_dpg_instances, build_dpi_instances, gap_labels
 from .mlp import EpochStats, Hyperparams, MlpModel, ModelFormatError, require_int
 
@@ -60,10 +61,11 @@ def _check_dims(model: MlpModel, window: int, table: EmbeddingTable, stage: str)
         )
 
 
-def dpi_gap_probability(dpi: MlpModel, features: np.ndarray) -> np.ndarray:
-    """Eval-mode probability that a pronoun is dropped, per feature row."""
-    _, probs = mlp.predict(dpi, features)
-    return probs[:, DROPPED]
+def dpi_gap_probability(dpi: MlpModel, table: EmbeddingTable, rows: np.ndarray) -> np.ndarray:
+    """Eval-mode probability that a pronoun is dropped, per gap of a
+    `context_rows` matrix of `table`."""
+    z = context_projection(rows, table, dpi.layers[0].weights)
+    return mlp.predict_from_first_layer(dpi, z)[1][:, DROPPED]
 
 
 def tune_threshold(
@@ -73,7 +75,7 @@ def tune_threshold(
 
     Returns (threshold, accuracy).  Ties prefer the threshold nearest 0.5.
     """
-    probs = dpi_gap_probability(dpi_model, context_embedding(dev.sentences, window, table))
+    probs = dpi_gap_probability(dpi_model, table, context_rows(dev.sentences, window, table))
     gold = gap_labels(dev) >= 0
     correct = {t: int(np.count_nonzero((probs >= t) == gold)) for t in THRESHOLD_GRID}
     best = min(THRESHOLD_GRID, key=lambda t: (-correct[t], abs(t - 0.5), t))
@@ -147,24 +149,27 @@ def train_recovery(
     return model
 
 
-def predict_dpi(model: RecoveryModel, features: np.ndarray) -> np.ndarray:
-    """Detected gaps among the feature rows: P(dropped) >= the model threshold."""
-    return dpi_gap_probability(model.dpi, features) >= model.threshold
+def predict_dpi(model: RecoveryModel, rows: np.ndarray) -> np.ndarray:
+    """Detected gaps among the rows of a `context_rows` matrix of the
+    model's table: P(dropped) >= the model threshold."""
+    return dpi_gap_probability(model.dpi, model.table, rows) >= model.threshold
 
 
-def predict_dpg(model: RecoveryModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Most likely pronoun class per feature row, with its softmax confidence."""
-    classes, probs = mlp.predict(model.dpg, features)
+def predict_dpg(model: RecoveryModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Most likely pronoun class per gap of a `context_rows` matrix of the
+    model's table, with its softmax confidence."""
+    z = context_projection(rows, model.table, model.dpg.layers[0].weights)
+    classes, probs = mlp.predict_from_first_layer(model.dpg, z)
     return classes, probs[np.arange(len(classes)), classes]
 
 
 def recover(model: RecoveryModel, sentence: AnnotatedSentence) -> RecoveredSentence:
     """Run the two-stage pipeline over every candidate gap of a sentence."""
-    features = context_embedding((sentence,), model.window, model.table)
-    gaps = np.flatnonzero(predict_dpi(model, features))
+    rows = context_rows((sentence,), model.window, model.table)
+    gaps = np.flatnonzero(predict_dpi(model, rows))
     if not gaps.size:
         return RecoveredSentence(sentence.tokens, ())
-    classes, confidences = predict_dpg(model, features[gaps])
+    classes, confidences = predict_dpg(model, rows[gaps])
     labels = model.label_set.labels
     return RecoveredSentence(sentence.tokens, tuple(
         (gap, labels[c], confidence)
@@ -266,9 +271,11 @@ def save_recovery_model(model: RecoveryModel, path: str | Path) -> None:
 
 def load_recovery_model(path: str | Path) -> RecoveryModel:
     """Load a recovery model, rebuilding its embedding table from the
-    file's table_ref."""
+    file's table_ref.  Each layer's parameters are parsed as soon as the
+    JSON reader has read them."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(Path(path).read_text(encoding="utf-8"),
+                         object_hook=mlp.parse_layer_parameters)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON: {exc.msg}") from None
     except UnicodeDecodeError as exc:

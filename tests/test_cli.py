@@ -8,7 +8,7 @@ import pytest
 
 from droprec.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from droprec.corpus import FULL14, AnnotatedSentence, Corpus, load_corpus, save_corpus
-from droprec.embeddings import context_embedding
+from droprec.embeddings import context_rows
 from droprec.pipeline import dpi_gap_probability, load_recovery_model, predict_dpi, recover
 
 
@@ -383,24 +383,38 @@ def test_unreadable_model_is_data_error(workspace, model_file, tmp_path, capsys,
 
 
 def test_corpus_and_sentence_detection_agree(workspace, model_file):
-    # eval --positions predicted scores one matrix for the whole corpus,
-    # recover one matrix per sentence: both must detect the same gaps.
+    # eval --positions predicted scores the whole corpus at once, recover
+    # one sentence at a time: both must detect the same gaps.
     model = load_recovery_model(model_file)
     corpus = load_corpus(workspace / "splits" / "test.jsonl")
-    features = context_embedding(corpus.sentences, model.window, model.table)
+    rows = context_rows(corpus.sentences, model.window, model.table)
     # The fixture's tuned threshold detects nothing; halfway between the two
     # middle probabilities detects about half the gaps, and lies far from
     # any last-bit difference between the two paths.
-    values = np.unique(dpi_gap_probability(model.dpi, features))
+    values = np.unique(dpi_gap_probability(model.dpi, model.table, rows))
     model.threshold = float(values[len(values) // 2 - 1 : len(values) // 2 + 1].mean())
-    whole = predict_dpi(model, features)
-    per_sentence = [predict_dpi(model, context_embedding((sent,), model.window, model.table))
+    whole = predict_dpi(model, rows)
+    per_sentence = [predict_dpi(model, context_rows((sent,), model.window, model.table))
                     for sent in corpus.sentences]
     assert np.array_equal(whole, np.concatenate(per_sentence))
     assert 0 < np.count_nonzero(whole) < len(whole)
     for sent, detected in zip(corpus.sentences, per_sentence):
         recovered = [gap for gap, _, _ in recover(model, sent).recovered]
         assert recovered == np.flatnonzero(detected).tolist()
+
+
+def test_recover_bytes_do_not_depend_on_the_sentences_scored_before(workspace, w2v_model):
+    # The w2v model's table is read lazily.  A sentence recovered on a
+    # freshly loaded model gives the same bytes as after the whole corpus.
+    corpus = load_corpus(workspace / "splits" / "test.jsonl")
+    warm = load_recovery_model(w2v_model)
+    warm.threshold = 0.0  # every gap goes to the generator
+    after_all = [recover(warm, sent) for sent in corpus.sentences]
+    for i in (len(corpus.sentences) - 1, len(corpus.sentences) // 2, 0):
+        fresh = load_recovery_model(w2v_model)
+        fresh.threshold = 0.0
+        # repr gives each float's shortest round-trip digits: equal repr, equal bytes.
+        assert repr(recover(fresh, corpus.sentences[i])) == repr(after_all[i])
 
 
 def test_label_set_conflict_is_data_error(workspace, tmp_path, capsys):

@@ -10,6 +10,8 @@ from droprec.embeddings import (
     EmbeddingError,
     EmbeddingTable,
     context_embedding,
+    context_projection,
+    context_rows,
     deterministic_fallback_table,
     fallback_vector,
     load_embeddings,
@@ -420,3 +422,51 @@ def test_corpus_matrix_stacks_the_sentence_matrices(token_lists, window):
 def test_no_sentences_give_no_rows(window):
     table = basis_table(["a", "b"])
     assert context_embedding((), window, table).shape == (0, 2 * window * table.dim)
+
+
+# --- first-layer projections ----------------------------------------------------
+
+
+@settings(max_examples=40)
+@given(
+    st.lists(st.lists(st.sampled_from(["a", "b", "c", "oov"]), min_size=1, max_size=6),
+             min_size=1, max_size=5),
+    st.integers(min_value=1, max_value=3),
+)
+def test_projection_is_the_feature_product_and_ignores_grouping(token_lists, window):
+    sents = [AnnotatedSentence(tuple(tokens)) for tokens in token_lists]
+    weights = np.random.default_rng(window).uniform(-1, 1, (7, 2 * window * 5))
+    whole = deterministic_fallback_table(["a", "b", "c"], 5, seed=4)
+    got = context_projection(context_rows(sents, window, whole), whole, weights)
+    want = context_embedding(sents, window, whole) @ weights.T
+    assert np.allclose(got, want, rtol=0, atol=1e-15)
+    # A second table scores the sentences one at a time, last first.
+    alone = deterministic_fallback_table(["a", "b", "c"], 5, seed=4)
+    parts = [context_projection(context_rows((sent,), window, alone), alone, weights)
+             for sent in reversed(sents)]
+    assert np.array_equal(got, np.concatenate(parts[::-1]))
+
+
+def test_projection_caches_only_the_rows_scored():
+    table = basis_table(["a", "b", "c", "d"])
+    weights = np.arange(16.0).reshape(2, 8)
+    rows = context_rows((AnnotatedSentence(("a", "oov", "a")),), 1, table)
+    assert rows.tolist() == [[0, 1], [1, 0], [0, 1], [1, 0]]
+    context_projection(rows, table, weights)
+    (cache,) = table._projections.values()
+    assert cache.count == 2  # rows 0 and 1
+    assert not weights.flags.writeable
+
+
+def test_projection_of_no_gaps_is_empty():
+    table = basis_table(["a"])
+    rows = context_rows((), 2, table)
+    assert rows.shape == (0, 4)
+    assert context_projection(rows, table, np.ones((3, 4))).shape == (0, 3)
+
+
+def test_projection_cache_dies_with_its_weights():
+    table = basis_table(["a", "b"])
+    rows = context_rows((AnnotatedSentence(("a", "b")),), 1, table)
+    context_projection(rows, table, np.ones((3, 4)))
+    assert not table._projections  # the weight matrix was a temporary

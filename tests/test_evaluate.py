@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from droprec import evaluate
 from droprec.corpus import FULL14, AnnotatedSentence, Corpus
 from droprec.embeddings import EmbeddingTable, deterministic_fallback_table
 from droprec.evaluate import (
     NONE_CLASS,
+    evaluate_both,
     evaluate_dpg,
     evaluate_dpi,
     format_report,
@@ -17,6 +19,7 @@ from droprec.evaluate import (
     student_t_two_sided_p,
 )
 
+from droprec.pipeline import predict_dpi
 from test_pipeline import stub_recovery_model
 
 
@@ -175,6 +178,25 @@ def test_evaluation_is_pure():
     b = evaluate_dpi(model, corpus, table)
     assert a.accuracy == b.accuracy
     assert np.array_equal(a.confusion, b.confusion)
+
+
+@pytest.mark.parametrize("positions", ["gold", "predicted"])
+def test_evaluate_both_detects_once_and_gives_the_two_reports(monkeypatch, positions):
+    table = EmbeddingTable.from_vectors(1, {"P": np.array([1.0]), "N": np.array([-1.0])})
+    model = stub_recovery_model(table, window=1, threshold=0.5)
+    model.dpi.layers[0].weights[:] = np.array([[0.0, 0.0], [10.0, 10.0]])
+    model.dpi.layers[0].bias[:] = np.array([0.0, -15.0])
+    model.dpg.layers[0].bias[3] = 1.0
+    sents = (AnnotatedSentence(("N", "P", "P", "N"), ((2, "wo"), (4, "ni"))),
+             AnnotatedSentence(("P", "P", "P"), ((1, "wo"),)))
+    corpus = Corpus(FULL14, sents)
+    want = (evaluate_dpi(model, corpus, table), evaluate_dpg(model, corpus, table, positions))
+    calls = []
+    monkeypatch.setattr(evaluate, "predict_dpi", lambda *a: calls.append(1) or predict_dpi(*a))
+    got = evaluate_both(model, corpus, table, positions)
+    assert len(calls) == 1
+    assert [report_to_dict(r) for r in got] == [report_to_dict(r) for r in want]
+    assert got[0].accuracy < 1.0 and got[1].n >= 3
 
 
 # --- significance ------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from droprec import mlp
 from droprec.corpus import (ACTUAL10, FULL14, AnnotatedSentence, Corpus, CorpusError,
                             load_corpus, split_corpus)
-from droprec.embeddings import (EmbeddingError, EmbeddingTable, context_embedding,
+from droprec.embeddings import (EmbeddingError, EmbeddingTable, context_embedding, context_rows,
                                 deterministic_fallback_table, load_embeddings)
 from droprec.mlp import Hyperparams, ModelFormatError
 from droprec.pipeline import (
@@ -152,17 +152,17 @@ def test_hand_built_detector_matches_hand_computed_probabilities():
     model.dpi.layers[0].weights[:] = np.array([[0.0, 0.0], [10.0, 10.0]])
     model.dpi.layers[0].bias[:] = np.array([0.0, -15.0])
     sent = AnnotatedSentence(("P", "P", "N"))
-    features = context_embedding((sent,), 1, table)
+    rows = context_rows((sent,), 1, table)
     expected = {
         0: sigmoid(0 * 10 + 1 * 10 - 15),   # pad, P
         1: sigmoid(1 * 10 + 1 * 10 - 15),   # P, P  -> 0.9933...
         2: sigmoid(1 * 10 - 1 * 10 - 15),   # P, N
         3: sigmoid(-1 * 10 + 0 * 10 - 15),  # N, pad
     }
-    probs = dpi_gap_probability(model.dpi, features)
+    probs = dpi_gap_probability(model.dpi, table, rows)
     for gap, want in expected.items():
         assert probs[gap] == pytest.approx(want, abs=1e-12)
-    assert predict_dpi(model, features).tolist() == [False, True, False, False]
+    assert predict_dpi(model, rows).tolist() == [False, True, False, False]
     result = recover(model, sent)
     assert [gap for gap, _, _ in result.recovered] == [1]
     gap, tag, confidence = result.recovered[0]
@@ -175,9 +175,8 @@ def test_predict_dpi_probabilities_sum_to_one():
     table = deterministic_fallback_table(["a", "b"], 4, seed=1)
     model = stub_recovery_model(table)
     sent = AnnotatedSentence(("a", "b"))
-    features = context_embedding((sent,), 1, table)
-    p1 = dpi_gap_probability(model.dpi, features)[1]
-    _, probs = mlp.predict(model.dpi, features)
+    p1 = dpi_gap_probability(model.dpi, table, context_rows((sent,), 1, table))[1]
+    _, probs = mlp.predict(model.dpi, context_embedding((sent,), 1, table))
     assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)
     assert 0.0 <= p1 <= 1.0
 
@@ -187,7 +186,7 @@ def test_predict_dpg_confidence_is_max_probability():
     bias = np.linspace(0.0, 1.3, 14)
     model = stub_recovery_model(table, dpg_bias=bias)
     sent = AnnotatedSentence(("a", "b"))
-    (cls,), (confidence,) = predict_dpg(model, context_embedding((sent,), 1, table)[[1]])
+    (cls,), (confidence,) = predict_dpg(model, context_rows((sent,), 1, table)[[1]])
     assert FULL14.labels[cls] == FULL14.labels[13]  # largest bias wins
     assert confidence == pytest.approx(float(np.max(mlp.softmax(bias))), abs=1e-12)
 
@@ -195,9 +194,9 @@ def test_predict_dpg_confidence_is_max_probability():
 def test_predictions_stable_across_calls():
     table = deterministic_fallback_table(["a", "b"], 4, seed=2)
     model = stub_recovery_model(table, dpg_bias=np.arange(14.0) / 10)
-    features = context_embedding((AnnotatedSentence(("a", "b")),), 1, table)
-    assert np.array_equal(predict_dpi(model, features), predict_dpi(model, features))
-    for a, b in zip(predict_dpg(model, features), predict_dpg(model, features)):
+    rows = context_rows((AnnotatedSentence(("a", "b")),), 1, table)
+    assert np.array_equal(predict_dpi(model, rows), predict_dpi(model, rows))
+    for a, b in zip(predict_dpg(model, rows), predict_dpg(model, rows)):
         assert np.array_equal(a, b)
 
 
@@ -219,6 +218,60 @@ def test_raising_threshold_never_adds_gaps(t1, t2):
     assert at_lo <= set(range(len(sent.tokens) + 1))
 
 
+@pytest.mark.parametrize("layer_count", [1, 2, 3])
+def test_scorers_match_mlp_predict_on_gathered_features(layer_count):
+    # The scorers sum cached per-word products of the first layer, and
+    # mlp.predict multiplies the gathered feature matrix: the two agree to
+    # a few ulp of 1 and take the same decisions.
+    train, dev, test, table = small_separable_setup(n=150)
+    hp = Hyperparams(embed_dim=8, window=2, layer_count=layer_count, hidden_dim=16,
+                     epochs=5, learning_rate=0.05, seed=7)
+    model = train_recovery(train, dev, table, hp, hp)
+    rows = context_rows(test.sentences, 2, table)
+    features = context_embedding(test.sentences, 2, table)
+    eps = np.finfo(float).eps
+    want = mlp.predict(model.dpi, features)[1][:, 1]
+    got = dpi_gap_probability(model.dpi, table, rows)
+    assert np.max(np.abs(got - want)) <= 4 * eps
+    assert np.array_equal(predict_dpi(model, rows), want >= model.threshold)
+    assert 0 < np.count_nonzero(want >= model.threshold) < len(want)
+    classes, probs = mlp.predict(model.dpg, features)
+    got_classes, confidences = predict_dpg(model, rows)
+    assert np.array_equal(got_classes, classes)
+    assert np.max(np.abs(confidences - probs.max(axis=1))) <= 4 * eps
+
+
+def test_first_layer_weights_are_read_only_after_scoring():
+    table = deterministic_fallback_table(["a", "b"], 4, seed=1)
+    model = stub_recovery_model(table, threshold=0.0)
+    model.dpi.layers[0].bias[:] = 1.0  # writable until scored
+    assert len(recover(model, AnnotatedSentence(("a", "b"))).recovered) == 3
+    for net in (model.dpi, model.dpg):
+        with pytest.raises(ValueError, match="read-only"):
+            net.layers[0].weights[:] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            net.layers[0].weights += 1.0
+
+
+def test_tune_threshold_caches_only_the_rows_of_the_dev_words(tmp_path):
+    # A fully parsed table of 600 words; dev uses a few of them.
+    train, dev, _, _ = small_separable_setup(n=60)
+    dev_words = {tok for sent in dev.sentences for tok in sent.tokens}
+    words = sorted(dev_words) + [f"unused{i}" for i in range(600)]
+    rng = np.random.default_rng(0)
+    path = tmp_path / "vec.txt"
+    path.write_text(f"{len(words)} 4\n" + "".join(
+        f"{w} " + " ".join(f"{x:.3f}" for x in rng.uniform(-1, 1, 4)) + "\n" for w in words),
+        encoding="utf-8")
+    table = load_embeddings(path)
+    assert len(table.matrix) == len(words) + 1
+    hp = Hyperparams(embed_dim=4, window=2, hidden_dim=8, seed=1)
+    dpi = mlp.build_model(hp.input_dim, 2, hp)
+    tune_threshold(dpi, dev, table, window=2)
+    (cache,) = table._projections.values()
+    assert cache.count <= len(dev_words) + 1
+
+
 # --- serialization ---------------------------------------------------------------
 
 
@@ -233,11 +286,11 @@ def test_recovery_model_round_trip(tmp_path):
     assert again.label_set.name == model.label_set.name
     assert again.metadata == model.metadata
     sent = train.sentences[0]
-    features = context_embedding((sent,), model.window, model.table)
-    again_features = context_embedding((sent,), again.window, again.table)
-    assert np.array_equal(dpi_gap_probability(again.dpi, again_features),
-                          dpi_gap_probability(model.dpi, features))
-    for a, b in zip(predict_dpg(again, again_features), predict_dpg(model, features)):
+    rows = context_rows((sent,), model.window, model.table)
+    again_rows = context_rows((sent,), again.window, again.table)
+    assert np.array_equal(dpi_gap_probability(again.dpi, again.table, again_rows),
+                          dpi_gap_probability(model.dpi, model.table, rows))
+    for a, b in zip(predict_dpg(again, again_rows), predict_dpg(model, rows)):
         assert np.array_equal(a, b)
 
 
@@ -314,6 +367,24 @@ def test_load_recovery_model_raises_model_format_error(tmp_path, field, value, m
     path.write_text(json.dumps(obj), encoding="utf-8")
     with pytest.raises(ModelFormatError, match=match):
         load_recovery_model(path)
+
+
+@pytest.mark.parametrize(
+    "values, match",
+    [(["0x1p+0", "zz"], "unparseable"), (["0x1p+0", "0x1p+2000"], "unparseable"),
+     ([1.0, 2.0], "unparseable"), (["0x1p+0"], "parameter block has 1 values")],
+    ids=["not-hex", "overflow", "numbers", "too-few"],
+)
+def test_bad_parameter_block_fails_alike_from_a_file_and_a_dict(tmp_path, values, match):
+    # A file's layers are parsed while the JSON is read, a dict's later.
+    obj = recovery_to_dict(stub_recovery_model(deterministic_fallback_table(["a"], 2, seed=0)))
+    obj["dpi"]["layers"][0]["bias"] = values
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=match):
+        load_recovery_model(path)
+    with pytest.raises(ModelFormatError, match=match):
+        recovery_from_dict(obj)
 
 
 def test_saving_a_model_whose_table_cannot_be_rebuilt_writes_nothing(tmp_path):

@@ -1,11 +1,11 @@
 """Determinism across BLAS thread counts.
 
-A corpus-level eval-mode product (`X @ W.T` over hundreds of gap rows) can
-give other bytes under one OpenBLAS thread than under several; the one-row
-products of training do not.  Model files, reports and the recover output
-store decisions, and confidences only from per-sentence products, so a
-chain whose network inputs are 400 wide must write the same bytes under
-both settings.
+A 400-wide eval-mode product (`X @ W.T` over 8 or more gap rows) can give
+other bytes under one OpenBLAS thread than under several; the one-row
+products of training do not.  Eval-mode scoring sums cached per-word
+products of the first layer, which use no BLAS, so a chain whose network
+inputs are 400 wide must write the same bytes under both settings, the
+`recover` confidences of sentences with 8 or more detected gaps included.
 
 The test proves nothing on a 1-core host, or when pytest itself runs with
 OPENBLAS_NUM_THREADS=1: both chains then run on one thread.
@@ -19,8 +19,10 @@ from pathlib import Path
 
 import droprec
 from droprec.cli import EXIT_OK, main
+from droprec.corpus import AnnotatedSentence, Corpus, load_corpus, save_corpus
 
-OUTPUTS = ("model.json", "predicted.json", "recovered.jsonl")
+OUTPUTS = ("model.json", "predicted.json", "recovered.jsonl", "long-recovered.jsonl",
+           "long-all-recovered.jsonl")
 
 
 def _chain(out: str) -> list[list[str]]:
@@ -35,7 +37,20 @@ def _chain(out: str) -> list[list[str]]:
          "--report", f"{out}/predicted.json"],
         ["recover", "--model", f"{out}/model.json", "--in", test,
          "--out", f"{out}/recovered.jsonl"],
+        ["recover", "--model", f"{out}/model.json", "--in", "long.jsonl",
+         "--out", f"{out}/long-recovered.jsonl"],
+        # Threshold 0 detects every gap: 15 to 19 per long sentence.
+        ["recover", "--model", f"{out}/model.json", "--in", "long.jsonl", "--threshold", "0",
+         "--out", f"{out}/long-all-recovered.jsonl"],
     ]
+
+
+def _write_long_sentences(path: str) -> None:
+    """The test split's sentences joined four at a time (14 to 18 tokens)."""
+    test = load_corpus("splits/test.jsonl")
+    sents = [sent.tokens for sent in test.sentences]
+    long = tuple(AnnotatedSentence(sum(sents[i : i + 4], ())) for i in range(0, len(sents) - 3, 4))
+    save_corpus(Corpus(test.label_set, long), path)
 
 
 def test_chain_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch):
@@ -45,8 +60,10 @@ def test_chain_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatc
     for args in (
         ["gen", "--profile", "zhidao-like", "--n", "300", "--seed", "4", "--out", "corpus.jsonl"],
         ["split", "--in", "corpus.jsonl", "--seed", "5", "--out-dir", "splits"],
-        *_chain("default"),
     ):
+        assert main(args) == EXIT_OK, args
+    _write_long_sentences("long.jsonl")
+    for args in _chain("default"):
         assert main(args) == EXIT_OK, args
     src = str(Path(droprec.__file__).parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
