@@ -41,6 +41,9 @@ _TEXT_LINE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 # Gaps whose first-layer products context_projection sums at a time.
 _SUM_BLOCK = 256
 
+# Bytes of per-word first-layer products cached for one weight matrix.
+_CACHE_BYTES = 16 << 20
+
 
 class EmbeddingError(ValueError):
     """Malformed embedding file or incompatible dimensions."""
@@ -357,36 +360,75 @@ def context_embedding(
 
 
 class _Projections:
-    """Per-slot products of one weight matrix with the table rows scored so
-    far: `products[k, where[r]]` is `W[:, k*D:(k+1)*D] @ matrix[r]`, and
-    `where[r]` is -1 for a row not computed yet."""
+    """Per-slot products of one weight matrix with some table rows:
+    `products[k, where[r]]` is `W[:, k*D:(k+1)*D] @ matrix[r]`, and
+    `where[r]` is -1 for a row not held.  `held[:count]` lists the rows
+    held, at most `capacity` of them: the cache of a (2 * window * D)-wide
+    matrix of H rows holds up to _CACHE_BYTES of products, and at least
+    the rows one block of _SUM_BLOCK gaps can read."""
 
     def __init__(self, slots: int, hidden: int):
-        self.products = np.empty((slots, 16, hidden))
+        self.capacity = max(slots * _SUM_BLOCK, _CACHE_BYTES // (8 * slots * hidden))
+        size = min(16, self.capacity)
+        self.products = np.empty((slots, size, hidden))
+        self.held = np.empty(size, dtype=np.intp)
         self.where = np.empty(0, dtype=np.intp)
         self.count = 0
 
-    def add(self, new: np.ndarray, matrix: np.ndarray, weights: np.ndarray) -> None:
-        """Compute the products of table rows `new`.
+    def positions(self, rows: np.ndarray, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """`where[rows]`, once the products of every row in `rows` are held.
 
-        Each product accumulates over the D components in index order with
-        elementwise operations, so its bytes depend on neither the other
-        rows computed with it nor the BLAS build or thread count.
+        Rows not held are computed.  When they do not fit, the cache starts
+        over with the rows of `rows` alone; a product's bytes do not depend
+        on when it is computed, so scores do not change.
         """
-        slots, capacity, hidden = self.products.shape
+        if len(self.where) < len(matrix):  # the table has read more words
+            grown = np.full(max(2 * len(self.where), len(matrix)), -1, dtype=np.intp)
+            grown[: len(self.where)] = self.where
+            self.where = grown
+        at = self.where[rows]
+        if at.size and at.min() < 0:
+            new = _distinct(rows[at < 0])
+            if self.count + len(new) > self.capacity:
+                self.where[self.held[: self.count]] = -1
+                self.count = 0
+                new = _distinct(rows)
+            self._add(new, matrix, weights)
+            at = self.where[rows]
+        return at
+
+    def _add(self, new: np.ndarray, matrix: np.ndarray, weights: np.ndarray) -> None:
+        """Compute and hold the products of table rows `new`.
+
+        Each row's products come from one np.einsum call on operands of
+        fixed shapes, which runs numpy's own loops, not BLAS: their bytes
+        depend on neither the other rows computed, nor when, nor the BLAS
+        build or thread count.
+        """
+        slots, size, hidden = self.products.shape
         start, stop = self.count, self.count + len(new)
-        if stop > capacity:
-            grown = np.empty((slots, max(2 * capacity, stop), hidden))
-            grown[:, :start] = self.products[:, :start]
-            self.products = grown
-        comps = matrix[new].T[:, None, :, None]  # (D, 1, rows, 1)
-        per_comp = weights.reshape(hidden, slots, -1).T[:, :, None, :]  # (D, slots, 1, H)
-        acc = np.multiply(per_comp[0], comps[0], out=self.products[:, start:stop])
-        term = np.empty_like(acc)
-        for d in range(1, len(comps)):
-            acc += np.multiply(per_comp[d], comps[d], out=term)
+        if stop > size:
+            size = min(self.capacity, max(2 * size, stop))
+            products = np.empty((slots, size, hidden))
+            products[:, :start] = self.products[:, :start]
+            held = np.empty(size, dtype=np.intp)
+            held[:start] = self.held[:start]
+            self.products, self.held = products, held
+        by_slot = weights.reshape(hidden, slots, -1)
+        for at, row in enumerate(new.tolist(), start):
+            self.products[:, at] = np.einsum("hkd,d->kh", by_slot, matrix[row])
+        self.held[start:stop] = new
         self.where[new] = np.arange(start, stop)
         self.count = stop
+
+
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of `ids`, sorted (not np.unique, which imports
+    numpy.ma, ~1.3 MB)."""
+    ids = np.sort(ids, axis=None)
+    keep = np.ones(len(ids), dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
 
 
 def context_projection(rows: np.ndarray, table: EmbeddingTable, weights: np.ndarray) -> np.ndarray:
@@ -399,9 +441,12 @@ def context_projection(rows: np.ndarray, table: EmbeddingTable, weights: np.ndar
     do not depend on the other gaps scored with it or on the BLAS thread
     count.
 
-    The products are cached per table and weight matrix, for the table
-    rows that scored gaps have read, and `weights` is made read-only so
-    the cache cannot go stale.  Sums run a block of gaps at a time, so no
+    The products are cached per table and weight matrix, for table rows
+    that scored gaps have read, up to a bounded size, and `weights` is
+    made read-only so the cache cannot go stale.  A word costs one
+    product the first time it is scored (more if the cache has started
+    over since), so the speed-up over a dense product grows with how
+    often words repeat.  Sums run a block of gaps at a time, so no
     (gaps, 2 * window, H) array is built.
     """
     hidden, width = weights.shape
@@ -413,19 +458,10 @@ def context_projection(rows: np.ndarray, table: EmbeddingTable, weights: np.ndar
         weights.flags.writeable = False
         cache = table._projections[id(weights)] = _Projections(slots, hidden)
         weakref.finalize(weights, table._projections.pop, id(weights), None)
-    if len(cache.where) < len(table.matrix):
-        missing = len(table.matrix) - len(cache.where)
-        cache.where = np.concatenate([cache.where, np.full(missing, -1, dtype=np.intp)])
-    at = cache.where[rows]
-    if at.size and at.min() < 0:
-        new = np.zeros(len(cache.where), dtype=bool)
-        new[rows[at < 0]] = True  # not np.unique, which imports numpy.ma (~1.3 MB)
-        cache.add(np.flatnonzero(new), table.matrix, weights)
-        at = cache.where[rows]
     out = np.empty((len(rows), hidden))
     for lo in range(0, len(rows), _SUM_BLOCK):
-        block = at[lo : lo + _SUM_BLOCK]
-        part = cache.products[0].take(block[:, 0], axis=0, out=out[lo : lo + _SUM_BLOCK])
+        at = cache.positions(rows[lo : lo + _SUM_BLOCK], table.matrix, weights)
+        part = cache.products[0].take(at[:, 0], axis=0, out=out[lo : lo + _SUM_BLOCK])
         for k in range(1, slots):
-            part += cache.products[k][block[:, k]]
+            part += cache.products[k][at[:, k]]
     return out

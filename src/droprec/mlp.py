@@ -411,30 +411,13 @@ def _array_to_hex(a: np.ndarray) -> list[str]:
     return [float(v).hex() for v in a.ravel()]
 
 
-def _floats_from_hex(values: list[str]) -> np.ndarray:
-    try:
-        return np.fromiter(map(float.fromhex, values), dtype=np.float64)
-    except (ValueError, TypeError, OverflowError):
-        raise ModelFormatError("unparseable hex float in model file") from None
-
-
-def parse_layer_parameters(obj: dict) -> dict:
-    """`json` object hook for model files: the hex-float lists of a layer
-    entry become flat float64 arrays as soon as the entry is read, so the
-    hex strings of all layers never exist at once.  Other objects pass
-    through."""
-    if obj.keys() == {"out_dim", "in_dim", "weights", "bias"}:
-        obj["weights"] = _floats_from_hex(obj["weights"])
-        obj["bias"] = _floats_from_hex(obj["bias"])
-    return obj
-
-
-def _array_from_hex(values: list[str] | np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A parameter block of `shape` from its hex floats, or from the flat
-    array `parse_layer_parameters` made of them."""
+def _array_from_hex(values: list[str], shape: tuple[int, ...]) -> np.ndarray:
     for size in shape:
         require_int(size, "layer size")
-    flat = values if isinstance(values, np.ndarray) else _floats_from_hex(values)
+    try:
+        flat = np.array([float.fromhex(v) for v in values])
+    except (ValueError, TypeError):
+        raise ModelFormatError("unparseable hex float in model file") from None
     if flat.size != int(np.prod(shape)):
         raise ModelFormatError(
             f"parameter block has {flat.size} values, expected shape {shape}"

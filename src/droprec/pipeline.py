@@ -271,11 +271,9 @@ def save_recovery_model(model: RecoveryModel, path: str | Path) -> None:
 
 def load_recovery_model(path: str | Path) -> RecoveryModel:
     """Load a recovery model, rebuilding its embedding table from the
-    file's table_ref.  Each layer's parameters are parsed as soon as the
-    JSON reader has read them."""
+    file's table_ref."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"),
-                         object_hook=mlp.parse_layer_parameters)
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON: {exc.msg}") from None
     except UnicodeDecodeError as exc:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from droprec import embeddings
 from droprec.corpus import AnnotatedSentence
 from droprec.mlp import ModelFormatError
 from droprec.embeddings import (
@@ -470,3 +471,23 @@ def test_projection_cache_dies_with_its_weights():
     rows = context_rows((AnnotatedSentence(("a", "b")),), 1, table)
     context_projection(rows, table, np.ones((3, 4)))
     assert not table._projections  # the weight matrix was a temporary
+
+
+def test_projection_cache_is_bounded_and_starting_over_moves_no_byte(monkeypatch):
+    # 40 words, 3 gaps per block: the cache holds at most 2 slots * 3 = 6
+    # rows, so it starts over many times while scoring the sentences, and
+    # the second half of them reads the words of the first half again.
+    words = [f"w{i}" for i in range(40)]
+    sents = [AnnotatedSentence(tuple(words[i : i + 5])) for i in range(0, 40, 3)]
+    sents += sents[::-1]
+    weights = np.random.default_rng(0).uniform(-1, 1, (5, 2 * 3))
+    unbounded = deterministic_fallback_table(words, 3, seed=1)
+    want = context_projection(context_rows(sents, 1, unbounded), unbounded, weights)
+    monkeypatch.setattr(embeddings, "_CACHE_BYTES", 0)
+    monkeypatch.setattr(embeddings, "_SUM_BLOCK", 3)
+    bounded = deterministic_fallback_table(words, 3, seed=1)
+    got = context_projection(context_rows(sents, 1, bounded), bounded, weights)
+    assert np.array_equal(got, want)
+    (cache,) = bounded._projections.values()
+    assert cache.capacity == 6
+    assert cache.count <= 6 and cache.products.shape[1] <= 6

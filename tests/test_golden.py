@@ -47,7 +47,7 @@ def test_criterion_7_chain_digests(tmp_path, monkeypatch, capsys):
 
 W2V_MODEL_SHA256 = "fab841e7434a148768630e566901f1d29a7535a0b3df054b0c8d6af3170962b4"
 W2V_PREDICTED_REPORT_SHA256 = "46ad0b242dd725771f0f1038bcb8928ce905bf0ec0268b408f38cbf065a0fd44"
-W2V_RECOVER_SHA256 = "6bb93d4238f50a1916824bd6d44a48b8b3c6d5faf2c688c49ba4099659d0b7d4"
+W2V_RECOVER_SHA256 = "0ff6410b6dd0d14d292b933dee5eb7522dac2ab1a2985345c9d30379a28c9910"
 
 
 def _word2vec_line(word: str, dim: int) -> str:

@@ -369,24 +369,6 @@ def test_load_recovery_model_raises_model_format_error(tmp_path, field, value, m
         load_recovery_model(path)
 
 
-@pytest.mark.parametrize(
-    "values, match",
-    [(["0x1p+0", "zz"], "unparseable"), (["0x1p+0", "0x1p+2000"], "unparseable"),
-     ([1.0, 2.0], "unparseable"), (["0x1p+0"], "parameter block has 1 values")],
-    ids=["not-hex", "overflow", "numbers", "too-few"],
-)
-def test_bad_parameter_block_fails_alike_from_a_file_and_a_dict(tmp_path, values, match):
-    # A file's layers are parsed while the JSON is read, a dict's later.
-    obj = recovery_to_dict(stub_recovery_model(deterministic_fallback_table(["a"], 2, seed=0)))
-    obj["dpi"]["layers"][0]["bias"] = values
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(obj), encoding="utf-8")
-    with pytest.raises(ModelFormatError, match=match):
-        load_recovery_model(path)
-    with pytest.raises(ModelFormatError, match=match):
-        recovery_from_dict(obj)
-
-
 def test_saving_a_model_whose_table_cannot_be_rebuilt_writes_nothing(tmp_path):
     table = EmbeddingTable.from_vectors(2, {"a": np.ones(2)})  # source kind "inline"
     path = tmp_path / "model.json"
