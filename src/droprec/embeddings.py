@@ -16,7 +16,7 @@ import math
 import os
 import re
 import weakref
-from array import array
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -34,9 +34,19 @@ log = logging.getLogger(__name__)
 SOURCE_FIELDS = {"word2vec": {"path": str, "dim": int, "sha256": re.compile("[0-9a-f]{64}")},
                  "fallback": {"vocab": list, "dim": int, "seed": int}}
 
-# A line as text-mode reading sees it: up to "\r\n", "\r" or "\n", or the
-# end of the data.  Both are single bytes in UTF-8, so no character splits.
-_TEXT_LINE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+# Bytes the word2vec scan reads at a time.
+_BLOCK = 1 << 20
+
+# First bytes of a word line that the scan leaves to the per-line checks:
+# the ASCII characters str.strip() removes, and the lead bytes of the UTF-8
+# encodings of the other whitespace characters (C2: U+0085, U+00A0; E1:
+# U+1680; E2: U+2000-U+205F; E3: U+3000).  A line that starts with any
+# other byte has a word that is not blank.
+_CHECKED_LEAD = np.zeros(256, dtype=bool)
+_CHECKED_LEAD[[b for b in range(128) if chr(b).isspace()] + [0xC2, 0xE1, 0xE2, 0xE3]] = True
+
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = np.uint64(0x100000001B3)
 
 # Gaps whose first-layer products context_projection sums at a time.
 _SUM_BLOCK = 256
@@ -59,10 +69,11 @@ class EmbeddingTable:
     trained with.
 
     A table that `load_embeddings` reads lazily parses a word's line the
-    first time the word is looked up.  Until then `rows` maps the word to
-    -1 - k, where `_spans[3k : 3k + 3]` holds the offset, length and
-    `hash()` of its line in the file; `matrix` holds only the rows read so
-    far, and `unread` counts the words still waiting.
+    first time the word is looked up.  Its index holds, sorted by the
+    FNV-1a 64 hash of the word (file order among equal hashes), the
+    offset, length and `hash()` of each word's line in the file.  `rows`
+    and `matrix` hold only the words read so far, and `unread` counts the
+    words still waiting.
     """
 
     def __init__(
@@ -84,8 +95,11 @@ class EmbeddingTable:
         self.source = source or {"kind": "inline", "dim": self.dim}
         self.duplicates_skipped = duplicates_skipped
         self.unread = 0
-        self._spans = array("q")
         self._path: Path | None = None
+        self._hashes = np.zeros(0, dtype=np.uint64)
+        self._starts = self._lengths = self._checks = np.zeros(0, dtype=np.int64)
+        self._waiting = np.zeros(0, dtype=bool)
+        self._missing: set[str] = set()  # words the index was searched for in vain
         self._projections: dict[int, _Projections] = {}  # by id() of the weight matrix
 
     @classmethod
@@ -105,43 +119,45 @@ class EmbeddingTable:
         return cls(matrix, {word: row for row, word in enumerate(vectors, start=1)}, source)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.rows) + self.unread
 
     def lookup(self, word: str) -> np.ndarray:
         """Vector for `word`, or the zero unk vector when absent."""
-        row = self.rows.get(word, 0)
-        if row < 0:
-            row = self._read(row)
+        row = self.row(word)  # first: reading the word replaces `matrix`
         return self.matrix[row]
 
-    def _read_rows(self, ids: np.ndarray) -> None:
-        """Replace the unread-word markers among `ids` by the words' rows."""
-        unread = ids < 0
-        markers, which = np.unique(ids[unread], return_inverse=True)
-        ids[unread] = np.array([self._read(m) for m in markers.tolist()], dtype=np.intp)[which]
+    def row(self, word: str) -> int:
+        """Row of `word`, read from the file first if it is still unread;
+        0 for a word the table lacks.
 
-    def _read(self, marker: int) -> int:
-        """Parse and check the line of an unread word, give the word the
-        next row, and return that row.
-
-        The line is read from the file again.  It must still have the
-        keyed 64-bit `hash()` taken in the pass that computed the file's
-        SHA-256, so an edit of the line since that pass is caught, not
-        served.
+        An unread word is found by its hash in the index.  Each line with
+        that hash is read until one holds the word, so a hash collision
+        cannot give one word another's row.  A word not found is
+        remembered, and is not searched for again.
         """
-        k = -1 - marker
-        start, length, check = self._spans[3 * k : 3 * k + 3]
+        row = self.rows.get(word)
+        if row is not None:
+            return row
+        if not self.unread or word in self._missing:
+            return 0
+        key = np.frombuffer(word.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+        (h,) = _word_hashes(key, np.zeros(1, dtype=np.intp), np.array([len(key)]))
+        for k in range(self._hashes.searchsorted(h), self._hashes.searchsorted(h, "right")):
+            if self._waiting[k] and self._read(k) == word:
+                return self.rows[word]
+        self._missing.add(word)
+        return 0
+
+    def _read(self, k: int) -> str:
+        """Parse and check the line of unread index entry `k`, give its
+        word the next row, and return the word."""
         with open(self._path, "rb") as fh:
-            fh.seek(start)
-            line = fh.read(length)
-        if hash(line) != check:
-            raise EmbeddingError(
-                f"{self.source['path']}: file changed since its SHA-256 was checked"
-            )
+            line = _reread(fh, int(self._starts[k]), int(self._lengths[k]), int(self._checks[k]),
+                           self.source["path"])
         try:
             word, vec = _parse_row(line, self.dim)
         except (EmbeddingError, UnicodeDecodeError) as exc:
-            line_no = _line_number(self._path, start)
+            line_no = _line_number(self._path, int(self._starts[k]))
             raise EmbeddingError(f"{self.source['path']} line {line_no}: {exc}") from None
         row = len(self.matrix)
         if row == len(self._buffer):
@@ -149,8 +165,9 @@ class EmbeddingTable:
         self._buffer[row] = vec
         self.matrix = self._buffer[: row + 1]
         self.rows[word] = row
+        self._waiting[k] = False
         self.unread -= 1
-        return row
+        return word
 
 
 def _parse_header(line: bytes, path: Path, expected_dim: int | None) -> tuple[int, int]:
@@ -197,58 +214,122 @@ def _line_number(path: Path, offset: int) -> int:
     return 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
 
 
+def _word(line: bytes) -> bytes:
+    """The word of a word line: its bytes up to the first space."""
+    space = line.find(b" ")
+    return line[:space] if space >= 0 else line.rstrip(b"\r\n")
+
+
+def _is_blank(line: bytes) -> bool:
+    """Whether a line holds only whitespace, as str.strip() sees it.
+    UnicodeDecodeError if its word, or the line of a blank word, is not
+    UTF-8."""
+    return not (_word(line).decode("utf-8").strip() or line.decode("utf-8").strip())
+
+
+def _word_hashes(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """`rng.fnv1a64` of each word `data[starts[i] : starts[i] + lengths[i]]`,
+    as uint64, all words a byte position at a time."""
+    if len(starts) == 1:  # one token: fnv1a64's Python loop beats numpy's per-call costs
+        start = int(starts[0])
+        return np.array([fnv1a64(data[start : start + int(lengths[0])].tobytes())],
+                        dtype=np.uint64)
+    order = np.argsort(-lengths, kind="stable")  # the words longer than j are a prefix
+    at = starts[order]
+    hashes = np.full(len(order), _FNV_OFFSET, dtype=np.uint64)
+    longer = len(order) - np.cumsum(np.bincount(lengths)) if len(order) else ()
+    for j, n in enumerate(longer[:-1]):  # n words have a byte at position j
+        live = hashes[:n]
+        live ^= data[at[:n] + j]
+        live *= _FNV_PRIME  # wraps modulo 2**64, as the hash asks
+    out = np.empty_like(hashes)
+    out[order] = hashes
+    return out
+
+
+def _blocks(fh, sha):
+    """The lines of a binary file, a block of whole lines at a time, read
+    _BLOCK bytes at a time; every byte read updates `sha`.
+
+    Yields (data, offset, lines): `lines` split the start of `data`, which
+    starts at byte `offset` of the file, each with its line end.  Lines
+    end where text-mode reading ends them, at "\n", "\r\n" or a lone
+    "\r", or at the end of the file.  A line the block cuts, one whose
+    "\r" ends the block included, goes to the next block.
+    """
+    data, offset = b"", 0
+    while True:
+        chunk = fh.read(max(_BLOCK, len(data)))  # a long line at least doubles the read
+        sha.update(chunk)
+        data += chunk
+        lines = data.splitlines(keepends=True)  # for bytes: at "\n", "\r\n" and "\r" only
+        rest = lines.pop() if chunk and lines and not lines[-1].endswith(b"\n") else b""
+        if lines:
+            yield data, offset, lines
+        if not chunk:
+            return
+        offset += len(data) - len(rest)
+        data = rest
+
+
 def load_embeddings(
     path: str | Path, expected_dim: int | None = None, sha256: str | None = None
 ) -> EmbeddingTable:
     """Load a word2vec text file; blank lines are skipped, and duplicates
     keep the first occurrence.
 
-    One pass hashes the file and notes each word's line; the table's
-    source records the hash.  Without `sha256`, the pass also parses and
-    checks every word line, duplicates included.  With it, the file must
-    have that hash, or ModelFormatError is raised, and a word's line is
-    parsed and checked only when the word is first looked up.  A file
-    with the hash a model recorded at training was fully checked then, so
-    the lines never read hold no error.  A file with no word line is
-    rejected: nothing in it shows that the header's `dim` is real.
+    One scan hashes the file and finds its word lines; the table's source
+    records the hash.  Without `sha256`, the scan also parses and checks
+    every word line, duplicates included.  With it, the file must have
+    that hash, or ModelFormatError is raised; the scan indexes each word's
+    line, and the line is parsed and checked only when the word is first
+    looked up.  A file with the hash a model recorded at training was
+    fully checked then, so the lines never read hold no error.  A file
+    with no word line is rejected: nothing in it shows that the header's
+    `dim` is real.
     """
     path = Path(path)
     sha = hashlib.sha256()
     header = None
     rows: dict[str, int] = {}
-    spans = array("q")
+    index: list[tuple[np.ndarray, ...]] = []  # per block: word hashes, line starts, lengths, hash()es
     matrix = None  # allocated once a word line has shown `dim` to be real
-    duplicates = offset = 0
+    duplicates = 0
     with path.open("rb") as fh:
-        for raw in fh:  # binary reading ends a line at "\n" only
-            sha.update(raw)
-            for line in _TEXT_LINE.findall(raw) if b"\r" in raw else (raw,):
-                start = offset
-                offset += len(line)
-                if header is None:
-                    header = line
-                    if sha256 is None:
-                        vocab_size, dim = _parse_header(header, path, expected_dim)
-                        # A word line takes at least 2 * dim + 2 bytes ("w", dim times
-                        # " x", "\n"), so the file size caps the rows a header can ask for.
-                        size = os.fstat(fh.fileno()).st_size
-                        capacity = max(1, min(vocab_size, size // (2 * dim + 2)))
-                    continue
+        for data, offset, lines in _blocks(fh, sha):
+            sizes = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+            ends = np.cumsum(sizes)
+            starts = ends - sizes
+            if header is None:
+                header, lines, starts, ends = lines[0], lines[1:], starts[1:], ends[1:]
+                if sha256 is None:
+                    vocab_size, dim = _parse_header(header, path, expected_dim)
+                    # A word line takes at least 2 * dim + 2 bytes ("w", dim times
+                    # " x", "\n"), so the file size caps the rows a header can ask for.
+                    size = os.fstat(fh.fileno()).st_size
+                    capacity = max(1, min(vocab_size, size // (2 * dim + 2)))
+            if sha256 is None:
+                checked = np.ones(len(lines), dtype=bool)
+            else:
+                a = np.frombuffer(data, dtype=np.uint8)
+                lengths = _word_lengths(a, lines, starts, ends)
+                checked = _CHECKED_LEAD[a[starts]]
+                if not data.isascii() and not _all_utf8(data, starts, lengths):
+                    checked[:] = True
+            word_line = ~checked
+            for i in np.flatnonzero(checked).tolist():
                 try:
-                    space = line.find(b" ")
-                    word = (line[:space] if space >= 0 else line.rstrip(b"\r\n")).decode("utf-8")
-                    if not (word.strip() or line.decode("utf-8").strip()):
-                        continue  # a blank line
+                    if _is_blank(lines[i]):
+                        continue
                     if sha256 is None:
-                        vec = _parse_row(line, dim)[1]
+                        word, vec = _parse_row(lines[i], dim)
                 except (EmbeddingError, UnicodeDecodeError) as exc:
-                    line_no = _line_number(path, start)
+                    line_no = _line_number(path, offset + int(starts[i]))
                     raise EmbeddingError(f"{path} line {line_no}: {exc}") from None
-                if word in rows:
+                if sha256 is not None:
+                    word_line[i] = True
+                elif word in rows:
                     duplicates += 1
-                elif sha256 is not None:
-                    rows[word] = -1 - len(spans) // 3
-                    spans.extend((start, len(line), hash(line)))
                 else:
                     row = len(rows) + 1
                     if matrix is None:
@@ -257,6 +338,11 @@ def load_embeddings(
                         matrix = np.concatenate([matrix, np.zeros_like(matrix)])
                     matrix[row] = vec
                     rows[word] = row
+            if sha256 is not None:
+                starts, ends, lengths = starts[word_line], ends[word_line], lengths[word_line]
+                checks = map(hash, compress(lines, word_line.tolist()))
+                index.append((_word_hashes(a, starts, lengths), starts + offset, ends - starts,
+                              np.fromiter(checks, dtype=np.int64, count=len(starts))))
     digest = sha.hexdigest()
     if sha256 is not None and digest != sha256:
         raise ModelFormatError(
@@ -264,20 +350,15 @@ def load_embeddings(
         )
     if sha256 is not None or header is None:  # the header is not parsed yet
         vocab_size, dim = _parse_header(header or b"", path, expected_dim)
-    if not rows:
-        raise EmbeddingError(f"{path}: no word lines, so nothing confirms dimension {dim}")
+    source = {"kind": "word2vec", "path": str(path), "dim": dim, "sha256": digest}
     if sha256 is None:
+        if not rows:
+            raise EmbeddingError(f"{path}: no word lines, so nothing confirms dimension {dim}")
         if len(matrix) > len(rows) + 1:
             matrix = matrix[: len(rows) + 1].copy()
-        table = EmbeddingTable(matrix, rows, duplicates_skipped=duplicates)
+        table = EmbeddingTable(matrix, rows, source, duplicates)
     else:
-        # A word line with `dim` components takes at least 2 * dim + 1 bytes.
-        if not any(length > 2 * dim for length in spans[1::3]):
-            raise EmbeddingError(f"{path}: no word line is long enough for dimension {dim}")
-        table = EmbeddingTable(np.zeros((1, dim)), {}, duplicates_skipped=duplicates)
-        table.rows, table.unread, table._spans = rows, len(rows), spans
-        table._path = path.absolute()
-    table.source = {"kind": "word2vec", "path": str(path), "dim": dim, "sha256": digest}
+        table = _lazy_table(path, source, *map(np.concatenate, zip(*index)))
     if table.duplicates_skipped:
         log.warning("%s: skipped %d duplicate word(s), kept first occurrence", path,
                     table.duplicates_skipped)
@@ -286,6 +367,77 @@ def load_embeddings(
             "%s: header declares %d words, file has %d distinct", path, vocab_size, len(table)
         )
     return table
+
+
+def _word_lengths(a: np.ndarray, lines: list[bytes], starts: np.ndarray,
+                  ends: np.ndarray) -> np.ndarray:
+    """Byte length of the word of each line `a[starts[i] : ends[i]]`, as
+    `_word` cuts it: up to its first space, or else up to its line end."""
+    spaces = np.fromiter(map(bytes.find, lines, repeat(b" ")), dtype=np.int64, count=len(lines))
+    last = a[ends - 1]
+    content = ends - starts - ((last == 10) | (last == 13))  # the line end left out
+    content -= (last == 10) & (content > 0) & (a[ends - 2] == 13)  # and the "\r" of "\r\n"
+    return np.where(spaces >= 0, spaces, content)
+
+
+def _all_utf8(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> bool:
+    """Whether every word `data[starts[i] : starts[i] + lengths[i]]` is
+    UTF-8, with one decode of them all, joined by spaces."""
+    words = map(data.__getitem__, map(slice, starts.tolist(), (starts + lengths).tolist()))
+    try:
+        b" ".join(words).decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _lazy_table(path: Path, source: dict, hashes: np.ndarray, starts: np.ndarray,
+                lengths: np.ndarray, checks: np.ndarray) -> EmbeddingTable:
+    """Table that reads its rows lazily, over the word lines of a file:
+    their word hashes, offsets, lengths and `hash()`es in file order.
+
+    Lines whose words hash alike are read again, and each word keeps its
+    first line, so `duplicates_skipped` is exact whatever collides.
+    """
+    dim = source["dim"]
+    if not len(hashes):
+        raise EmbeddingError(f"{path}: no word lines, so nothing confirms dimension {dim}")
+    order = np.argsort(hashes, kind="stable")
+    hashes, starts, lengths, checks = hashes[order], starts[order], lengths[order], checks[order]
+    runs = np.flatnonzero(np.append(True, hashes[1:] != hashes[:-1]))
+    sizes = np.diff(np.append(runs, len(hashes)))
+    keep = np.ones(len(hashes), dtype=bool)
+    with open(path, "rb") as fh:
+        for lo, size in zip(runs[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
+            seen = set()
+            for k in range(lo, lo + size):
+                word = _word(_reread(fh, int(starts[k]), int(lengths[k]), int(checks[k]), path))
+                keep[k] = word not in seen
+                seen.add(word)
+    hashes, starts, lengths, checks = hashes[keep], starts[keep], lengths[keep], checks[keep]
+    # A word line with `dim` components takes at least 2 * dim + 1 bytes.
+    if not (lengths > 2 * dim).any():
+        raise EmbeddingError(f"{path}: no word line is long enough for dimension {dim}")
+    table = EmbeddingTable(np.zeros((1, dim)), {}, source, len(keep) - len(hashes))
+    table._hashes, table._starts, table._lengths, table._checks = hashes, starts, lengths, checks
+    table._path = path.absolute()
+    table.unread = len(hashes)
+    table._waiting = np.ones(table.unread, dtype=bool)
+    return table
+
+
+def _reread(fh, start: int, length: int, check: int, path: str | Path) -> bytes:
+    """Bytes `start : start + length` of an open word2vec file.
+
+    They must still have the keyed 64-bit `hash()` `check` taken in the
+    scan that computed the file's SHA-256, so an edit of the line since
+    that scan is caught, not served.
+    """
+    fh.seek(start)
+    line = fh.read(length)
+    if hash(line) != check:
+        raise EmbeddingError(f"{path}: file changed since its SHA-256 was checked")
+    return line
 
 
 def fallback_vector(word: str, dim: int, seed: int) -> np.ndarray:
@@ -338,15 +490,14 @@ def context_rows(
     # Row ids of `window` pads, then of each sentence's tokens followed by
     # `window` pads.  Gap g of a sentence whose first token sits at
     # position p reads positions p - window + g .. p + window + g - 1.
+    get, row = table.rows.get, table.row  # a row read before is one dict lookup
     ids = [0] * window
     first: list[int] = []
     for sent in sentences:
         first.extend(range(len(ids) - window, len(ids) - window + len(sent.tokens) + 1))
-        ids.extend([table.rows.get(tok, 0) for tok in sent.tokens] + [0] * window)
-    row_ids = np.array(ids, dtype=np.intp)
-    if table.unread and min(ids) < 0:
-        table._read_rows(row_ids)
-    return row_ids[np.array(first, dtype=np.intp)[:, None] + np.arange(2 * window)]
+        ids.extend([get(tok) or row(tok) for tok in sent.tokens] + [0] * window)
+    return np.array(ids, dtype=np.intp)[np.array(first, dtype=np.intp)[:, None]
+                                        + np.arange(2 * window)]
 
 
 def context_embedding(

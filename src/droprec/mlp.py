@@ -414,14 +414,20 @@ def _array_to_hex(a: np.ndarray) -> list[str]:
 def _array_from_hex(values: list[str], shape: tuple[int, ...]) -> np.ndarray:
     for size in shape:
         require_int(size, "layer size")
+    if type(values) is not list:
+        raise ModelFormatError(f"parameter block must be a list, got {type(values).__name__}")
     try:
-        flat = np.array([float.fromhex(v) for v in values])
-    except (ValueError, TypeError):
+        flat = np.fromiter(map(float.fromhex, values), dtype=float, count=len(values))
+    except (ValueError, TypeError, OverflowError):  # OverflowError: beyond a double's range
         raise ModelFormatError("unparseable hex float in model file") from None
     if flat.size != int(np.prod(shape)):
         raise ModelFormatError(
             f"parameter block has {flat.size} values, expected shape {shape}"
         )
+    # Elementwise: a sum first would be no faster here, and would warn on
+    # finite parameters whose sum overflows.
+    if not np.isfinite(flat).all():
+        raise ModelFormatError("non-finite parameter in model file")
     return flat.reshape(shape)
 
 

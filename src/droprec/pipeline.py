@@ -52,12 +52,12 @@ class RecoveredSentence:
     recovered: tuple[tuple[int, str, float], ...]  # (gap_index, tag, confidence)
 
 
-def _check_dims(model: MlpModel, window: int, table: EmbeddingTable, stage: str) -> None:
-    expected = 2 * window * table.dim
+def _check_dims(model: MlpModel, window: int, dim: int, stage: str) -> None:
+    expected = 2 * window * dim
     if model.input_dim != expected:
         raise ModelFormatError(
             f"{stage} model expects input dim {model.input_dim}, but window {window} "
-            f"with embedding dim {table.dim} gives {expected}"
+            f"with embedding dim {dim} gives {expected}"
         )
 
 
@@ -241,16 +241,18 @@ def recovery_from_dict(obj: dict, model_dir: str | Path = ".") -> RecoveryModel:
         raise ModelFormatError(f"corrupt recovery model: {exc}") from None
     if not 0.0 <= threshold <= 1.0:
         raise ModelFormatError(f"detection threshold {threshold} is not in [0, 1]")
-    if "sha256" in table_ref:
-        table_ref["path"] = str(Path(model_dir) / table_ref["path"])
-    table = table_from_source(table_ref)
     if dpg.num_classes != len(label_set):
         raise ModelFormatError(
             f"generation model has {dpg.num_classes} classes but label set "
             f"{label_set.name!r} has {len(label_set)}"
         )
-    _check_dims(dpi, window, table, "detection")
-    _check_dims(dpg, window, table, "generation")
+    # Before the table is built: a table of the declared dim must fit both
+    # networks, so a dim no network can use allocates nothing.
+    _check_dims(dpi, window, table_ref["dim"], "detection")
+    _check_dims(dpg, window, table_ref["dim"], "generation")
+    if "sha256" in table_ref:
+        table_ref["path"] = str(Path(model_dir) / table_ref["path"])
+    table = table_from_source(table_ref)
     return RecoveryModel(dpi, dpg, label_set, window, threshold, table, metadata)
 
 

@@ -382,6 +382,33 @@ def test_unreadable_model_is_data_error(workspace, model_file, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [(("dpi", "nan"), "non-finite parameter"), (("dpg", "nan"), "non-finite parameter"),
+     (("dpi", "inf"), "non-finite parameter"), (("dpg", "-inf"), "non-finite parameter"),
+     (("dpg", "0x1p+2000"), "unparseable hex float"),
+     (("table_ref", 10**12), "with embedding dim 1000000000000")],
+    ids=["dpi-nan", "dpg-nan", "dpi-inf", "dpg-minus-inf", "beyond-a-double", "huge-table-dim"],
+)
+def test_model_with_numbers_it_cannot_use_is_data_error(workspace, model_file, tmp_path,
+                                                        capsys, edit, message):
+    obj = json.loads(model_file.read_text(encoding="utf-8"))
+    part, value = edit
+    if part == "table_ref":
+        obj["table_ref"]["dim"] = value
+    else:
+        obj[part]["layers"][0]["weights"][0] = value
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["recover", "--model", str(model),
+                 "--in", str(workspace / "splits" / "test.jsonl"),
+                 "--out", str(tmp_path / "out.jsonl")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_corpus_and_sentence_detection_agree(workspace, model_file):
     # eval --positions predicted scores the whole corpus at once, recover
     # one sentence at a time: both must detect the same gaps.

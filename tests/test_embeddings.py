@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from droprec import embeddings
 from droprec.corpus import AnnotatedSentence
 from droprec.mlp import ModelFormatError
+from droprec.rng import fnv1a64
 from droprec.embeddings import (
     EmbeddingError,
     EmbeddingTable,
@@ -169,7 +172,7 @@ def test_hashed_load_parses_only_the_rows_looked_up(tmp_path):
     assert np.array_equal(features[1], [5.0, 6.0, 0.0, 0.0])
     assert table.matrix.shape == (2, 2) and table.unread == 2
     assert np.array_equal(table.lookup("a"), [1.0, 2.0])
-    assert table.rows == {"a": 2, "b": -2, "c": 1}  # b: not read, the second word line
+    assert table.rows == {"c": 1, "a": 2} and len(table) == 3  # b: not read
 
 
 def test_hashed_load_rejects_another_file(tmp_path):
@@ -266,6 +269,130 @@ def test_lazy_table_gives_the_features_of_the_full_table(tmp_path, file, data):
     for word in words:
         assert lazy.lookup(word).tobytes() == full.lookup(word).tobytes()
         assert lazy.lookup(word).tolist() == reference[word]
+
+
+# --- the block scan and the hashed index ------------------------------------------
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(word2vec_files(), st.integers(1, 6), st.data())
+def test_blocks_that_cut_lines_and_words_change_no_byte(tmp_path, monkeypatch, file, block,
+                                                        data):
+    # Blocks of 1-6 bytes cut every line, "\r\n" pair and multi-byte word.
+    content, words = file
+    p = tmp_path / "vec.txt"
+    p.write_bytes(content)
+    want = load_embeddings(p)  # one block holds the whole file
+    with monkeypatch.context() as patch:
+        patch.setattr(embeddings, "_BLOCK", block)
+        full = load_embeddings(p)
+        lazy = load_embeddings(p, sha256=want.source["sha256"])
+    assert list(full.rows.items()) == list(want.rows.items())
+    assert full.matrix.tobytes() == want.matrix.tobytes()
+    assert (len(lazy), lazy.duplicates_skipped) == (len(want), want.duplicates_skipped)
+    tokens = st.sampled_from(words + ["oov"])
+    sents = [AnnotatedSentence(tuple(tokens)) for tokens in
+             data.draw(st.lists(st.lists(tokens, min_size=1, max_size=5), min_size=1, max_size=4))]
+    assert context_embedding(sents, 2, lazy).tobytes() == context_embedding(sents, 2, want).tobytes()
+    for word in words:
+        assert lazy.lookup(word).tobytes() == want.lookup(word).tobytes()
+
+
+def test_every_block_size_reads_the_same_lines_and_line_numbers(tmp_path, monkeypatch):
+    # "\r\r\n" is a word line ended by "\r", then a blank "\r\n" line.
+    good = "3 2\r\n\u4e2d 1 2\r\r\n\u3000\nb 3 4\rc 5 6".encode()
+    bad = good.replace(b"b 3 4", b"b 3")
+    p, q = tmp_path / "good.txt", tmp_path / "bad.txt"
+    p.write_bytes(good)
+    q.write_bytes(bad)
+    want = load_embeddings(p)
+    assert list(want.rows) == ["\u4e2d", "b", "c"]
+    for block in range(1, len(good) + 1):
+        monkeypatch.setattr(embeddings, "_BLOCK", block)
+        full = load_embeddings(p)
+        lazy = load_embeddings(p, sha256=want.source["sha256"])
+        assert full.matrix.tobytes() == want.matrix.tobytes() and full.rows == want.rows
+        for word in ("c", "\u4e2d", "b"):
+            assert lazy.lookup(word).tobytes() == want.lookup(word).tobytes()
+        with pytest.raises(EmbeddingError, match="line 5: expected 2 components, got 1"):
+            load_embeddings(q)
+        with pytest.raises(EmbeddingError, match="line 5: expected 2 components, got 1"):
+            load_embeddings(q, sha256=sha256_of(q)).lookup("b")
+
+
+@pytest.mark.parametrize("word", [b"\xff", b"a\xe4\xb8", b"\xe4\xb8\xad\x80"],
+                         ids=["bad-lead", "cut-short", "stray-continuation"])
+@pytest.mark.parametrize("hashed", [False, True], ids=["full", "hashed"])
+def test_a_word_that_is_not_utf8_fails_the_load_at_its_line(tmp_path, word, hashed):
+    p = tmp_path / "vec.txt"
+    p.write_bytes(b"3 2\na 1 2\n\n" + word + b" 3 4\nc 5 6\n")
+    with pytest.raises(EmbeddingError, match="line 4: 'utf-8' codec can't decode") as error:
+        load_embeddings(p, sha256=sha256_of(p) if hashed else None)
+    with pytest.raises(UnicodeDecodeError) as direct:
+        word.decode("utf-8")
+    assert str(error.value).endswith(f"line 4: {direct.value}")
+
+
+@given(st.lists(st.binary(max_size=40), max_size=20))
+@example([b"\xe4\xb8\xad"])  # one word, as a token is hashed
+@example([b"", b"a", b"\xe4\xb8\xad", b"zz000123"])
+def test_word_hashes_are_fnv1a64(words):
+    data = np.frombuffer(b"".join(words), dtype=np.uint8)
+    lengths = np.array([len(word) for word in words], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    assert embeddings._word_hashes(data, starts, lengths).tolist() == list(map(fnv1a64, words))
+
+
+def test_lines_the_scan_classifies_start_with_no_whitespace_character():
+    leads = {chr(c).encode("utf-8")[0] for c in range(sys.maxunicode + 1)
+             if chr(c).isspace()}
+    assert leads <= set(np.flatnonzero(embeddings._CHECKED_LEAD).tolist())
+
+
+def test_words_that_all_hash_alike_still_get_their_own_rows(tmp_path, monkeypatch):
+    p = tmp_path / "vec.txt"
+    p.write_text("5 2\nb 1 2\na 3 4\nb 9 9\nc 5 6\na 8 8\n", encoding="utf-8")
+    want = load_embeddings(p)
+    monkeypatch.setattr(embeddings, "_word_hashes",
+                        lambda data, starts, lengths: np.zeros(len(starts), dtype=np.uint64))
+    lazy = load_embeddings(p, sha256=want.source["sha256"])
+    assert (len(lazy), lazy.duplicates_skipped) == (3, 2) == (len(want), want.duplicates_skipped)
+    for word in ("c", "oov", "a", "b", "oov"):
+        assert lazy.lookup(word).tobytes() == want.lookup(word).tobytes()
+    assert len(lazy) == 3 and lazy.unread == 0
+
+
+def test_an_oov_word_searches_the_index_once(tmp_path, monkeypatch):
+    p = tmp_path / "vec.txt"
+    p.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
+    table = load_embeddings(p, sha256=sha256_of(p))
+    searched = []  # every search of the index hashes the word first
+    word_hashes = embeddings._word_hashes
+    monkeypatch.setattr(embeddings, "_word_hashes",
+                        lambda *args: searched.append(args) or word_hashes(*args))
+    sentence = AnnotatedSentence(("oov", "a", "oov"))
+    assert context_rows((sentence,), 1, table).tolist() == [[0, 0], [0, 1], [1, 0], [0, 0]]
+    context_rows((sentence,), 1, table)
+    assert not table.lookup("oov").any() and not table.lookup("\ud800").any()
+    assert len(searched) == 3  # "oov", "a" and the lone surrogate once each
+    assert table.unread == 1
+
+
+def test_hashed_index_keeps_no_python_object_per_word(tmp_path):
+    words = 20_000
+    p = tmp_path / "vec.txt"
+    p.write_text(f"{words} 1\n" + "".join(f"w{i} {i % 7}\n" for i in range(words)),
+                 encoding="utf-8")
+    sha = sha256_of(p)
+    load_embeddings(p, sha256=sha)  # first-call allocations are not the table's
+    tracemalloc.start()
+    try:
+        table = load_embeddings(p, sha256=sha)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == words and table.unread == words
+    assert kept < 40 * words
 
 
 # --- fallback table ---------------------------------------------------------

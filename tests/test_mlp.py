@@ -370,6 +370,34 @@ def test_load_rejects_broken_shape_chain():
         mlp.model_from_dict(obj)
 
 
+@pytest.mark.parametrize(
+    "value, match",
+    [("0x1p+2000", "unparseable hex float"), ("nan", "non-finite parameter"),
+     ("inf", "non-finite parameter"), ("-inf", "non-finite parameter")],
+    ids=["beyond-a-double", "nan", "inf", "minus-inf"],
+)
+@pytest.mark.parametrize("block", ["weights", "bias"])
+def test_load_rejects_a_parameter_that_is_no_finite_double(block, value, match):
+    obj = json.loads(json.dumps(mlp.model_to_dict(build_model(2, 2, tiny_hp(embed_dim=1)))))
+    obj["layers"][1][block][-1] = value
+    with pytest.raises(ModelFormatError, match=match):
+        mlp.model_from_dict(obj)
+
+
+def test_load_rejects_a_parameter_block_that_is_not_a_list():
+    obj = json.loads(json.dumps(mlp.model_to_dict(build_model(2, 2, tiny_hp(embed_dim=1)))))
+    obj["layers"][1]["bias"] = "00"  # as many characters as the block has values
+    with pytest.raises(ModelFormatError, match="must be a list, got str"):
+        mlp.model_from_dict(obj)
+
+
+def test_load_accepts_finite_parameters_whose_sum_overflows():
+    model = build_model(2, 2, tiny_hp(embed_dim=1))
+    model.layers[0].weights[:] = 1.5e308
+    again = mlp.model_from_dict(json.loads(json.dumps(mlp.model_to_dict(model))))
+    assert np.array_equal(again.layers[0].weights, model.layers[0].weights)
+
+
 # --- hyperparams ---------------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from droprec import mlp
+from droprec import mlp, pipeline
 from droprec.corpus import (ACTUAL10, FULL14, AnnotatedSentence, Corpus, CorpusError,
                             load_corpus, split_corpus)
 from droprec.embeddings import (EmbeddingError, EmbeddingTable, context_embedding, context_rows,
@@ -367,6 +367,30 @@ def test_load_recovery_model_raises_model_format_error(tmp_path, field, value, m
     path.write_text(json.dumps(obj), encoding="utf-8")
     with pytest.raises(ModelFormatError, match=match):
         load_recovery_model(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("network", ["dpi", "dpg"])
+def test_load_recovery_model_rejects_non_finite_parameters(tmp_path, network, value):
+    table = deterministic_fallback_table(["a"], 2, seed=0)
+    path = tmp_path / "model.json"
+    obj = recovery_to_dict(stub_recovery_model(table))
+    obj[network]["layers"][0]["weights"][1] = value
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="non-finite parameter"):
+        load_recovery_model(path)
+
+
+def test_table_ref_dim_that_fits_no_network_is_rejected_before_the_table_is_built(
+        monkeypatch):
+    table = deterministic_fallback_table(["a"], 2, seed=0)
+    obj = recovery_to_dict(stub_recovery_model(table))
+    obj["table_ref"]["dim"] = 10**12
+    monkeypatch.setattr(pipeline, "table_from_source",
+                        lambda source: pytest.fail("the table was built"))
+    with pytest.raises(ModelFormatError,
+                       match="expects input dim 4, but window 1 with embedding dim 10+ gives"):
+        recovery_from_dict(obj)
 
 
 def test_saving_a_model_whose_table_cannot_be_rebuilt_writes_nothing(tmp_path):
