@@ -200,6 +200,8 @@ def load_corpus(path: str | Path) -> Corpus:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise CorpusError(f"line 1: malformed JSON header: {exc.msg}") from None
+    except RecursionError:
+        raise CorpusError("line 1: JSON header nested too deeply to parse") from None
     if not isinstance(header, dict) or "label_set" not in header:
         raise CorpusError("line 1: header must be an object with a 'label_set' key")
     label_set = label_set_by_name(header["label_set"])
@@ -215,6 +217,8 @@ def load_corpus(path: str | Path) -> Corpus:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"line {offset}: malformed JSON: {exc.msg}") from None
+        except RecursionError:
+            raise CorpusError(f"line {offset}: JSON nested too deeply to parse") from None
         sentences.append(_parse_sentence(obj, offset, label_set))
     return Corpus(label_set, tuple(sentences), dict(metadata))
 

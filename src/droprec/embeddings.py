@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-import os
 import re
 import weakref
 from itertools import compress, repeat
@@ -68,8 +67,8 @@ class EmbeddingTable:
     fallback generator) so a serialized model can name the table it was
     trained with.
 
-    A table that `load_embeddings` reads lazily parses a word's line the
-    first time the word is looked up.  Its index holds, sorted by the
+    A table that `load_embeddings` returns parses a word's line the first
+    time the word is looked up.  Its index holds, sorted by the
     FNV-1a 64 hash of the word (file order among equal hashes), the
     offset, length and `hash()` of each word's line in the file.  `rows`
     and `matrix` hold only the words read so far, and `unread` counts the
@@ -278,87 +277,58 @@ def load_embeddings(
     """Load a word2vec text file; blank lines are skipped, and duplicates
     keep the first occurrence.
 
-    One scan hashes the file and finds its word lines; the table's source
-    records the hash.  Without `sha256`, the scan also parses and checks
-    every word line, duplicates included.  With it, the file must have
-    that hash, or ModelFormatError is raised; the scan indexes each word's
-    line, and the line is parsed and checked only when the word is first
-    looked up.  A file with the hash a model recorded at training was
-    fully checked then, so the lines never read hold no error.  A file
-    with no word line is rejected: nothing in it shows that the header's
-    `dim` is real.
+    One scan hashes the file and indexes each word's line; the table's
+    source records the hash, and a word's line is parsed into a row the
+    first time the word is looked up.  Without `sha256`, the scan also
+    parses and checks every word line, duplicates included, and keeps no
+    vector.  With it, the file must have that hash, or ModelFormatError is
+    raised, and a line is checked only when it is read: a file with the
+    hash a model recorded at training was fully checked then, so the lines
+    never read hold no error.  A file with no word line is rejected:
+    nothing in it shows that the header's `dim` is real.
     """
     path = Path(path)
     sha = hashlib.sha256()
-    header = None
-    rows: dict[str, int] = {}
+    dim = None
     index: list[tuple[np.ndarray, ...]] = []  # per block: word hashes, line starts, lengths, hash()es
-    matrix = None  # allocated once a word line has shown `dim` to be real
-    duplicates = 0
     with path.open("rb") as fh:
         for data, offset, lines in _blocks(fh, sha):
             sizes = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
             ends = np.cumsum(sizes)
             starts = ends - sizes
-            if header is None:
-                header, lines, starts, ends = lines[0], lines[1:], starts[1:], ends[1:]
-                if sha256 is None:
-                    vocab_size, dim = _parse_header(header, path, expected_dim)
-                    # A word line takes at least 2 * dim + 2 bytes ("w", dim times
-                    # " x", "\n"), so the file size caps the rows a header can ask for.
-                    size = os.fstat(fh.fileno()).st_size
-                    capacity = max(1, min(vocab_size, size // (2 * dim + 2)))
-            if sha256 is None:
-                checked = np.ones(len(lines), dtype=bool)
-            else:
-                a = np.frombuffer(data, dtype=np.uint8)
-                lengths = _word_lengths(a, lines, starts, ends)
-                checked = _CHECKED_LEAD[a[starts]]
-                if not data.isascii() and not _all_utf8(data, starts, lengths):
-                    checked[:] = True
+            if dim is None:
+                vocab_size, dim = _parse_header(lines[0], path, expected_dim)
+                lines, starts, ends = lines[1:], starts[1:], ends[1:]
+            a = np.frombuffer(data, dtype=np.uint8)
+            lengths = _word_lengths(a, lines, starts, ends)
+            checked = _CHECKED_LEAD[a[starts]]
+            if not data.isascii() and not _all_utf8(data, starts, lengths):
+                checked[:] = True
             word_line = ~checked
-            for i in np.flatnonzero(checked).tolist():
+            # One pass in file order, so the first bad line is the one reported.
+            for i in range(len(lines)) if sha256 is None else np.flatnonzero(checked).tolist():
                 try:
-                    if _is_blank(lines[i]):
+                    if checked[i] and _is_blank(lines[i]):
                         continue
                     if sha256 is None:
-                        word, vec = _parse_row(lines[i], dim)
+                        _parse_row(lines[i], dim)
                 except (EmbeddingError, UnicodeDecodeError) as exc:
                     line_no = _line_number(path, offset + int(starts[i]))
                     raise EmbeddingError(f"{path} line {line_no}: {exc}") from None
-                if sha256 is not None:
-                    word_line[i] = True
-                elif word in rows:
-                    duplicates += 1
-                else:
-                    row = len(rows) + 1
-                    if matrix is None:
-                        matrix = np.zeros((capacity + 1, dim))
-                    elif row == len(matrix):
-                        matrix = np.concatenate([matrix, np.zeros_like(matrix)])
-                    matrix[row] = vec
-                    rows[word] = row
-            if sha256 is not None:
-                starts, ends, lengths = starts[word_line], ends[word_line], lengths[word_line]
-                checks = map(hash, compress(lines, word_line.tolist()))
-                index.append((_word_hashes(a, starts, lengths), starts + offset, ends - starts,
-                              np.fromiter(checks, dtype=np.int64, count=len(starts))))
+                word_line[i] = True
+            starts, ends, lengths = starts[word_line], ends[word_line], lengths[word_line]
+            checks = map(hash, compress(lines, word_line.tolist()))
+            index.append((_word_hashes(a, starts, lengths), starts + offset, ends - starts,
+                          np.fromiter(checks, dtype=np.int64, count=len(starts))))
     digest = sha.hexdigest()
     if sha256 is not None and digest != sha256:
         raise ModelFormatError(
             f"{path}: file SHA-256 {digest} differs from the {sha256} the model was trained with"
         )
-    if sha256 is not None or header is None:  # the header is not parsed yet
-        vocab_size, dim = _parse_header(header or b"", path, expected_dim)
+    if dim is None:  # an empty file: its missing header raises
+        _parse_header(b"", path, expected_dim)
     source = {"kind": "word2vec", "path": str(path), "dim": dim, "sha256": digest}
-    if sha256 is None:
-        if not rows:
-            raise EmbeddingError(f"{path}: no word lines, so nothing confirms dimension {dim}")
-        if len(matrix) > len(rows) + 1:
-            matrix = matrix[: len(rows) + 1].copy()
-        table = EmbeddingTable(matrix, rows, source, duplicates)
-    else:
-        table = _lazy_table(path, source, *map(np.concatenate, zip(*index)))
+    table = _lazy_table(path, source, *map(np.concatenate, zip(*index)))
     if table.duplicates_skipped:
         log.warning("%s: skipped %d duplicate word(s), kept first occurrence", path,
                     table.duplicates_skipped)

@@ -250,6 +250,8 @@ def recovery_from_dict(obj: dict, model_dir: str | Path = ".") -> RecoveryModel:
     # networks, so a dim no network can use allocates nothing.
     _check_dims(dpi, window, table_ref["dim"], "detection")
     _check_dims(dpg, window, table_ref["dim"], "generation")
+    if window < 1:  # networks with zero-width first layers pass the checks above
+        raise ModelFormatError(f"window must be >= 1, got {window}")
     if "sha256" in table_ref:
         table_ref["path"] = str(Path(model_dir) / table_ref["path"])
     table = table_from_source(table_ref)
@@ -278,6 +280,8 @@ def load_recovery_model(path: str | Path) -> RecoveryModel:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ModelFormatError(f"{path}: JSON nested too deeply to parse") from None
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid UTF-8: {exc.reason}") from None
     return recovery_from_dict(obj, Path(path).parent)

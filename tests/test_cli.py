@@ -8,7 +8,7 @@ import pytest
 
 from droprec.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from droprec.corpus import FULL14, AnnotatedSentence, Corpus, load_corpus, save_corpus
-from droprec.embeddings import context_rows
+from droprec.embeddings import EmbeddingError, context_rows
 from droprec.pipeline import dpi_gap_probability, load_recovery_model, predict_dpi, recover
 
 
@@ -204,12 +204,19 @@ def test_model_without_table_hash_loads_through_the_full_parse(workspace, w2v_mo
     (run / "model.json").write_text(json.dumps(obj), encoding="utf-8")
     monkeypatch.chdir(run)  # without a hash the path is relative to the working directory
     model = load_recovery_model("model.json")
-    assert model.table.unread == 0 and len(model.table.matrix) == len(model.table) + 1
+    assert model.table.unread == len(model.table)
     hashed, bare = tmp_path / "hashed", tmp_path / "bare"
     hashed.mkdir(), bare.mkdir()
     assert recover_and_eval(workspace, w2v_model, hashed) == (EXIT_OK, EXIT_OK)
     assert recover_and_eval(workspace, "model.json", bare) == (EXIT_OK, EXIT_OK)
     assert output_bytes(bare) == output_bytes(hashed)
+    # The full parse checks the lines no corpus word reads, too.
+    content = (run / "vec.txt").read_bytes()
+    at = content.index(b"\nunused1 ") + 1
+    (run / "vec.txt").write_bytes(content[:at] + b"unused1 x" + content[content.index(b"\n", at):])
+    line = content[:at].count(b"\n") + 1
+    with pytest.raises(EmbeddingError, match=f"line {line}: expected 8 components, got 1"):
+        load_recovery_model("model.json")
 
 
 def test_train_rejects_a_malformed_duplicate_embedding_line(workspace, tmp_path, capsys):
@@ -221,6 +228,18 @@ def test_train_rejects_a_malformed_duplicate_embedding_line(workspace, tmp_path,
     err = capsys.readouterr().err
     assert "line 3: expected 8 components, got 1" in err and "Traceback" not in err
     assert not (tmp_path / "m.json").exists()
+
+
+def test_train_rejects_a_non_finite_line_of_a_word_no_corpus_uses(workspace, tmp_path, capsys):
+    vec = tmp_path / "vec.txt"
+    row = " ".join(["0.5"] * 7)
+    vec.write_text(f"2 8\nthe {row} 0.5\nzzunused {row} nan\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(train_args(workspace, tmp_path / "m.json",
+                           table=("--embeddings", str(vec)))) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "line 3: non-finite vector component for word 'zzunused'" in err
+    assert "Traceback" not in err and not (tmp_path / "m.json").exists()
 
 
 def test_train_rejects_an_embedding_file_with_no_word_line(workspace, tmp_path, capsys):
@@ -355,6 +374,7 @@ def test_model_with_non_numeric_threshold_is_data_error(workspace, tmp_path, cap
 @pytest.mark.parametrize(
     "contents, message",
     [("{broken", "not valid JSON"),
+     ("[" * 100_000 + "]" * 100_000, "JSON nested too deeply to parse"),
      ({"label_set": "nope"}, "corrupt recovery model: unknown label set"),
      ({"table_ref": {"kind": "fallback", "dim": 4}}, "corrupt recovery model: 'vocab'"),
      ({"table_ref": {"kind": "word2vec"}}, "corrupt recovery model: 'path'"),
@@ -364,7 +384,7 @@ def test_model_with_non_numeric_threshold_is_data_error(workspace, tmp_path, cap
       "corrupt recovery model: table_ref vocab must be list"),
      ({"table_ref": {"kind": "word2vec", "path": "vec.txt", "dim": 8, "sha256": "ab" * 31}},
       "corrupt recovery model: table_ref sha256 must match")],
-    ids=["corrupt-json", "unknown-label-set", "table-ref-without-vocab",
+    ids=["corrupt-json", "deeply-nested-json", "unknown-label-set", "table-ref-without-vocab",
          "table-ref-without-path", "table-ref-dim-string", "table-ref-vocab-string",
          "table-ref-sha256-not-hex"],
 )
@@ -457,6 +477,20 @@ def test_corpus_with_a_list_label_set_is_data_error(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "s")]) == EXIT_DATA
     err = capsys.readouterr().err
     assert "unknown label set ['x']" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", [1, 2], ids=["header", "sentence"])
+def test_deeply_nested_corpus_json_is_data_error(model_file, tmp_path, capsys, line):
+    records = ['{"label_set": "full14"}', '{"tokens": ["a"], "annotations": []}']
+    records[line - 1] = "[" * 100_000 + "]" * 100_000
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(records) + "\n", encoding="utf-8")
+    assert main(["split", "--in", str(bad), "--seed", "1",
+                 "--out-dir", str(tmp_path / "s")]) == EXIT_DATA
+    assert main(["eval", "--model", str(model_file), "--test", str(bad),
+                 "--report", str(tmp_path / "report.json")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count(f"line {line}: JSON") == 2 and "Traceback" not in err
 
 
 def test_corpus_too_small_to_split_is_data_error(tmp_path, capsys):

@@ -100,6 +100,17 @@ def test_load_reports_line_number_on_malformed_json(tmp_path):
         load_corpus(p)
 
 
+@pytest.mark.parametrize("line", [1, 2, 3], ids=["header", "first-sentence", "last-sentence"])
+def test_load_reports_line_number_on_json_nested_too_deeply(tmp_path, line):
+    records = ['{"label_set": "full14"}', '{"tokens": ["a"], "annotations": []}',
+               '{"tokens": ["b"], "annotations": []}']
+    records[line - 1] = "[" * 1000 + "]" * 1000
+    p = tmp_path / "c.jsonl"
+    p.write_text("\n".join(records) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=rf"line {line}: JSON (header )?nested too deeply"):
+        load_corpus(p)
+
+
 def test_load_rejects_gap_out_of_range(tmp_path):
     p = tmp_path / "c.jsonl"
     write_jsonl(p, {"label_set": "full14", "metadata": {}},

@@ -104,19 +104,21 @@ def test_table_matrix_has_zero_row_then_one_row_per_word(tmp_path):
     p.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
     table = load_embeddings(p)
     assert len(table) == 2
-    assert np.array_equal(table.matrix, [[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]])
-    assert table.rows == {"a": 1, "b": 2}
+    # Padding and the unknown word read the zero row; each word its own.
+    features = context_embedding((AnnotatedSentence(("b", "oov", "a")),), 1, table)
+    assert features.tolist() == [[0, 0, 3, 4], [3, 4, 0, 0], [0, 0, 1, 2], [1, 2, 0, 0]]
+    assert not table.matrix[0].any() and len(table.matrix) == len(table.rows) + 1
 
 
 def test_header_word_count_may_be_off_either_way(tmp_path):
     p = tmp_path / "vec.txt"
     p.write_text("1 2\na 1 2\nb 3 4\nc 5 6\n", encoding="utf-8")
-    table = load_embeddings(p)  # grows past the declared count
-    assert len(table) == 3 and table.matrix.shape == (4, 2)
+    table = load_embeddings(p)  # more words than declared
+    assert len(table) == 3
     assert np.array_equal(table.lookup("c"), [5.0, 6.0])
     p.write_text("1000000000 2\na 1 2\n", encoding="utf-8")
-    table = load_embeddings(p)  # sized by the file, not by the header
-    assert len(table) == 1 and table.matrix.shape == (2, 2)
+    table = load_embeddings(p)  # fewer: the header sizes nothing
+    assert len(table) == 1 and np.array_equal(table.lookup("a"), [1.0, 2.0])
 
 
 def test_load_rejects_expected_dim_conflict(tmp_path):
@@ -186,13 +188,14 @@ def test_hashed_load_rejects_another_file(tmp_path):
                          ids=["same-length", "longer"])
 def test_lazy_table_serves_no_row_edited_after_the_hash(tmp_path, edit):
     p = tmp_path / "vec.txt"
-    p.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
-    table = load_embeddings(p, sha256=sha256_of(p))
-    assert np.array_equal(table.lookup("a"), [1.0, 2.0])
-    p.write_text(edit, encoding="utf-8")
-    with pytest.raises(EmbeddingError, match="changed since its SHA-256 was checked"):
-        table.lookup("b")
-    assert np.array_equal(table.lookup("a"), [1.0, 2.0])  # read before the edit
+    for hashed in (False, True):
+        p.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
+        table = load_embeddings(p, sha256=sha256_of(p) if hashed else None)
+        assert np.array_equal(table.lookup("a"), [1.0, 2.0])
+        p.write_text(edit, encoding="utf-8")
+        with pytest.raises(EmbeddingError, match="changed since its SHA-256 was checked"):
+            table.lookup("b")
+        assert np.array_equal(table.lookup("a"), [1.0, 2.0])  # read before the edit
 
 
 @pytest.mark.parametrize(
@@ -245,7 +248,6 @@ def test_lazy_table_gives_the_features_of_the_full_table(tmp_path, file, data):
     p.write_bytes(content)
     full = load_embeddings(p)
     lazy = load_embeddings(p, sha256=full.source["sha256"])
-    assert (len(lazy), lazy.duplicates_skipped) == (len(full), full.duplicates_skipped)
     reference, word_lines = {}, 0  # a text-mode parse that shares no code with the loader
     with open(p, encoding="utf-8") as fh:
         next(fh)
@@ -254,21 +256,22 @@ def test_lazy_table_gives_the_features_of_the_full_table(tmp_path, file, data):
                 word, *comps = line.rstrip("\n").split(" ")
                 reference.setdefault(word, [float(c) for c in comps if c])
                 word_lines += 1
-    assert list(full.rows) == list(reference)
-    assert full.duplicates_skipped == word_lines - len(reference)
-    assert full.matrix[1:].tobytes() == np.array(list(reference.values())).tobytes()
+    dim = len(next(iter(reference.values())))
+    dense = EmbeddingTable.from_vectors(dim, {w: np.array(v) for w, v in reference.items()})
     tokens = st.sampled_from(words + ["oov", "\u4e2d\u6587"])
     sentences = data.draw(st.lists(st.lists(tokens, min_size=1, max_size=5), min_size=1,
                                    max_size=4))
     window = data.draw(st.integers(1, 7))
-    for batch in (sentences[:1], sentences):  # a second call reads only the rest
-        sents = [AnnotatedSentence(tuple(tokens)) for tokens in batch]
-        expected = context_embedding(sents, window, full)
-        got = context_embedding(sents, window, lazy)
-        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-    for word in words:
-        assert lazy.lookup(word).tobytes() == full.lookup(word).tobytes()
-        assert lazy.lookup(word).tolist() == reference[word]
+    for table in (full, lazy):
+        assert (len(table), table.duplicates_skipped) == (len(reference),
+                                                          word_lines - len(reference))
+        for batch in (sentences[:1], sentences):  # a second call reads only the rest
+            sents = [AnnotatedSentence(tuple(tokens)) for tokens in batch]
+            expected = context_embedding(sents, window, dense)
+            got = context_embedding(sents, window, table)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        for word in words:
+            assert table.lookup(word).tolist() == reference[word]
 
 
 # --- the block scan and the hashed index ------------------------------------------
@@ -287,15 +290,19 @@ def test_blocks_that_cut_lines_and_words_change_no_byte(tmp_path, monkeypatch, f
         patch.setattr(embeddings, "_BLOCK", block)
         full = load_embeddings(p)
         lazy = load_embeddings(p, sha256=want.source["sha256"])
-    assert list(full.rows.items()) == list(want.rows.items())
-    assert full.matrix.tobytes() == want.matrix.tobytes()
-    assert (len(lazy), lazy.duplicates_skipped) == (len(want), want.duplicates_skipped)
+    index = ("_hashes", "_starts", "_lengths", "_checks")
     tokens = st.sampled_from(words + ["oov"])
     sents = [AnnotatedSentence(tuple(tokens)) for tokens in
              data.draw(st.lists(st.lists(tokens, min_size=1, max_size=5), min_size=1, max_size=4))]
-    assert context_embedding(sents, 2, lazy).tobytes() == context_embedding(sents, 2, want).tobytes()
-    for word in words:
-        assert lazy.lookup(word).tobytes() == want.lookup(word).tobytes()
+    expected = context_embedding(sents, 2, want)
+    for table in (full, lazy):
+        assert (len(table), table.duplicates_skipped) == (len(want), want.duplicates_skipped)
+        assert len(table) == len(set(words)) and table.unread == len(table)
+        for name in index:
+            assert getattr(table, name).tobytes() == getattr(want, name).tobytes()
+        assert context_embedding(sents, 2, table).tobytes() == expected.tobytes()
+        for word in words:
+            assert table.lookup(word).tobytes() == want.lookup(word).tobytes()
 
 
 def test_every_block_size_reads_the_same_lines_and_line_numbers(tmp_path, monkeypatch):
@@ -305,15 +312,14 @@ def test_every_block_size_reads_the_same_lines_and_line_numbers(tmp_path, monkey
     p, q = tmp_path / "good.txt", tmp_path / "bad.txt"
     p.write_bytes(good)
     q.write_bytes(bad)
-    want = load_embeddings(p)
-    assert list(want.rows) == ["\u4e2d", "b", "c"]
+    want = {"\u4e2d": [1.0, 2.0], "b": [3.0, 4.0], "c": [5.0, 6.0]}
+    sha = sha256_of(p)
     for block in range(1, len(good) + 1):
         monkeypatch.setattr(embeddings, "_BLOCK", block)
-        full = load_embeddings(p)
-        lazy = load_embeddings(p, sha256=want.source["sha256"])
-        assert full.matrix.tobytes() == want.matrix.tobytes() and full.rows == want.rows
-        for word in ("c", "\u4e2d", "b"):
-            assert lazy.lookup(word).tobytes() == want.lookup(word).tobytes()
+        for table in (load_embeddings(p), load_embeddings(p, sha256=sha)):
+            assert len(table) == 3 and table.duplicates_skipped == 0
+            for word in ("c", "\u4e2d", "b"):
+                assert table.lookup(word).tolist() == want[word]
         with pytest.raises(EmbeddingError, match="line 5: expected 2 components, got 1"):
             load_embeddings(q)
         with pytest.raises(EmbeddingError, match="line 5: expected 2 components, got 1"):
@@ -352,14 +358,14 @@ def test_lines_the_scan_classifies_start_with_no_whitespace_character():
 def test_words_that_all_hash_alike_still_get_their_own_rows(tmp_path, monkeypatch):
     p = tmp_path / "vec.txt"
     p.write_text("5 2\nb 1 2\na 3 4\nb 9 9\nc 5 6\na 8 8\n", encoding="utf-8")
-    want = load_embeddings(p)
+    want = {"c": [5.0, 6.0], "oov": [0.0, 0.0], "a": [3.0, 4.0], "b": [1.0, 2.0]}
     monkeypatch.setattr(embeddings, "_word_hashes",
                         lambda data, starts, lengths: np.zeros(len(starts), dtype=np.uint64))
-    lazy = load_embeddings(p, sha256=want.source["sha256"])
-    assert (len(lazy), lazy.duplicates_skipped) == (3, 2) == (len(want), want.duplicates_skipped)
-    for word in ("c", "oov", "a", "b", "oov"):
-        assert lazy.lookup(word).tobytes() == want.lookup(word).tobytes()
-    assert len(lazy) == 3 and lazy.unread == 0
+    for table in (load_embeddings(p), load_embeddings(p, sha256=sha256_of(p))):
+        assert (len(table), table.duplicates_skipped) == (3, 2)
+        for word in ("c", "oov", "a", "b", "oov"):
+            assert table.lookup(word).tolist() == want[word]
+        assert len(table) == 3 and table.unread == 0
 
 
 def test_an_oov_word_searches_the_index_once(tmp_path, monkeypatch):
@@ -385,14 +391,16 @@ def test_hashed_index_keeps_no_python_object_per_word(tmp_path):
                  encoding="utf-8")
     sha = sha256_of(p)
     load_embeddings(p, sha256=sha)  # first-call allocations are not the table's
-    tracemalloc.start()
-    try:
-        table = load_embeddings(p, sha256=sha)
-        kept = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert len(table) == words and table.unread == words
-    assert kept < 40 * words
+    for hashed in (sha, None):
+        tracemalloc.start()
+        try:
+            table = load_embeddings(p, sha256=hashed)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == words and table.unread == words
+        assert kept < 40 * words
+        del table
 
 
 # --- fallback table ---------------------------------------------------------

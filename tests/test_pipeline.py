@@ -254,7 +254,7 @@ def test_first_layer_weights_are_read_only_after_scoring():
 
 
 def test_tune_threshold_caches_only_the_rows_of_the_dev_words(tmp_path):
-    # A fully parsed table of 600 words; dev uses a few of them.
+    # A fully checked table of 600 words; dev uses a few of them.
     train, dev, _, _ = small_separable_setup(n=60)
     dev_words = {tok for sent in dev.sentences for tok in sent.tokens}
     words = sorted(dev_words) + [f"unused{i}" for i in range(600)]
@@ -264,12 +264,12 @@ def test_tune_threshold_caches_only_the_rows_of_the_dev_words(tmp_path):
         f"{w} " + " ".join(f"{x:.3f}" for x in rng.uniform(-1, 1, 4)) + "\n" for w in words),
         encoding="utf-8")
     table = load_embeddings(path)
-    assert len(table.matrix) == len(words) + 1
+    assert len(table) == table.unread == len(words)
     hp = Hyperparams(embed_dim=4, window=2, hidden_dim=8, seed=1)
     dpi = mlp.build_model(hp.input_dim, 2, hp)
     tune_threshold(dpi, dev, table, window=2)
     (cache,) = table._projections.values()
-    assert cache.count <= len(dev_words) + 1
+    assert set(table.rows) == dev_words and cache.count <= len(dev_words) + 1
 
 
 # --- serialization ---------------------------------------------------------------
@@ -338,6 +338,12 @@ def test_recovery_load_rejects_threshold_outside_unit_interval(threshold):
         recovery_from_dict(obj)
 
 
+# Both networks with zero-width first layers: window 0 passes the dim checks.
+ZERO_WIDTH = {"window": 0, **{(net, *key): value for net in ("dpi", "dpg") for key, value in
+                             [(("input_dim",), 0), (("layers", 0, "in_dim"), 0),
+                              (("layers", 0, "weights"), [])]}}
+
+
 @pytest.mark.parametrize(
     "field, value, match",
     [("threshold", "abc", "could not convert"), ("window", 0, "input dim"),
@@ -349,21 +355,23 @@ def test_recovery_load_rejects_threshold_outside_unit_interval(threshold):
      (("dpi", "layers", 0, "out_dim"), 2.0, "layer size must be an integer"),
      (("dpg", "layers", 0, "in_dim"), True, "layer size must be an integer"),
      (("dpi", "hyperparams", "learning_rate"), float("nan"), "learning_rate"),
-     (("table_ref", "kind"), "bogus", "kind 'bogus' cannot be rebuilt")],
+     (("table_ref", "kind"), "bogus", "kind 'bogus' cannot be rebuilt"),
+     (ZERO_WIDTH, None, "window must be >= 1, got 0")],
     ids=["non-numeric-threshold", "window-zero", "unknown-label-set", "window-float",
          "window-bool", "threshold-bool", "threshold-string", "input-dim-float",
          "num-classes-float", "out-dim-float", "in-dim-bool", "learning-rate-nan",
-         "table-kind-unknown"],
+         "table-kind-unknown", "window-zero-zero-width-layers"],
 )
 def test_load_recovery_model_raises_model_format_error(tmp_path, field, value, match):
     table = deterministic_fallback_table(["a"], 2, seed=0)
     path = tmp_path / "model.json"
     obj = recovery_to_dict(stub_recovery_model(table))
-    *parents, key = (field,) if isinstance(field, str) else field
-    target = obj
-    for parent in parents:
-        target = target[parent]
-    target[key] = value
+    for field, value in (field.items() if isinstance(field, dict) else [(field, value)]):
+        *parents, key = (field,) if isinstance(field, str) else field
+        target = obj
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
     path.write_text(json.dumps(obj), encoding="utf-8")
     with pytest.raises(ModelFormatError, match=match):
         load_recovery_model(path)
