@@ -217,10 +217,11 @@ def cmd_train(args) -> int:
     hp = _hyperparams(args, table.dim)
     model = pipeline.train_recovery(train, dev, table, hp, hp, progress=_print_progress)
     pipeline.save_recovery_model(model, args.out_model)
+    dpg_acc = model.metadata["dev_dpg_accuracy_gold"]
     print(
         f"threshold {model.threshold:.2f}  "
         f"dev detection acc {model.metadata['dev_dpi_accuracy']:.4f}  "
-        f"dev generation acc {model.metadata['dev_dpg_accuracy_gold']:.4f}"
+        f"dev generation acc {'n/a' if dpg_acc is None else format(dpg_acc, '.4f')}"
     )
     print(f"saved model to {args.out_model}")
     return EXIT_OK

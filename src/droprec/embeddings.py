@@ -62,10 +62,10 @@ class EmbeddingTable:
     """Word -> float64 vector map with a zero unknown-word vector.
 
     `matrix` has shape (V + 1, dim): row 0 is all zeros and stands for
-    unknown words and padding, and `rows` maps each of the V words to its
-    row.  `source` describes how the table was built (word2vec file or
-    fallback generator) so a serialized model can name the table it was
-    trained with.
+    unknown words and padding, and each word added takes the next row,
+    which `rows` maps it to.  `source` describes how the table was built
+    (word2vec file or fallback generator) so a serialized model can name
+    the table it was trained with.
 
     A table that `load_embeddings` returns parses a word's line the first
     time the word is looked up.  Its index holds, sorted by the
@@ -75,23 +75,13 @@ class EmbeddingTable:
     words still waiting.
     """
 
-    def __init__(
-        self,
-        matrix: np.ndarray,
-        rows: dict[str, int],
-        source: dict | None = None,
-        duplicates_skipped: int = 0,
-    ):
-        if matrix.ndim != 2 or matrix.shape[1] < 1:
-            raise EmbeddingError(f"embedding matrix must be (V + 1, dim >= 1), got {matrix.shape}")
-        if matrix.shape[0] != len(rows) + 1 or matrix[0].any():
-            raise EmbeddingError(
-                f"embedding matrix needs a zero row 0 plus one row per word ({len(rows)})"
-            )
-        self.matrix = self._buffer = matrix
-        self.rows = rows
-        self.dim = matrix.shape[1]
-        self.source = source or {"kind": "inline", "dim": self.dim}
+    def __init__(self, dim: int, source: dict | None = None, duplicates_skipped: int = 0):
+        if dim < 1:
+            raise EmbeddingError(f"embedding dim must be >= 1, got {dim}")
+        self.matrix = self._buffer = np.zeros((1, dim))
+        self.rows: dict[str, int] = {}
+        self.dim = dim
+        self.source = source or {"kind": "inline", "dim": dim}
         self.duplicates_skipped = duplicates_skipped
         self.unread = 0
         self._path: Path | None = None
@@ -106,16 +96,24 @@ class EmbeddingTable:
         cls, dim: int, vectors: dict[str, np.ndarray], source: dict | None = None
     ) -> EmbeddingTable:
         """Table over `vectors`, whose rows follow the dict's order."""
-        if dim < 1:
-            raise EmbeddingError(f"embedding dim must be >= 1, got {dim}")
-        matrix = np.zeros((len(vectors) + 1, dim))
-        for row, (word, vec) in enumerate(vectors.items(), start=1):
+        table = cls(dim, source)
+        table._buffer = np.zeros((len(vectors) + 1, dim))
+        for word, vec in vectors.items():
             if np.shape(vec) != (dim,):
                 raise EmbeddingError(
                     f"vector for {word!r} has shape {np.shape(vec)}, expected ({dim},)"
                 )
-            matrix[row] = vec
-        return cls(matrix, {word: row for row, word in enumerate(vectors, start=1)}, source)
+            table._add(word, vec)
+        return table
+
+    def _add(self, word: str, vec) -> None:
+        """Give `word` the next row, holding `vec`."""
+        row = len(self.matrix)
+        if row == len(self._buffer):
+            self._buffer = _grown(self._buffer, row + 1)
+        self._buffer[row] = vec
+        self.matrix = self._buffer[: row + 1]
+        self.rows[word] = row
 
     def __len__(self) -> int:
         return len(self.rows) + self.unread
@@ -158,12 +156,7 @@ class EmbeddingTable:
         except (EmbeddingError, UnicodeDecodeError) as exc:
             line_no = _line_number(self._path, int(self._starts[k]))
             raise EmbeddingError(f"{self.source['path']} line {line_no}: {exc}") from None
-        row = len(self.matrix)
-        if row == len(self._buffer):
-            self._buffer = np.concatenate([self._buffer, np.zeros_like(self._buffer)])
-        self._buffer[row] = vec
-        self.matrix = self._buffer[: row + 1]
-        self.rows[word] = row
+        self._add(word, vec)
         self._waiting[k] = False
         self.unread -= 1
         return word
@@ -388,7 +381,7 @@ def _lazy_table(path: Path, source: dict, hashes: np.ndarray, starts: np.ndarray
     # A word line with `dim` components takes at least 2 * dim + 1 bytes.
     if not (lengths > 2 * dim).any():
         raise EmbeddingError(f"{path}: no word line is long enough for dimension {dim}")
-    table = EmbeddingTable(np.zeros((1, dim)), {}, source, len(keep) - len(hashes))
+    table = EmbeddingTable(dim, source, len(keep) - len(hashes))
     table._hashes, table._starts, table._lengths, table._checks = hashes, starts, lengths, checks
     table._path = path.absolute()
     table.unread = len(hashes)
@@ -423,12 +416,12 @@ def fallback_vector(word: str, dim: int, seed: int) -> np.ndarray:
 
 def deterministic_fallback_table(vocab: list[str], dim: int, seed: int) -> EmbeddingTable:
     """Seeded random table over `vocab`; stands in for pretrained vectors."""
-    if dim < 1:
-        raise EmbeddingError(f"embedding dim must be >= 1, got {dim}")
-    vectors = {word: fallback_vector(word, dim, seed) for word in vocab}
-    return EmbeddingTable.from_vectors(
-        dim, vectors, {"kind": "fallback", "dim": dim, "seed": seed, "vocab": list(vocab)}
+    table = EmbeddingTable(
+        dim, {"kind": "fallback", "dim": dim, "seed": seed, "vocab": list(vocab)}
     )
+    for word in dict.fromkeys(vocab):
+        table._add(word, fallback_vector(word, dim, seed))
+    return table
 
 
 def table_from_source(source: dict) -> EmbeddingTable:
@@ -483,64 +476,54 @@ def context_embedding(
 class _Projections:
     """Per-slot products of one weight matrix with some table rows:
     `products[k, where[r]]` is `W[:, k*D:(k+1)*D] @ matrix[r]`, and
-    `where[r]` is -1 for a row not held.  `held[:count]` lists the rows
+    `where[r]` is -1 for a row not held.  The first `count` products are
     held, at most `capacity` of them: the cache of a (2 * window * D)-wide
     matrix of H rows holds up to _CACHE_BYTES of products, and at least
     the rows one block of _SUM_BLOCK gaps can read."""
 
     def __init__(self, slots: int, hidden: int):
         self.capacity = max(slots * _SUM_BLOCK, _CACHE_BYTES // (8 * slots * hidden))
-        size = min(16, self.capacity)
-        self.products = np.empty((slots, size, hidden))
-        self.held = np.empty(size, dtype=np.intp)
+        self.products = np.empty((slots, min(16, self.capacity), hidden))
         self.where = np.empty(0, dtype=np.intp)
         self.count = 0
 
     def positions(self, rows: np.ndarray, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """`where[rows]`, once the products of every row in `rows` are held.
 
-        Rows not held are computed.  When they do not fit, the cache starts
-        over with the rows of `rows` alone; a product's bytes do not depend
-        on when it is computed, so scores do not change.
+        Rows not held are computed by one np.einsum call, whose loops are
+        numpy's own, not BLAS: a row's bytes depend on neither the other rows
+        computed, nor when, nor the BLAS build or thread count.  When they do
+        not fit, the cache starts over with the rows of `rows` alone.
         """
         if len(self.where) < len(matrix):  # the table has read more words
-            grown = np.full(max(2 * len(self.where), len(matrix)), -1, dtype=np.intp)
-            grown[: len(self.where)] = self.where
-            self.where = grown
+            self.where = _grown(self.where, len(matrix), fill=-1)
         at = self.where[rows]
         if at.size and at.min() < 0:
             new = _distinct(rows[at < 0])
             if self.count + len(new) > self.capacity:
-                self.where[self.held[: self.count]] = -1
+                self.where.fill(-1)
                 self.count = 0
                 new = _distinct(rows)
-            self._add(new, matrix, weights)
+            start, stop = self.count, self.count + len(new)
+            if stop > self.products.shape[1]:
+                self.products = _grown(self.products, stop, axis=1, cap=self.capacity)
+            slots, _, hidden = self.products.shape
+            self.products[:, start:stop] = np.einsum(
+                "hkd,rd->krh", weights.reshape(hidden, slots, -1), matrix[new])
+            self.where[new] = np.arange(start, stop)
+            self.count = stop
             at = self.where[rows]
         return at
 
-    def _add(self, new: np.ndarray, matrix: np.ndarray, weights: np.ndarray) -> None:
-        """Compute and hold the products of table rows `new`.
 
-        Each row's products come from one np.einsum call on operands of
-        fixed shapes, which runs numpy's own loops, not BLAS: their bytes
-        depend on neither the other rows computed, nor when, nor the BLAS
-        build or thread count.
-        """
-        slots, size, hidden = self.products.shape
-        start, stop = self.count, self.count + len(new)
-        if stop > size:
-            size = min(self.capacity, max(2 * size, stop))
-            products = np.empty((slots, size, hidden))
-            products[:, :start] = self.products[:, :start]
-            held = np.empty(size, dtype=np.intp)
-            held[:start] = self.held[:start]
-            self.products, self.held = products, held
-        by_slot = weights.reshape(hidden, slots, -1)
-        for at, row in enumerate(new.tolist(), start):
-            self.products[:, at] = np.einsum("hkd,d->kh", by_slot, matrix[row])
-        self.held[start:stop] = new
-        self.where[new] = np.arange(start, stop)
-        self.count = stop
+def _grown(a: np.ndarray, n: int, axis: int = 0, cap: float = math.inf, fill=None) -> np.ndarray:
+    """Copy of `a` whose `axis` has room for `n` entries: at least double
+    its length, but not past `cap`.  The new entries are `fill`, or unset."""
+    shape = list(a.shape)
+    shape[axis] = min(max(2 * shape[axis], n), cap)
+    grown = np.empty(shape, a.dtype) if fill is None else np.full(shape, fill, a.dtype)
+    grown.swapaxes(0, axis)[: a.shape[axis]] = a.swapaxes(0, axis)
+    return grown
 
 
 def _distinct(ids: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ bit.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -462,6 +462,10 @@ def model_from_dict(obj: dict) -> MlpModel:
     try:
         fields = {**obj["hyperparams"]}  # TypeError unless a mapping
         fields.pop("batch_size", None)  # written by versions that had batched training
+        for field in dataclass_fields(Hyperparams):  # each annotated "int" or "float"
+            value = fields.get(field.name, 0)
+            if type(value) is not int and (field.type == "int" or type(value) is not float):
+                raise TypeError(f"hyperparams {field.name} must be {field.type}, got {value!r}")
         hp = Hyperparams(**fields)
         layers = [
             DenseLayer(

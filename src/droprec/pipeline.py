@@ -95,7 +95,8 @@ def train_recovery(
     Both corpora must share a label set, both hyperparameter sets must
     agree with the embedding table dimension and use the same window, and
     dev must be non-empty.  Dev accuracy of both stages lands in the
-    returned model's metadata.
+    returned model's metadata; generation's is scored at the annotated dev
+    gaps, and is None when there are none.
     """
     if train.label_set.name != dev.label_set.name:
         raise ValueError(
@@ -134,12 +135,12 @@ def train_recovery(
 
     threshold, dev_dpi_acc = tune_threshold(dpi_model, dev, table, window)
     model = RecoveryModel(dpi_model, dpg_model, train.label_set, window, threshold, table)
-    if dev.total_annotations():
-        from .evaluate import evaluate_dpg  # evaluate imports this module
-
-        dev_dpg_acc = evaluate_dpg(model, dev, table).accuracy
-    else:
-        dev_dpg_acc = float("nan")
+    gold = gap_labels(dev)
+    annotated = gold >= 0
+    dev_dpg_acc = None  # dev has no annotated gap to score
+    if annotated.any():
+        classes = predict_dpg(model, context_rows(dev.sentences, window, table)[annotated])[0]
+        dev_dpg_acc = int(np.count_nonzero(classes == gold[annotated])) / len(classes)
     model.metadata = {
         "dev_dpi_accuracy": dev_dpi_acc,
         "dev_dpg_accuracy_gold": dev_dpg_acc,
@@ -230,8 +231,10 @@ def recovery_from_dict(obj: dict, model_dir: str | Path = ".") -> RecoveryModel:
                     )
             elif type(table_ref[key]) is not kind:
                 raise TypeError(f"table_ref {key} must be {kind.__name__}, got {table_ref[key]!r}")
-        if not all(type(word) is str for word in table_ref.get("vocab", ())):
-            raise TypeError("table_ref vocab must be a list of words")
+        try:  # TypeError for a word that is no string, UnicodeEncodeError for a lone surrogate
+            "".join(table_ref.get("vocab", ())).encode("utf-8")
+        except (TypeError, UnicodeEncodeError):
+            raise TypeError("table_ref vocab must be a list of UTF-8 words") from None
         dpi = mlp.model_from_dict(obj.pop("dpi"))
         dpg = mlp.model_from_dict(obj.pop("dpg"))
         metadata = dict(obj.get("metadata", {}))
@@ -250,8 +253,11 @@ def recovery_from_dict(obj: dict, model_dir: str | Path = ".") -> RecoveryModel:
     # networks, so a dim no network can use allocates nothing.
     _check_dims(dpi, window, table_ref["dim"], "detection")
     _check_dims(dpg, window, table_ref["dim"], "generation")
-    if window < 1:  # networks with zero-width first layers pass the checks above
+    # Networks with zero-width first layers pass the checks above.
+    if window < 1:
         raise ModelFormatError(f"window must be >= 1, got {window}")
+    if table_ref["dim"] < 1:
+        raise ModelFormatError(f"table_ref dim must be >= 1, got {table_ref['dim']}")
     if "sha256" in table_ref:
         table_ref["path"] = str(Path(model_dir) / table_ref["path"])
     table = table_from_source(table_ref)
@@ -262,7 +268,8 @@ def save_recovery_model(model: RecoveryModel, path: str | Path) -> None:
     """Write the model as JSON.  A hashed word2vec `table_ref` is stored
     with its path relative to the model file's directory, so the bytes do
     not depend on the working directory.  A table whose source kind model
-    loading cannot rebuild raises ValueError, and nothing is written."""
+    loading cannot rebuild raises ValueError, and nothing is written; so
+    does a NaN or infinite number, which strict JSON cannot hold."""
     obj = recovery_to_dict(model)
     ref = obj["table_ref"]
     if ref.get("kind") not in SOURCE_FIELDS:
@@ -270,7 +277,7 @@ def save_recovery_model(model: RecoveryModel, path: str | Path) -> None:
     if "sha256" in ref:
         obj["table_ref"] = {**ref, "path": os.path.relpath(ref["path"], Path(path).parent)}
     with atomic_open(path) as fh:
-        fh.write(json.dumps(obj))
+        fh.write(json.dumps(obj, allow_nan=False))
 
 
 def load_recovery_model(path: str | Path) -> RecoveryModel:

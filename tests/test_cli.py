@@ -272,6 +272,31 @@ def test_invalid_utf8_input_is_data_error_naming_the_file(workspace, model_file,
     assert str(bad) in err and "Traceback" not in err
 
 
+def test_dev_without_annotations_gives_a_strict_json_model(workspace, tmp_path, capsys):
+    dev = load_corpus(workspace / "splits" / "dev.jsonl")
+    bare = tmp_path / "dev.jsonl"
+    save_corpus(Corpus(dev.label_set, tuple(AnnotatedSentence(s.tokens) for s in dev.sentences),
+                       dev.metadata), bare)
+    model = tmp_path / "model.json"
+    args = train_args(workspace, model)
+    args[args.index("--dev") + 1] = str(bare)
+    capsys.readouterr()
+    assert main(args) == EXIT_OK
+    assert "dev generation acc n/a" in capsys.readouterr().out
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    obj = json.loads(model.read_text(encoding="utf-8"), parse_constant=reject)
+    assert obj["metadata"]["dev_dpg_accuracy_gold"] is None
+    # Files written before held a bare NaN there; they still load.
+    obj["metadata"]["dev_dpg_accuracy_gold"] = float("nan")
+    model.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["recover", "--model", str(model),
+                 "--in", str(workspace / "splits" / "test.jsonl"),
+                 "--out", str(tmp_path / "out.jsonl")]) == EXIT_OK
+
+
 def test_train_accepts_reference_generation_settings(workspace, tmp_path):
     # reference generation settings for the larger dataset:
     # 10 layers, dropout 0.8, 10 epochs

@@ -626,3 +626,22 @@ def test_projection_cache_is_bounded_and_starting_over_moves_no_byte(monkeypatch
     (cache,) = bounded._projections.values()
     assert cache.capacity == 6
     assert cache.count <= 6 and cache.products.shape[1] <= 6
+
+
+@pytest.mark.parametrize("hidden, slots, dim", [(200, 4, 100), (37, 6, 33), (5, 2, 3)])
+def test_a_rows_products_do_not_depend_on_its_batch(hidden, slots, dim):
+    # Each batch of new rows is computed by one einsum call; every row of
+    # it, at every position and for every batch size, must get the bytes
+    # of the one-row call.
+    rng = np.random.default_rng(hidden)
+    matrix = rng.uniform(-1, 1, (700, dim))
+    weights = rng.uniform(-1, 1, (hidden, slots * dim))
+    by_slot = weights.reshape(hidden, slots, dim)
+    for size in (1, 2, 16, 300):
+        for first in sorted({350, 351 - size // 2, 351 - size}):  # row 350 first, mid, last
+            cache = embeddings._Projections(slots, hidden)
+            batch = np.arange(first, first + size)
+            at = cache.positions(batch, matrix, weights)
+            for row, position in zip(batch.tolist(), at.tolist()):
+                want = np.einsum("hkd,d->kh", by_slot, matrix[row])
+                assert np.array_equal(cache.products[:, position], want), (size, row)

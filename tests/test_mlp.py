@@ -350,8 +350,15 @@ def test_load_rejects_wrong_version():
         mlp.model_from_dict(obj)
 
 
-@pytest.mark.parametrize("hyperparams", [{"momentum": 0.9}, [["embed_dim", 1]]],
-                         ids=["unknown-key", "not-an-object"])
+@pytest.mark.parametrize(
+    "hyperparams",
+    [{"momentum": 0.9}, [["embed_dim", 1]], {"hidden_dim": 2.5}, {"epochs": True},
+     {"seed": 1.5}, {"layer_count": 2.0}, {"embed_dim": True}, {"window": 1.0},
+     {"learning_rate": True}, {"dropout_rate": False}, {"learning_rate": "0.1"}],
+    ids=["unknown-key", "not-an-object", "float-hidden-dim", "bool-epochs", "float-seed",
+         "integral-float-layer-count", "bool-embed-dim", "integral-float-window",
+         "bool-learning-rate", "bool-dropout-rate", "string-learning-rate"],
+)
 def test_load_rejects_malformed_hyperparams(hyperparams):
     obj = json.loads(json.dumps(mlp.model_to_dict(build_model(2, 2, tiny_hp(embed_dim=1)))))
     if isinstance(hyperparams, dict):

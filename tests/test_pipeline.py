@@ -2,6 +2,9 @@ import hashlib
 import json
 import math
 import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -338,7 +341,8 @@ def test_recovery_load_rejects_threshold_outside_unit_interval(threshold):
         recovery_from_dict(obj)
 
 
-# Both networks with zero-width first layers: window 0 passes the dim checks.
+# Both networks with zero-width first layers: window 0, or a table dim of
+# 0, passes the dim checks.
 ZERO_WIDTH = {"window": 0, **{(net, *key): value for net in ("dpi", "dpg") for key, value in
                              [(("input_dim",), 0), (("layers", 0, "in_dim"), 0),
                               (("layers", 0, "weights"), [])]}}
@@ -356,11 +360,14 @@ ZERO_WIDTH = {"window": 0, **{(net, *key): value for net in ("dpi", "dpg") for k
      (("dpg", "layers", 0, "in_dim"), True, "layer size must be an integer"),
      (("dpi", "hyperparams", "learning_rate"), float("nan"), "learning_rate"),
      (("table_ref", "kind"), "bogus", "kind 'bogus' cannot be rebuilt"),
-     (ZERO_WIDTH, None, "window must be >= 1, got 0")],
+     (ZERO_WIDTH, None, "window must be >= 1, got 0"),
+     ({**ZERO_WIDTH, "window": 1, ("table_ref", "dim"): 0}, None,
+      "table_ref dim must be >= 1, got 0")],
     ids=["non-numeric-threshold", "window-zero", "unknown-label-set", "window-float",
          "window-bool", "threshold-bool", "threshold-string", "input-dim-float",
          "num-classes-float", "out-dim-float", "in-dim-bool", "learning-rate-nan",
-         "table-kind-unknown", "window-zero-zero-width-layers"],
+         "table-kind-unknown", "window-zero-zero-width-layers",
+         "table-dim-zero-zero-width-layers"],
 )
 def test_load_recovery_model_raises_model_format_error(tmp_path, field, value, match):
     table = deterministic_fallback_table(["a"], 2, seed=0)
@@ -449,3 +456,41 @@ def test_invalid_utf8_raises_the_loader_error_naming_the_file(tmp_path, content,
     p.write_bytes(content)
     with pytest.raises(error, match=re.escape(str(p))):
         load(p)
+
+
+def test_dev_generation_accuracy_is_the_gold_position_evaluation():
+    from droprec.evaluate import evaluate_dpg
+
+    train, dev, _, table = small_separable_setup(n=60)
+    assert dev.total_annotations()
+    hp = Hyperparams(embed_dim=8, epochs=2, hidden_dim=6, seed=1)
+    model = train_recovery(train, dev, table, hp, hp)
+    assert model.metadata["dev_dpg_accuracy_gold"] == evaluate_dpg(model, dev, table).accuracy
+    bare = Corpus(dev.label_set, tuple(AnnotatedSentence(s.tokens) for s in dev.sentences),
+                  dict(dev.metadata))
+    assert train_recovery(train, bare, table, hp, hp).metadata["dev_dpg_accuracy_gold"] is None
+
+
+def test_training_loads_no_evaluation_module():
+    # A fresh interpreter with a bare droprec package (its __init__
+    # re-exports the evaluation API) loads only pipeline and its imports.
+    code = textwrap.dedent("""
+        import importlib.util, sys, types
+        package = types.ModuleType("droprec")
+        package.__path__ = importlib.util.find_spec("droprec").submodule_search_locations
+        sys.modules["droprec"] = package
+        from droprec import pipeline
+        from droprec.embeddings import deterministic_fallback_table
+        from droprec.mlp import Hyperparams
+        from droprec.synth import builtin_grammar, generate_corpus
+        assert "droprec.evaluate" not in sys.modules, "import"
+        corpus = generate_corpus(builtin_grammar("separable"), 20, seed=1)
+        table = deterministic_fallback_table(sorted({t for s in corpus.sentences
+                                                     for t in s.tokens}), 2, seed=0)
+        hp = Hyperparams(embed_dim=2, epochs=1, hidden_dim=2)
+        model = pipeline.train_recovery(corpus, corpus, table, hp, hp)
+        assert model.metadata["dev_dpg_accuracy_gold"] is not None
+        assert "droprec.evaluate" not in sys.modules, "train_recovery"
+    """)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
