@@ -148,6 +148,17 @@ class Corpus:
         return sum(len(s.annotations) for s in self.sentences)
 
 
+def _check_encodable(text: str, line_no: int, what: str) -> None:
+    """Reject `text` if it holds a lone surrogate, which no writer can
+    write back as UTF-8."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise CorpusError(
+            f"line {line_no}: {what} holds a character UTF-8 cannot encode ({exc.reason})"
+        ) from None
+
+
 def _parse_sentence(obj, line_no: int, label_set: LabelSet) -> AnnotatedSentence:
     if not isinstance(obj, dict) or "tokens" not in obj:
         raise CorpusError(f"line {line_no}: expected an object with a 'tokens' key")
@@ -208,6 +219,11 @@ def load_corpus(path: str | Path) -> Corpus:
     metadata = header.get("metadata", {})
     if not isinstance(metadata, dict):
         raise CorpusError("line 1: 'metadata' must be an object")
+    # Text decoded from UTF-8 holds no lone surrogate; only a JSON "\\u"
+    # escape can make one.
+    escaped = "\\u" in text
+    if escaped:
+        _check_encodable(json.dumps(metadata, ensure_ascii=False), 1, "metadata")
 
     sentences = []
     for offset, line in enumerate(lines[1:], start=2):
@@ -220,6 +236,8 @@ def load_corpus(path: str | Path) -> Corpus:
         except RecursionError:
             raise CorpusError(f"line {offset}: JSON nested too deeply to parse") from None
         sentences.append(_parse_sentence(obj, offset, label_set))
+        if escaped:
+            _check_encodable("".join(sentences[-1].tokens), offset, "a token")
     return Corpus(label_set, tuple(sentences), dict(metadata))
 
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from .rng import BlockFloats, SplitMix64
+from .rng import SplitMix64
 
 # Loss clamps probabilities at this floor before taking logs.
 PROB_EPS = 1e-12
@@ -191,7 +191,7 @@ def cross_entropy(y_true: np.ndarray, probs: np.ndarray) -> float:
     return float(-np.sum(y_true * np.log(np.maximum(probs, PROB_EPS))))
 
 
-def dropout_mask(dim: int, rate: float, rng: SplitMix64 | BlockFloats) -> np.ndarray:
+def dropout_mask(dim: int, rate: float, rng: SplitMix64) -> np.ndarray:
     """Inverted-dropout mask: 0 with probability `rate`, else 1/(1-rate).
 
     Unit k is dropped when the k-th of the next `dim` floats of `rng` is
@@ -209,7 +209,7 @@ def forward(
     model: MlpModel,
     x: np.ndarray,
     mode: str = "eval",
-    rng: SplitMix64 | BlockFloats | None = None,
+    rng: SplitMix64 | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """One forward pass; returns class probabilities and the cache that
     backward() needs.
@@ -354,6 +354,10 @@ def train(
     from the stream a block of steps at a time.  Returns per-epoch mean
     loss and accuracy measured on the training passes themselves.  The
     feature arrays are used as given, not copied, when they are float64.
+
+    Each step is forward, backward and sgd_step fused over buffers made
+    once per call; it gives their bytes, and raises the NumericError that
+    sgd_step would, layer by layer.
     """
     if not instances:
         raise ValueError("cannot train on an empty instance list")
@@ -369,27 +373,94 @@ def train(
             raise ValueError(f"instance {i} label {lab} outside [0, {model.num_classes})")
 
     n = len(instances)
-    floats_per_step = sum(layer.out_dim for layer in model.layers[:-1])
-    drop_rng = BlockFloats(
-        SplitMix64.for_stream(hp.seed, _DROPOUT_STREAM), _DROPOUT_BLOCK_STEPS * floats_per_step
-    )
-    targets = np.eye(model.num_classes)  # row k is one_hot(num_classes, k)
+    layers = model.layers
+    last = len(layers) - 1
+    weights = [layer.weights for layer in layers]
+    biases = [layer.bias for layer in layers]
+    weights_t = [w.T for w in weights]
+    # zs[i] holds layer i's pre-activation, then its output; the last one
+    # holds the logits, then the probabilities, then the output delta.
+    zs = [np.empty(layer.out_dim) for layer in layers]
+    relu = [np.empty(layer.out_dim, dtype=bool) for layer in layers[:-1]]
+    deltas = [np.empty(layer.out_dim) for layer in layers[:-1]] + [zs[last]]
+    dws = [np.empty_like(layer.weights) for layer in layers]
+    rate = model.hyperparams.dropout_rate
+    drop = rate > 0.0 and last > 0
+    if drop:
+        drop_rng = SplitMix64.for_stream(hp.seed, _DROPOUT_STREAM)
+        bounds = np.cumsum([0] + [layer.out_dim for layer in layers[:-1]]).tolist()
+    drawn = _DROPOUT_BLOCK_STEPS  # steps served from the current block of masks
+    lr = hp.learning_rate
     log: list[EpochStats] = []
-    for epoch in range(hp.epochs):
-        order = list(range(n))
-        SplitMix64(hp.seed + epoch).shuffle(order)
-        total_loss = 0.0
-        correct = 0
-        for step, idx in enumerate(order):
-            label = labels[idx]
-            probs, cache = forward(model, feats[idx], mode="train", rng=drop_rng)
-            loss = -math.log(max(probs.item(label), PROB_EPS))
-            if not math.isfinite(loss):
-                raise NumericError(f"non-finite loss at epoch {epoch}, step {step}")
-            total_loss += loss
-            correct += int(probs.argmax()) == label
-            sgd_step(model, backward(model, cache, targets[label]), hp.learning_rate)
-        log.append(EpochStats(epoch, total_loss / n, correct / n))
+    # Every non-finite value in the loop ends in a NumericError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A layer's dW = outer(d, x) or db = d has a non-finite element
+        # exactly when max|d| * max|x| is not finite, max|x| being 0 for an
+        # empty x: rounding is monotone, NaN and inf propagate through max,
+        # and 0 * inf is NaN.  (d @ d) * (x @ x) is finite only when that
+        # product is, so it is tried first.
+        sq0 = [float(f.dot(f)) for f in feats]
+        for epoch in range(hp.epochs):
+            order = list(range(n))
+            SplitMix64(hp.seed + epoch).shuffle(order)
+            total_loss = 0.0
+            correct = 0
+            for step, idx in enumerate(order):
+                if drop:
+                    if drawn == _DROPOUT_BLOCK_STEPS:
+                        block = drop_rng.floats(_DROPOUT_BLOCK_STEPS * bounds[-1])
+                        masks = ((block >= rate) / (1.0 - rate)).reshape(_DROPOUT_BLOCK_STEPS, -1)
+                        drawn = 0
+                    mask = masks[drawn]
+                    drawn += 1
+                label = labels[idx]
+                h = feats[idx]
+                for i in range(last):
+                    z = zs[i]
+                    weights[i].dot(h, out=z)
+                    z += biases[i]
+                    np.greater(z, 0.0, out=relu[i])
+                    np.maximum(z, 0.0, out=z)
+                    if drop:
+                        z *= mask[bounds[i] : bounds[i + 1]]
+                    h = z
+                p = zs[last]
+                weights[last].dot(h, out=p)
+                p += biases[last]
+                p -= p.max()
+                np.exp(p, out=p)
+                p /= p.sum()
+                loss = -math.log(max(p.item(label), PROB_EPS))
+                if not math.isfinite(loss):
+                    raise NumericError(f"non-finite loss at epoch {epoch}, step {step}")
+                total_loss += loss
+                correct += int(p.argmax()) == label
+                p[label] -= 1.0
+                for i in range(last, 0, -1):
+                    d = weights_t[i].dot(deltas[i], out=deltas[i - 1])
+                    if drop:
+                        d *= mask[bounds[i - 1] : bounds[i]]
+                    d *= relu[i - 1]
+                for i in range(last + 1):
+                    d, dw = deltas[i], dws[i]
+                    if i == 0:
+                        x, x_sq = feats[idx], sq0[idx]
+                    else:
+                        x = zs[i - 1]
+                        x_sq = float(x.dot(x))
+                    d[:, None].dot(x[None, :], out=dw)
+                    if not math.isfinite(float(d.dot(d)) * x_sq) and not math.isfinite(
+                        float(np.max(np.abs(d))) * float(np.max(np.abs(x), initial=0.0))
+                    ):
+                        raise NumericError(
+                            f"non-finite gradient in layer {i} "
+                            f"(|dW|_max={np.max(np.abs(dw))}, |db|_max={np.max(np.abs(d))})"
+                        )
+                    dw *= lr
+                    weights[i] -= dw
+                    d *= lr
+                    biases[i] -= d
+            log.append(EpochStats(epoch, total_loss / n, correct / n))
     return log
 
 

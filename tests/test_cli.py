@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from droprec.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from droprec.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from droprec.corpus import FULL14, AnnotatedSentence, Corpus, load_corpus, save_corpus
 from droprec.embeddings import EmbeddingError, context_rows
 from droprec.pipeline import dpi_gap_probability, load_recovery_model, predict_dpi, recover
@@ -525,3 +525,33 @@ def test_corpus_too_small_to_split_is_data_error(tmp_path, capsys):
     assert main(["split", "--in", str(tiny), "--seed", "1",
                  "--out-dir", str(tmp_path / "s")]) == EXIT_DATA
     assert "too small" in capsys.readouterr().err
+
+
+def test_corpus_token_with_a_lone_surrogate_is_data_error_and_splits_nothing(tmp_path, capsys):
+    lines = ['{"label_set": "full14"}'] + [f'{{"tokens": ["w{i}"]}}' for i in range(4)]
+    lines.append('{"tokens": ["a", "\\ud800"]}')  # a JSON escape, no UTF-8 encoding
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "s"
+    assert main(["split", "--in", str(bad), "--seed", "1", "--out-dir", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == ("droprec: line 6: a token holds a character UTF-8 cannot encode "
+                   "(surrogates not allowed)\n")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_training_that_diverges_exits_3_with_one_line_and_no_model(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["gen", "--profile", "separable", "--n", "60",
+                 "--seed", "7", "--out", str(corpus)]) == EXIT_OK
+    assert main(["split", "--in", str(corpus), "--seed", "1",
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    model = tmp_path / "model.json"
+    capsys.readouterr()
+    # any numpy warning would fail the suite (pyproject's filterwarnings)
+    assert main(["train", "--train", str(tmp_path / "train.jsonl"),
+                 "--dev", str(tmp_path / "dev.jsonl"), "--fallback-dim", "8",
+                 "--lr", "1e300", "--seed", "5", "--out-model", str(model)]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == \
+        "droprec: numeric failure: non-finite loss at epoch 0, step 1\n"
+    assert not model.exists()

@@ -150,6 +150,8 @@ CORPUS_BREAKS = [
     b'{"label_set": "full14"}\n{"tokens": ["a"], "annotations": [[NaN, "ta_m"]]}\n',
     b'{"label_set": "full14"}\n{"tokens": ["a"], "annotations": [[5, "ta_m"]]}\n',
     b'{"label_set": "full14"}\n{"tokens": [""]}\n',
+    b'{"label_set": "full14"}\n{"tokens": ["a", "\\ud800"]}\n',
+    b'{"label_set": "full14", "metadata": {"seed": "\\udfff"}}\n{"tokens": ["a"]}\n',
 ]
 
 
@@ -159,7 +161,8 @@ CORPUS_BREAKS = [
 def test_any_corpus_bytes_load_or_raise_corpus_error(tmp_path, data):
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(data)
-    loads_or_raises(load_corpus, path, CorpusError)
+    if loads_or_raises(load_corpus, path, CorpusError):
+        save_corpus(load_corpus(path), tmp_path / "again.jsonl")  # what loads can be written
 
 
 # --- embeddings -----------------------------------------------------------------

@@ -314,6 +314,77 @@ def test_train_aborts_on_non_finite_loss():
         train(model, bad, hp)
 
 
+def hand_written_sgd(hp, data, num_classes):
+    """train(), spelled out with forward and backward."""
+    model = build_model(hp.input_dim, num_classes, hp)
+    drop_rng = SplitMix64.for_stream(hp.seed, 1)
+    for epoch in range(hp.epochs):
+        order = list(range(len(data)))
+        SplitMix64(hp.seed + epoch).shuffle(order)
+        for idx in order:
+            x, label = data[idx]
+            _, cache = forward(model, x, mode="train", rng=drop_rng)
+            grads = backward(model, cache, one_hot(num_classes, label))
+            for layer, g in zip(model.layers, grads):
+                layer.weights -= hp.learning_rate * g.dW
+                layer.bias -= hp.learning_rate * g.db
+    return model
+
+
+def assert_trains_like_the_hand_written_loop(hp, n, num_classes):
+    rng = SplitMix64(2024)
+    feats = rng.uniform_array(n * hp.input_dim, -1.0, 1.0).reshape(n, hp.input_dim)
+    data = [(feats[i], int(rng.randbelow(num_classes))) for i in range(n)]
+    got = build_model(hp.input_dim, num_classes, hp)
+    train(got, data, hp)
+    want = hand_written_sgd(hp, data, num_classes)
+    for a, b in zip(got.layers, want.layers, strict=True):
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.bias, b.bias)
+
+
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.3], ids=lambda r: f"dropout{r}")
+@pytest.mark.parametrize("layer_count", [1, 2, 3], ids=lambda n: f"layers{n}")
+def test_fused_training_matches_a_hand_written_sgd_loop(layer_count, dropout_rate):
+    # 3 epochs of 23 instances: 69 steps, across the 64-step dropout block
+    hp = Hyperparams(embed_dim=3, window=1, layer_count=layer_count, hidden_dim=7,
+                     dropout_rate=dropout_rate, epochs=3, learning_rate=0.05, seed=17)
+    assert_trains_like_the_hand_written_loop(hp, 23, 3)
+
+
+@pytest.mark.parametrize("num_classes", [2, 14])
+def test_fused_training_matches_a_hand_written_sgd_loop_at_the_benchmark_shape(num_classes):
+    # perfbench's train workload: 32 inputs, 200 hidden units, dropout 0.2;
+    # 150 steps cross two dropout blocks
+    hp = Hyperparams(embed_dim=16, window=1, layer_count=2, hidden_dim=200, dropout_rate=0.2,
+                     epochs=1, learning_rate=0.1, seed=5)
+    assert_trains_like_the_hand_written_loop(hp, 150, num_classes)
+
+
+def test_train_rejects_an_overflowing_first_layer_gradient_under_a_finite_loss():
+    # logits +-6e290 give p = [1, 0]; label 1 clamps the loss at -log(1e-12),
+    # and the first layer's delta 2e290 times x = 1e20 overflows
+    hp = tiny_hp(embed_dim=1, hidden_dim=3, epochs=1)
+    model = build_model(2, 2, hp)
+    model.layers[0].weights[:] = 1e-20
+    model.layers[1].weights[:] = [[1e290] * 3, [-1e290] * 3]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NumericError, match=r"non-finite gradient in layer 0 \(\|dW\|_max=inf, \|db\|_max=2e\+290\)"
+    ):
+        train(model, [(np.full(2, 1e20), 1)], hp)
+
+
+def test_train_takes_a_finite_gradient_whose_sum_overflows():
+    # dW = +-5e307 in each of 8 elements: finite, but their sum and x @ x overflow
+    hp = tiny_hp(embed_dim=2, layer_count=1, epochs=1, learning_rate=0.5)
+    model = build_model(4, 2, hp)
+    model.layers[0].weights[:] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        train(model, [(np.full(4, 1e308), 0)], hp)
+    assert np.array_equal(model.layers[0].weights, [[2.5e307] * 4, [-2.5e307] * 4])
+    assert np.array_equal(model.layers[0].bias, [0.25, -0.25])
+
+
 def test_single_layer_model_is_multinomial_logistic_regression():
     hp = tiny_hp(embed_dim=3, layer_count=1)
     model = build_model(6, 4, hp)
