@@ -45,39 +45,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _number(kind: type, ok, rule: str):
+    """argparse type: the flag's text as a `kind` for which `ok` holds;
+    argparse's "invalid ... value" message names `kind`."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
 
 
-def _rate(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value}")
-    return value
-
-
-def _unit_interval(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
-    return value
-
-
-def _open_unit_interval(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
-    return value
+_positive_int = _number(int, lambda v: v >= 1, ">= 1")
+_rate = _number(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+_unit_interval = _number(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_open_unit_interval = _number(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_positive_float = _number(float, lambda v: math.isfinite(v) and v > 0.0, "positive and finite")
 
 
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
@@ -297,7 +283,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        # Overflow on a text ends in a NumericError, not in numpy's warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except NumericError as exc:
         print(f"droprec: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -15,7 +15,7 @@ import logging
 import math
 import re
 import weakref
-from itertools import compress, repeat
+from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
@@ -44,8 +44,9 @@ _BLOCK = 1 << 20
 _CHECKED_LEAD = np.zeros(256, dtype=bool)
 _CHECKED_LEAD[[b for b in range(128) if chr(b).isspace()] + [0xC2, 0xE1, 0xE2, 0xE3]] = True
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = np.uint64(0x100000001B3)
+# The key of a word's UTF-8 bytes in the index: Python's keyed 64-bit
+# hash(), which differs between processes, so no key is saved or reported.
+_word_key = hash
 
 # Gaps whose first-layer products context_projection sums at a time.
 _SUM_BLOCK = 256
@@ -68,8 +69,8 @@ class EmbeddingTable:
     the table it was trained with.
 
     A table that `load_embeddings` returns parses a word's line the first
-    time the word is looked up.  Its index holds, sorted by the
-    FNV-1a 64 hash of the word (file order among equal hashes), the
+    time the word is looked up.  Its index holds, sorted by the key
+    `hash()` of the word's bytes (file order among equal keys), the
     offset, length and `hash()` of each word's line in the file.  `rows`
     and `matrix` hold only the words read so far, and `unread` counts the
     words still waiting.
@@ -85,7 +86,7 @@ class EmbeddingTable:
         self.duplicates_skipped = duplicates_skipped
         self.unread = 0
         self._path: Path | None = None
-        self._hashes = np.zeros(0, dtype=np.uint64)
+        self._hashes = np.zeros(0, dtype=np.int64)
         self._starts = self._lengths = self._checks = np.zeros(0, dtype=np.int64)
         self._waiting = np.zeros(0, dtype=bool)
         self._missing: set[str] = set()  # words the index was searched for in vain
@@ -127,8 +128,8 @@ class EmbeddingTable:
         """Row of `word`, read from the file first if it is still unread;
         0 for a word the table lacks.
 
-        An unread word is found by its hash in the index.  Each line with
-        that hash is read until one holds the word, so a hash collision
+        An unread word is found by its key in the index.  Each line with
+        that key is read until one holds the word, so a key collision
         cannot give one word another's row.  A word not found is
         remembered, and is not searched for again.
         """
@@ -137,9 +138,8 @@ class EmbeddingTable:
             return row
         if not self.unread or word in self._missing:
             return 0
-        key = np.frombuffer(word.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-        (h,) = _word_hashes(key, np.zeros(1, dtype=np.intp), np.array([len(key)]))
-        for k in range(self._hashes.searchsorted(h), self._hashes.searchsorted(h, "right")):
+        key = _word_key(word.encode("utf-8", "surrogatepass"))
+        for k in range(self._hashes.searchsorted(key), self._hashes.searchsorted(key, "right")):
             if self._waiting[k] and self._read(k) == word:
                 return self.rows[word]
         self._missing.add(word)
@@ -207,9 +207,9 @@ def _line_number(path: Path, offset: int) -> int:
 
 
 def _word(line: bytes) -> bytes:
-    """The word of a word line: its bytes up to the first space."""
-    space = line.find(b" ")
-    return line[:space] if space >= 0 else line.rstrip(b"\r\n")
+    """The word of a word line: its bytes up to the first space, or else
+    the line without its line end (the only "\r" or "\n" a line holds)."""
+    return line.partition(b" ")[0].rstrip(b"\r\n")
 
 
 def _is_blank(line: bytes) -> bool:
@@ -217,26 +217,6 @@ def _is_blank(line: bytes) -> bool:
     UnicodeDecodeError if its word, or the line of a blank word, is not
     UTF-8."""
     return not (_word(line).decode("utf-8").strip() or line.decode("utf-8").strip())
-
-
-def _word_hashes(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """`rng.fnv1a64` of each word `data[starts[i] : starts[i] + lengths[i]]`,
-    as uint64, all words a byte position at a time."""
-    if len(starts) == 1:  # one token: fnv1a64's Python loop beats numpy's per-call costs
-        start = int(starts[0])
-        return np.array([fnv1a64(data[start : start + int(lengths[0])].tobytes())],
-                        dtype=np.uint64)
-    order = np.argsort(-lengths, kind="stable")  # the words longer than j are a prefix
-    at = starts[order]
-    hashes = np.full(len(order), _FNV_OFFSET, dtype=np.uint64)
-    longer = len(order) - np.cumsum(np.bincount(lengths)) if len(order) else ()
-    for j, n in enumerate(longer[:-1]):  # n words have a byte at position j
-        live = hashes[:n]
-        live ^= data[at[:n] + j]
-        live *= _FNV_PRIME  # wraps modulo 2**64, as the hash asks
-    out = np.empty_like(hashes)
-    out[order] = hashes
-    return out
 
 
 def _blocks(fh, sha):
@@ -283,7 +263,7 @@ def load_embeddings(
     path = Path(path)
     sha = hashlib.sha256()
     dim = None
-    index: list[tuple[np.ndarray, ...]] = []  # per block: word hashes, line starts, lengths, hash()es
+    index: list[tuple[np.ndarray, ...]] = []  # per block: word keys, line starts, lengths, hash()es
     with path.open("rb") as fh:
         for data, offset, lines in _blocks(fh, sha):
             sizes = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
@@ -292,11 +272,14 @@ def load_embeddings(
             if dim is None:
                 vocab_size, dim = _parse_header(lines[0], path, expected_dim)
                 lines, starts, ends = lines[1:], starts[1:], ends[1:]
-            a = np.frombuffer(data, dtype=np.uint8)
-            lengths = _word_lengths(a, lines, starts, ends)
-            checked = _CHECKED_LEAD[a[starts]]
-            if not data.isascii() and not _all_utf8(data, starts, lengths):
-                checked[:] = True
+            words = list(map(_word, lines))
+            keys = np.fromiter(map(_word_key, words), dtype=np.int64, count=len(words))
+            checked = _CHECKED_LEAD[np.frombuffer(data, dtype=np.uint8)[starts]]
+            if not data.isascii():
+                try:
+                    b" ".join(words).decode("utf-8")
+                except UnicodeDecodeError:  # the per-line checks find the bad word
+                    checked[:] = True
             word_line = ~checked
             # One pass in file order, so the first bad line is the one reported.
             for i in range(len(lines)) if sha256 is None else np.flatnonzero(checked).tolist():
@@ -309,9 +292,9 @@ def load_embeddings(
                     line_no = _line_number(path, offset + int(starts[i]))
                     raise EmbeddingError(f"{path} line {line_no}: {exc}") from None
                 word_line[i] = True
-            starts, ends, lengths = starts[word_line], ends[word_line], lengths[word_line]
+            starts, ends = starts[word_line], ends[word_line]
             checks = map(hash, compress(lines, word_line.tolist()))
-            index.append((_word_hashes(a, starts, lengths), starts + offset, ends - starts,
+            index.append((keys[word_line], starts + offset, ends - starts,
                           np.fromiter(checks, dtype=np.int64, count=len(starts))))
     digest = sha.hexdigest()
     if sha256 is not None and digest != sha256:
@@ -332,44 +315,22 @@ def load_embeddings(
     return table
 
 
-def _word_lengths(a: np.ndarray, lines: list[bytes], starts: np.ndarray,
-                  ends: np.ndarray) -> np.ndarray:
-    """Byte length of the word of each line `a[starts[i] : ends[i]]`, as
-    `_word` cuts it: up to its first space, or else up to its line end."""
-    spaces = np.fromiter(map(bytes.find, lines, repeat(b" ")), dtype=np.int64, count=len(lines))
-    last = a[ends - 1]
-    content = ends - starts - ((last == 10) | (last == 13))  # the line end left out
-    content -= (last == 10) & (content > 0) & (a[ends - 2] == 13)  # and the "\r" of "\r\n"
-    return np.where(spaces >= 0, spaces, content)
-
-
-def _all_utf8(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> bool:
-    """Whether every word `data[starts[i] : starts[i] + lengths[i]]` is
-    UTF-8, with one decode of them all, joined by spaces."""
-    words = map(data.__getitem__, map(slice, starts.tolist(), (starts + lengths).tolist()))
-    try:
-        b" ".join(words).decode("utf-8")
-    except UnicodeDecodeError:
-        return False
-    return True
-
-
-def _lazy_table(path: Path, source: dict, hashes: np.ndarray, starts: np.ndarray,
+def _lazy_table(path: Path, source: dict, keys: np.ndarray, starts: np.ndarray,
                 lengths: np.ndarray, checks: np.ndarray) -> EmbeddingTable:
     """Table that reads its rows lazily, over the word lines of a file:
-    their word hashes, offsets, lengths and `hash()`es in file order.
+    their word keys, offsets, lengths and `hash()`es in file order.
 
-    Lines whose words hash alike are read again, and each word keeps its
+    Lines whose words share a key are read again, and each word keeps its
     first line, so `duplicates_skipped` is exact whatever collides.
     """
     dim = source["dim"]
-    if not len(hashes):
+    if not len(keys):
         raise EmbeddingError(f"{path}: no word lines, so nothing confirms dimension {dim}")
-    order = np.argsort(hashes, kind="stable")
-    hashes, starts, lengths, checks = hashes[order], starts[order], lengths[order], checks[order]
-    runs = np.flatnonzero(np.append(True, hashes[1:] != hashes[:-1]))
-    sizes = np.diff(np.append(runs, len(hashes)))
-    keep = np.ones(len(hashes), dtype=bool)
+    order = np.argsort(keys, kind="stable")
+    keys, starts, lengths, checks = keys[order], starts[order], lengths[order], checks[order]
+    runs = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+    sizes = np.diff(np.append(runs, len(keys)))
+    keep = np.ones(len(keys), dtype=bool)
     with open(path, "rb") as fh:
         for lo, size in zip(runs[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
             seen = set()
@@ -377,14 +338,14 @@ def _lazy_table(path: Path, source: dict, hashes: np.ndarray, starts: np.ndarray
                 word = _word(_reread(fh, int(starts[k]), int(lengths[k]), int(checks[k]), path))
                 keep[k] = word not in seen
                 seen.add(word)
-    hashes, starts, lengths, checks = hashes[keep], starts[keep], lengths[keep], checks[keep]
+    keys, starts, lengths, checks = keys[keep], starts[keep], lengths[keep], checks[keep]
     # A word line with `dim` components takes at least 2 * dim + 1 bytes.
     if not (lengths > 2 * dim).any():
         raise EmbeddingError(f"{path}: no word line is long enough for dimension {dim}")
-    table = EmbeddingTable(dim, source, len(keep) - len(hashes))
-    table._hashes, table._starts, table._lengths, table._checks = hashes, starts, lengths, checks
+    table = EmbeddingTable(dim, source, len(keep) - len(keys))
+    table._hashes, table._starts, table._lengths, table._checks = keys, starts, lengths, checks
     table._path = path.absolute()
-    table.unread = len(hashes)
+    table.unread = len(keys)
     table._waiting = np.ones(table.unread, dtype=bool)
     return table
 

@@ -37,7 +37,8 @@ class ModelFormatError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """Non-finite loss or gradient encountered during training."""
+    """Non-finite loss or gradient in training, or a non-finite class
+    probability in eval mode (finite parameters that overflow on a text)."""
 
 
 @dataclass
@@ -295,12 +296,7 @@ def sgd_step(model: MlpModel, grads: list[LayerGrads], learning_rate: float) -> 
     for i, (layer, g) in enumerate(zip(model.layers, grads)):
         if g.dW.shape != layer.weights.shape or g.db.shape != layer.bias.shape:
             raise ValueError(f"layer {i}: gradient shape mismatch")
-        # A finite sum means every element is finite; only a sum that is
-        # not (a non-finite element, or finite ones that overflow) needs
-        # the elementwise test.
-        if not math.isfinite(g.dW.sum() + g.db.sum()) and not (
-            np.isfinite(g.dW).all() and np.isfinite(g.db).all()
-        ):
+        if not (np.isfinite(g.dW).all() and np.isfinite(g.db).all()):
             raise NumericError(
                 f"non-finite gradient in layer {i} "
                 f"(|dW|_max={np.max(np.abs(g.dW))}, |db|_max={np.max(np.abs(g.db))})"
@@ -329,7 +325,8 @@ def predict_from_first_layer(model: MlpModel, z: np.ndarray) -> tuple[np.ndarray
     first layer's weights, before its bias; `z` is overwritten.
 
     The later layers are one matrix product each.  With one layer, the
-    first layer is the softmax layer.
+    first layer is the softmax layer.  Raises NumericError when finite
+    parameters overflow to a NaN probability.
     """
     z += model.layers[0].bias
     for layer in model.layers[1:]:
@@ -337,6 +334,8 @@ def predict_from_first_layer(model: MlpModel, z: np.ndarray) -> tuple[np.ndarray
         z = z @ layer.weights.T
         z += layer.bias
     probs = softmax(z)
+    if not math.isfinite(probs.sum()):  # each probability is NaN or in [0, 1]
+        raise NumericError("non-finite class probability in eval mode")
     return np.argmax(probs, axis=1), probs
 
 

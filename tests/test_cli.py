@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -555,3 +556,29 @@ def test_training_that_diverges_exits_3_with_one_line_and_no_model(tmp_path, cap
     assert capsys.readouterr().err == \
         "droprec: numeric failure: non-finite loss at epoch 0, step 1\n"
     assert not model.exists()
+
+
+@pytest.mark.parametrize("table, net, field", [("fallback", "dpi", "bias"),
+                                               ("fallback", "dpg", "bias"),
+                                               ("word2vec", "dpg", "weights")])
+def test_scoring_that_overflows_exits_3_with_one_line_and_no_output(
+        workspace, model_file, w2v_model, tmp_path, capsys, table, net, field):
+    # Finite parameters load, then overflow to NaN probabilities on the text.
+    source = model_file if table == "fallback" else w2v_model
+    shutil.copy(w2v_model.parent / "vec.txt", tmp_path / "vec.txt")
+    obj = json.loads(source.read_text(encoding="utf-8"))
+    first = obj[net]["layers"][0]
+    first[field] = [sys.float_info.max.hex()] * len(first[field])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(obj), encoding="utf-8")
+    test = str(workspace / "splits" / "test.jsonl")
+    capsys.readouterr()
+    # Threshold 0 and gold positions score every gap with both networks; any
+    # numpy warning would fail the suite (pyproject's filterwarnings).
+    assert main(["recover", "--model", str(model), "--in", test, "--threshold", "0",
+                 "--out", str(tmp_path / "recovered.jsonl")]) == EXIT_NUMERIC
+    assert main(["eval", "--model", str(model), "--test", test,
+                 "--report", str(tmp_path / "report.json")]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err == "droprec: numeric failure: non-finite class probability in eval mode\n" * 2
+    assert not (tmp_path / "recovered.jsonl").exists() and not (tmp_path / "report.json").exists()

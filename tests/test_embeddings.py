@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from droprec import embeddings
 from droprec.corpus import AnnotatedSentence
 from droprec.mlp import ModelFormatError
-from droprec.rng import fnv1a64
 from droprec.embeddings import (
     EmbeddingError,
     EmbeddingTable,
@@ -339,14 +338,33 @@ def test_a_word_that_is_not_utf8_fails_the_load_at_its_line(tmp_path, word, hash
     assert str(error.value).endswith(f"line 4: {direct.value}")
 
 
-@given(st.lists(st.binary(max_size=40), max_size=20))
-@example([b"\xe4\xb8\xad"])  # one word, as a token is hashed
-@example([b"", b"a", b"\xe4\xb8\xad", b"zz000123"])
-def test_word_hashes_are_fnv1a64(words):
-    data = np.frombuffer(b"".join(words), dtype=np.uint8)
-    lengths = np.array([len(word) for word in words], dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths
-    assert embeddings._word_hashes(data, starts, lengths).tolist() == list(map(fnv1a64, words))
+LINES = st.tuples(st.text(st.sampled_from("ab \u00e9\u4e2d\U0001f600"), min_size=1, max_size=6),
+                  st.sampled_from(["\n", "\r\n", "\r"]))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(LINES, max_size=8), st.booleans())
+@example([("a", "\n"), ("\u4e2d 1", "\r\n"), ("b c", "\r"), ("  ", "\n")], False)
+def test_every_indexed_line_is_keyed_by_the_hash_of_its_word(tmp_path, lines, last_ended):
+    # The hashed load indexes word lines unparsed, so lines with no space
+    # are indexed too; a word's later lines are duplicates.
+    lines = [("1 1", "\n"), ("w 1", "\n")] + lines
+    text = "".join(line + end for line, end in lines)
+    content = (text if last_ended else text[: -len(lines[-1][1])]).encode("utf-8")
+    p = tmp_path / "vec.txt"
+    p.write_bytes(content)
+    table = load_embeddings(p, sha256=sha256_of(p))
+    want, words, offset = [], set(), 0
+    for line in content.splitlines(keepends=True):
+        word = line.split(b" ")[0].rstrip(b"\r\n")
+        if offset and line.strip(b" \r\n") and word not in words:
+            want.append((offset, line))
+            words.add(word)
+        offset += len(line)
+    got = sorted(zip(table._starts.tolist(), table._lengths.tolist(), table._hashes.tolist()))
+    assert [(start, content[start : start + length]) for start, length, _ in got] == want
+    assert table._hashes.dtype == np.int64
+    assert [key for *_, key in got] == [hash(embeddings._word(line)) for _, line in want]
 
 
 def test_lines_the_scan_classifies_start_with_no_whitespace_character():
@@ -359,8 +377,7 @@ def test_words_that_all_hash_alike_still_get_their_own_rows(tmp_path, monkeypatc
     p = tmp_path / "vec.txt"
     p.write_text("5 2\nb 1 2\na 3 4\nb 9 9\nc 5 6\na 8 8\n", encoding="utf-8")
     want = {"c": [5.0, 6.0], "oov": [0.0, 0.0], "a": [3.0, 4.0], "b": [1.0, 2.0]}
-    monkeypatch.setattr(embeddings, "_word_hashes",
-                        lambda data, starts, lengths: np.zeros(len(starts), dtype=np.uint64))
+    monkeypatch.setattr(embeddings, "_word_key", lambda word: 0)
     for table in (load_embeddings(p), load_embeddings(p, sha256=sha256_of(p))):
         assert (len(table), table.duplicates_skipped) == (3, 2)
         for word in ("c", "oov", "a", "b", "oov"):
@@ -372,10 +389,8 @@ def test_an_oov_word_searches_the_index_once(tmp_path, monkeypatch):
     p = tmp_path / "vec.txt"
     p.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
     table = load_embeddings(p, sha256=sha256_of(p))
-    searched = []  # every search of the index hashes the word first
-    word_hashes = embeddings._word_hashes
-    monkeypatch.setattr(embeddings, "_word_hashes",
-                        lambda *args: searched.append(args) or word_hashes(*args))
+    searched = []  # every search of the index keys the word first
+    monkeypatch.setattr(embeddings, "_word_key", lambda word: searched.append(word) or hash(word))
     sentence = AnnotatedSentence(("oov", "a", "oov"))
     assert context_rows((sentence,), 1, table).tolist() == [[0, 0], [0, 1], [1, 0], [0, 0]]
     context_rows((sentence,), 1, table)
