@@ -8,6 +8,10 @@ plain stochastic gradient descent on cross-entropy loss; all arithmetic is
 float64 and every random choice draws from seeded SplitMix64 streams, so
 identical (seed, data, hyperparams) reproduce identical parameters bit for
 bit.
+
+A step's arithmetic is written once, in `_forward_into` and `_backward_into`:
+`train` runs them on buffers made once per call, and the reference
+`forward` and `backward` check their arguments and run them on fresh ones.
 """
 
 from __future__ import annotations
@@ -60,6 +64,10 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        for field in dataclass_fields(self):  # each annotated "int" or "float"
+            value = getattr(self, field.name)
+            if type(value) is not int and (field.type == "int" or type(value) is not float):
+                raise TypeError(f"hyperparams {field.name} must be {field.type}, got {value!r}")
         if self.embed_dim < 1:
             raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if self.window < 1:
@@ -206,6 +214,64 @@ def dropout_mask(dim: int, rate: float, rng: SplitMix64) -> np.ndarray:
     return survived / (1.0 - rate)
 
 
+def _new_buffers(model: MlpModel, x: np.ndarray, mode: str):
+    """A step's cache (input `x`) and gradients, for the kernels to fill."""
+    hidden = [layer.out_dim for layer in model.layers[:-1]]
+    cache = ForwardCache([x] + [np.empty(k) for k in hidden], [np.empty(k, bool) for k in hidden],
+                         [None] * len(hidden), np.empty(model.num_classes), mode)
+    return cache, [LayerGrads(np.empty_like(layer.weights), np.empty_like(layer.bias))
+                   for layer in model.layers]
+
+
+def _forward_into(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray,
+                  cache: ForwardCache, mask: np.ndarray | None) -> np.ndarray:
+    """One forward pass of `x` into `cache`'s buffers; returns `cache.probs`.
+    `mask` holds every hidden layer's dropout mask end to end, or is None."""
+    inputs, relu, drops = cache.inputs, cache.relu_masks, cache.dropout_masks
+    inputs[0] = h = x
+    start = 0
+    for i in range(len(relu)):
+        z = inputs[i + 1]
+        weights[i].dot(h, out=z)
+        z += biases[i]
+        np.greater(z, 0.0, out=relu[i])
+        h = np.maximum(z, 0.0, out=z)
+        if mask is not None:
+            drops[i] = mask[start : start + len(z)]
+            z *= drops[i]
+            start += len(z)
+    p = cache.probs
+    weights[-1].dot(h, out=p)
+    p += biases[-1]
+    p -= p.max()  # softmax() in place
+    np.exp(p, out=p)
+    p /= p.sum()
+    return p
+
+
+def _backward_into(weights_t: list[np.ndarray], cache: ForwardCache, grads: list[LayerGrads]):
+    """Fill `grads` from the transposed weights, `cache`'s masks and the
+    output delta (probs - y) in `grads[-1].db`.
+
+    dW goes through BLAS, ~2x faster than np.multiply.outer, with equal
+    values except that -0.0 products come out +0.0.  That moves no
+    parameter: W - t is -0.0 only for W = -0.0, which build_model never
+    makes (its lo + (hi - lo) * u has lo != 0).
+    """
+    for i in range(len(grads) - 1, 0, -1):
+        d = weights_t[i].dot(grads[i].db, out=grads[i - 1].db)
+        if cache.dropout_masks[i - 1] is not None:
+            d *= cache.dropout_masks[i - 1]
+        d *= cache.relu_masks[i - 1]
+    for g, x in zip(grads, cache.inputs):
+        g.db[:, None].dot(x[None, :], out=g.dW)
+
+
+def _gradient_error(i: int, g: LayerGrads) -> NumericError:
+    return NumericError(f"non-finite gradient in layer {i} "
+                        f"(|dW|_max={np.max(np.abs(g.dW))}, |db|_max={np.max(np.abs(g.db))})")
+
+
 def forward(
     model: MlpModel,
     x: np.ndarray,
@@ -227,36 +293,18 @@ def forward(
     drop = mode == "train" and rate > 0.0
     if drop and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng")
-
-    inputs: list[np.ndarray] = []
-    relu_masks: list[np.ndarray] = []
-    dropout_masks: list[np.ndarray | None] = []
-    h = x
-    for layer in model.layers[:-1]:
-        inputs.append(h)
-        z = layer.weights @ h
-        z += layer.bias
-        relu_masks.append(z > 0.0)
-        h = np.maximum(z, 0.0, out=z)
-        if drop:
-            mask = dropout_mask(h.shape[0], rate, rng)
-            h *= mask
-            dropout_masks.append(mask)
-        else:
-            dropout_masks.append(None)
-    inputs.append(h)
-    out = model.layers[-1]
-    logits = out.weights @ h
-    logits += out.bias
-    probs = softmax(logits)
-    return probs, ForwardCache(inputs, relu_masks, dropout_masks, probs, mode)
+    cache, _ = _new_buffers(model, x, mode)
+    mask = dropout_mask(sum(map(len, cache.relu_masks)), rate, rng) if drop else None
+    layers = model.layers
+    probs = _forward_into([layer.weights for layer in layers], [layer.bias for layer in layers],
+                          x, cache, mask)
+    return probs, cache
 
 
 def backward(model: MlpModel, cache: ForwardCache, y_true: np.ndarray) -> list[LayerGrads]:
     """Gradients of cross-entropy w.r.t. every layer's weights and bias.
 
-    Uses the softmax + cross-entropy shortcut (output delta = probs - y)
-    and replays the ReLU and dropout masks recorded in the cache.
+    Uses the softmax + cross-entropy shortcut (output delta = probs - y).
     """
     if cache is None or cache.mode != "train":
         raise ValueError("backward needs the cache of a train-mode forward pass")
@@ -265,23 +313,10 @@ def backward(model: MlpModel, cache: ForwardCache, y_true: np.ndarray) -> list[L
         raise ValueError(
             f"y_true shape {y_true.shape} does not match probs {cache.probs.shape}"
         )
-    grads: list[LayerGrads | None] = [None] * len(model.layers)
-    delta = cache.probs - y_true
-    for i in range(len(model.layers) - 1, -1, -1):
-        # db is delta itself: below, delta is rebound to a new array
-        # before anything is written in place.  The outer product goes
-        # through BLAS, about twice as fast as np.multiply.outer here.  It
-        # gives the same values, except that a -0.0 product comes out as
-        # +0.0, which moves no parameter: sgd_step computes W - t, which is
-        # -0.0 only for W = -0.0 and t = +0.0, and no weight is ever -0.0
-        # (build_model's lo + (hi - lo) * u has lo != 0).
-        grads[i] = LayerGrads(np.dot(delta[:, None], cache.inputs[i][None, :]), delta)
-        if i > 0:
-            delta = model.layers[i].weights.T @ delta
-            if cache.dropout_masks[i - 1] is not None:
-                delta *= cache.dropout_masks[i - 1]
-            delta *= cache.relu_masks[i - 1]
-    return grads  # type: ignore[return-value]
+    _, grads = _new_buffers(model, cache.inputs[0], "train")
+    np.subtract(cache.probs, y_true, out=grads[-1].db)
+    _backward_into([layer.weights.T for layer in model.layers], cache, grads)
+    return grads
 
 
 def sgd_step(model: MlpModel, grads: list[LayerGrads], learning_rate: float) -> None:
@@ -297,10 +332,7 @@ def sgd_step(model: MlpModel, grads: list[LayerGrads], learning_rate: float) -> 
         if g.dW.shape != layer.weights.shape or g.db.shape != layer.bias.shape:
             raise ValueError(f"layer {i}: gradient shape mismatch")
         if not (np.isfinite(g.dW).all() and np.isfinite(g.db).all()):
-            raise NumericError(
-                f"non-finite gradient in layer {i} "
-                f"(|dW|_max={np.max(np.abs(g.dW))}, |db|_max={np.max(np.abs(g.db))})"
-            )
+            raise _gradient_error(i, g)
         g.dW *= learning_rate
         g.db *= learning_rate
         layer.weights -= g.dW
@@ -345,7 +377,7 @@ def train(
     hp: Hyperparams,
 ) -> list[EpochStats]:
     """Run exactly hp.epochs of SGD over (feature, label) pairs, in place,
-    one step per instance.
+    one step per instance; `hp` must equal `model.hyperparams`.
 
     Epoch e visits instances in the order given by a Fisher-Yates shuffle
     seeded with hp.seed + e; dropout draws from SplitMix64 substream 1 of
@@ -354,10 +386,12 @@ def train(
     loss and accuracy measured on the training passes themselves.  The
     feature arrays are used as given, not copied, when they are float64.
 
-    Each step is forward, backward and sgd_step fused over buffers made
-    once per call; it gives their bytes, and raises the NumericError that
-    sgd_step would, layer by layer.
+    Each step runs the kernels of `forward` and `backward` on buffers made
+    once per call, then sgd_step's update: it gives their bytes and raises
+    the NumericError that sgd_step would, layer by layer.
     """
+    if hp != model.hyperparams:
+        raise ValueError(f"hp {hp} differs from the model's hyperparams {model.hyperparams}")
     if not instances:
         raise ValueError("cannot train on an empty instance list")
     feats = [np.asarray(f, dtype=np.float64) for f, _ in instances]
@@ -372,23 +406,19 @@ def train(
             raise ValueError(f"instance {i} label {lab} outside [0, {model.num_classes})")
 
     n = len(instances)
-    layers = model.layers
-    last = len(layers) - 1
-    weights = [layer.weights for layer in layers]
-    biases = [layer.bias for layer in layers]
+    weights = [layer.weights for layer in model.layers]
+    biases = [layer.bias for layer in model.layers]
     weights_t = [w.T for w in weights]
-    # zs[i] holds layer i's pre-activation, then its output; the last one
-    # holds the logits, then the probabilities, then the output delta.
-    zs = [np.empty(layer.out_dim) for layer in layers]
-    relu = [np.empty(layer.out_dim, dtype=bool) for layer in layers[:-1]]
-    deltas = [np.empty(layer.out_dim) for layer in layers[:-1]] + [zs[last]]
-    dws = [np.empty_like(layer.weights) for layer in layers]
-    rate = model.hyperparams.dropout_rate
-    drop = rate > 0.0 and last > 0
+    cache, grads = _new_buffers(model, feats[0], "train")
+    grads[-1].db = cache.probs  # p[label] -= 1 turns the probabilities into the output delta
+    inputs = cache.inputs
+    rate = hp.dropout_rate
+    width = sum(map(len, cache.relu_masks))
+    drop = rate > 0.0 and width > 0
     if drop:
         drop_rng = SplitMix64.for_stream(hp.seed, _DROPOUT_STREAM)
-        bounds = np.cumsum([0] + [layer.out_dim for layer in layers[:-1]]).tolist()
     drawn = _DROPOUT_BLOCK_STEPS  # steps served from the current block of masks
+    mask = None
     lr = hp.learning_rate
     log: list[EpochStats] = []
     # Every non-finite value in the loop ends in a NumericError.
@@ -407,54 +437,27 @@ def train(
             for step, idx in enumerate(order):
                 if drop:
                     if drawn == _DROPOUT_BLOCK_STEPS:
-                        block = drop_rng.floats(_DROPOUT_BLOCK_STEPS * bounds[-1])
-                        masks = ((block >= rate) / (1.0 - rate)).reshape(_DROPOUT_BLOCK_STEPS, -1)
+                        masks = dropout_mask(_DROPOUT_BLOCK_STEPS * width, rate, drop_rng)
+                        masks = masks.reshape(_DROPOUT_BLOCK_STEPS, width)
                         drawn = 0
                     mask = masks[drawn]
                     drawn += 1
                 label = labels[idx]
-                h = feats[idx]
-                for i in range(last):
-                    z = zs[i]
-                    weights[i].dot(h, out=z)
-                    z += biases[i]
-                    np.greater(z, 0.0, out=relu[i])
-                    np.maximum(z, 0.0, out=z)
-                    if drop:
-                        z *= mask[bounds[i] : bounds[i + 1]]
-                    h = z
-                p = zs[last]
-                weights[last].dot(h, out=p)
-                p += biases[last]
-                p -= p.max()
-                np.exp(p, out=p)
-                p /= p.sum()
+                p = _forward_into(weights, biases, feats[idx], cache, mask)
                 loss = -math.log(max(p.item(label), PROB_EPS))
                 if not math.isfinite(loss):
                     raise NumericError(f"non-finite loss at epoch {epoch}, step {step}")
                 total_loss += loss
                 correct += int(p.argmax()) == label
                 p[label] -= 1.0
-                for i in range(last, 0, -1):
-                    d = weights_t[i].dot(deltas[i], out=deltas[i - 1])
-                    if drop:
-                        d *= mask[bounds[i - 1] : bounds[i]]
-                    d *= relu[i - 1]
-                for i in range(last + 1):
-                    d, dw = deltas[i], dws[i]
-                    if i == 0:
-                        x, x_sq = feats[idx], sq0[idx]
-                    else:
-                        x = zs[i - 1]
-                        x_sq = float(x.dot(x))
-                    d[:, None].dot(x[None, :], out=dw)
+                _backward_into(weights_t, cache, grads)
+                for i, g in enumerate(grads):
+                    d, dw, x = g.db, g.dW, inputs[i]
+                    x_sq = sq0[idx] if i == 0 else float(x.dot(x))
                     if not math.isfinite(float(d.dot(d)) * x_sq) and not math.isfinite(
                         float(np.max(np.abs(d))) * float(np.max(np.abs(x), initial=0.0))
                     ):
-                        raise NumericError(
-                            f"non-finite gradient in layer {i} "
-                            f"(|dW|_max={np.max(np.abs(dw))}, |db|_max={np.max(np.abs(d))})"
-                        )
+                        raise _gradient_error(i, g)
                     dw *= lr
                     weights[i] -= dw
                     d *= lr
@@ -532,10 +535,6 @@ def model_from_dict(obj: dict) -> MlpModel:
     try:
         fields = {**obj["hyperparams"]}  # TypeError unless a mapping
         fields.pop("batch_size", None)  # written by versions that had batched training
-        for field in dataclass_fields(Hyperparams):  # each annotated "int" or "float"
-            value = fields.get(field.name, 0)
-            if type(value) is not int and (field.type == "int" or type(value) is not float):
-                raise TypeError(f"hyperparams {field.name} must be {field.type}, got {value!r}")
         hp = Hyperparams(**fields)
         layers = [
             DenseLayer(

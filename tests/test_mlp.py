@@ -159,6 +159,20 @@ def test_three_layer_gradients_match_finite_differences():
     assert max_relative_error(analytic, numeric) < 1e-4
 
 
+@pytest.mark.parametrize("layer_count", [1, 2, 3])
+def test_a_training_step_moves_the_weights_by_the_finite_difference_gradient(layer_count):
+    hp = Hyperparams(embed_dim=3, window=1, layer_count=layer_count, hidden_dim=6, epochs=1,
+                     learning_rate=0.5, seed=11)
+    model = build_model(6, 3, hp)
+    x = np.random.default_rng(layer_count).normal(size=6)
+    numeric = finite_difference_grads(model, x, 1)
+    before = copy.deepcopy(model.layers)
+    train(model, [(x, 1)], hp)
+    stepped = [((b.weights - a.weights) / hp.learning_rate, (b.bias - a.bias) / hp.learning_rate)
+               for b, a in zip(before, model.layers)]
+    assert max_relative_error(stepped, numeric) < 1e-4
+
+
 def test_backward_requires_train_cache():
     model = build_model(2, 2, tiny_hp())
     _, cache = forward(model, np.zeros(2), mode="eval")
@@ -374,6 +388,19 @@ def test_train_rejects_an_overflowing_first_layer_gradient_under_a_finite_loss()
         train(model, [(np.full(2, 1e20), 1)], hp)
 
 
+def test_reference_step_rejects_the_overflowing_first_layer_gradient_as_train_does():
+    # the model and instance of the test above, through forward, backward and sgd_step
+    hp = tiny_hp(embed_dim=1, hidden_dim=3, epochs=1)
+    model = build_model(2, 2, hp)
+    model.layers[0].weights[:] = 1e-20
+    model.layers[1].weights[:] = [[1e290] * 3, [-1e290] * 3]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NumericError, match=r"non-finite gradient in layer 0 \(\|dW\|_max=inf, \|db\|_max=2e\+290\)"
+    ):
+        _, cache = forward(model, np.full(2, 1e20), mode="train")
+        sgd_step(model, backward(model, cache, one_hot(2, 1)), hp.learning_rate)
+
+
 def test_train_takes_a_finite_gradient_whose_sum_overflows():
     # dW = +-5e307 in each of 8 elements: finite, but their sum and x @ x overflow
     hp = tiny_hp(embed_dim=2, layer_count=1, epochs=1, learning_rate=0.5)
@@ -383,6 +410,13 @@ def test_train_takes_a_finite_gradient_whose_sum_overflows():
         train(model, [(np.full(4, 1e308), 0)], hp)
     assert np.array_equal(model.layers[0].weights, [[2.5e307] * 4, [-2.5e307] * 4])
     assert np.array_equal(model.layers[0].bias, [0.25, -0.25])
+
+
+def test_train_rejects_hyperparams_other_than_the_models():
+    # the dropout rate comes from the model, the rest from hp: a mismatch would be half-applied
+    model = build_model(4, 2, tiny_hp())
+    with pytest.raises(ValueError, match="differs from the model's hyperparams"):
+        train(model, separable_instances(dim=4), tiny_hp(dropout_rate=0.5))
 
 
 def test_single_layer_model_is_multinomial_logistic_regression():
@@ -491,6 +525,23 @@ def test_hyperparams_validation(kw):
     base.update(kw)
     with pytest.raises(ValueError):
         Hyperparams(**base)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [dict(epochs=2.0), dict(hidden_dim=True), dict(seed=1.5), dict(window="1"),
+     dict(learning_rate=True), dict(dropout_rate=None), dict(embed_dim=np.int64(2))],
+    ids=["float-epochs", "bool-hidden-dim", "float-seed", "string-window", "bool-learning-rate",
+         "none-dropout-rate", "numpy-int-embed-dim"],
+)
+def test_hyperparams_reject_a_field_of_the_wrong_type(kw):
+    with pytest.raises(TypeError, match=f"hyperparams {next(iter(kw))} must be"):
+        Hyperparams(**{"embed_dim": 2, **kw})
+
+
+def test_hyperparams_float_fields_take_an_int():
+    hp = Hyperparams(embed_dim=2, dropout_rate=0, learning_rate=1)
+    assert (hp.dropout_rate, hp.learning_rate) == (0, 1)
 
 
 def test_input_dim_is_2wd():
