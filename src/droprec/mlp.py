@@ -10,8 +10,10 @@ identical (seed, data, hyperparams) reproduce identical parameters bit for
 bit.
 
 A step's arithmetic is written once, in `_forward_into` and `_backward_into`:
-`train` runs them on buffers made once per call, and the reference
-`forward` and `backward` check their arguments and run them on fresh ones.
+`train` runs them on views of two flat buffers made once per call, a copy of
+the parameters and their gradients, so that a step updates every layer with
+one scale and one subtraction; the reference `forward` and `backward` check
+their arguments and run them on fresh buffers.
 """
 
 from __future__ import annotations
@@ -214,13 +216,23 @@ def dropout_mask(dim: int, rate: float, rng: SplitMix64) -> np.ndarray:
     return survived / (1.0 - rate)
 
 
-def _new_buffers(model: MlpModel, x: np.ndarray, mode: str):
-    """A step's cache (input `x`) and gradients, for the kernels to fill."""
+def _new_cache(model: MlpModel, x: np.ndarray, mode: str) -> ForwardCache:
+    """A step's cache (input `x`), for `_forward_into` to fill."""
     hidden = [layer.out_dim for layer in model.layers[:-1]]
-    cache = ForwardCache([x] + [np.empty(k) for k in hidden], [np.empty(k, bool) for k in hidden],
-                         [None] * len(hidden), np.empty(model.num_classes), mode)
-    return cache, [LayerGrads(np.empty_like(layer.weights), np.empty_like(layer.bias))
-                   for layer in model.layers]
+    return ForwardCache([x] + [np.empty(k) for k in hidden], [np.empty(k, bool) for k in hidden],
+                        [None] * len(hidden), np.empty(model.num_classes), mode)
+
+
+def _flat_views(flat: np.ndarray, layers: list[DenseLayer]):
+    """Views of `flat`, laid out W0, b0, W1, b1, ..., shaped like each
+    layer's weights and bias."""
+    weights, biases, end = [], [], 0
+    for layer in layers:
+        start, end = end, end + layer.weights.size
+        weights.append(flat[start:end].reshape(layer.weights.shape))
+        start, end = end, end + layer.bias.size
+        biases.append(flat[start:end])
+    return weights, biases
 
 
 def _forward_into(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray,
@@ -293,7 +305,7 @@ def forward(
     drop = mode == "train" and rate > 0.0
     if drop and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng")
-    cache, _ = _new_buffers(model, x, mode)
+    cache = _new_cache(model, x, mode)
     mask = dropout_mask(sum(map(len, cache.relu_masks)), rate, rng) if drop else None
     layers = model.layers
     probs = _forward_into([layer.weights for layer in layers], [layer.bias for layer in layers],
@@ -313,7 +325,8 @@ def backward(model: MlpModel, cache: ForwardCache, y_true: np.ndarray) -> list[L
         raise ValueError(
             f"y_true shape {y_true.shape} does not match probs {cache.probs.shape}"
         )
-    _, grads = _new_buffers(model, cache.inputs[0], "train")
+    grads = [LayerGrads(np.empty_like(layer.weights), np.empty_like(layer.bias))
+             for layer in model.layers]
     np.subtract(cache.probs, y_true, out=grads[-1].db)
     _backward_into([layer.weights.T for layer in model.layers], cache, grads)
     return grads
@@ -386,9 +399,15 @@ def train(
     loss and accuracy measured on the training passes themselves.  The
     feature arrays are used as given, not copied, when they are float64.
 
-    Each step runs the kernels of `forward` and `backward` on buffers made
-    once per call, then sgd_step's update: it gives their bytes and raises
-    the NumericError that sgd_step would, layer by layer.
+    Each step runs the kernels of `forward` and `backward` on views of two
+    flat buffers made once per call, laid out W0, b0, W1, b1, ...: a copy of
+    the parameters, and their gradients.  Once every layer's gradient is
+    checked finite, the update is `grads *= lr` and `params -= grads`.  That
+    gives sgd_step's bytes, and a failed check raises the NumericError that
+    sgd_step would, with the layers before the failing one updated.  The
+    copy goes back into each layer's own `weights` and `bias` arrays when
+    `train` returns or raises; a read-only one (scoring makes first-layer
+    weights read-only) is a ValueError before the first step.
     """
     if hp != model.hyperparams:
         raise ValueError(f"hp {hp} differs from the model's hyperparams {model.hyperparams}")
@@ -405,12 +424,24 @@ def train(
         if not 0 <= lab < model.num_classes:
             raise ValueError(f"instance {i} label {lab} outside [0, {model.num_classes})")
 
+    layers = model.layers
+    # Checked up front: the steps run on a copy, so a read-only array would
+    # otherwise fail only at the write-back, after every epoch had run.
+    for i, layer in enumerate(layers):
+        if not (layer.weights.flags.writeable and layer.bias.flags.writeable):
+            raise ValueError(f"layer {i} parameters are read-only")
+
     n = len(instances)
-    weights = [layer.weights for layer in model.layers]
-    biases = [layer.bias for layer in model.layers]
+    # The steps run on a copy of the parameters, in one flat buffer laid out
+    # W0, b0, W1, b1, ... like the gradients' buffer, so an update is one
+    # scale and one subtraction; the copy goes back into the layers' arrays.
+    params = np.concatenate([a.ravel() for layer in layers for a in (layer.weights, layer.bias)])
+    flat_grads = np.empty_like(params)
+    weights, biases = _flat_views(params, layers)
+    grads = [LayerGrads(*g) for g in zip(*_flat_views(flat_grads, layers))]
     weights_t = [w.T for w in weights]
-    cache, grads = _new_buffers(model, feats[0], "train")
-    grads[-1].db = cache.probs  # p[label] -= 1 turns the probabilities into the output delta
+    cache = _new_cache(model, feats[0], "train")
+    cache.probs = grads[-1].db  # p[label] -= 1 turns the probabilities into the output delta
     inputs = cache.inputs
     rate = hp.dropout_rate
     width = sum(map(len, cache.relu_masks))
@@ -421,48 +452,55 @@ def train(
     mask = None
     lr = hp.learning_rate
     log: list[EpochStats] = []
-    # Every non-finite value in the loop ends in a NumericError.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # A layer's dW = outer(d, x) or db = d has a non-finite element
-        # exactly when max|d| * max|x| is not finite, max|x| being 0 for an
-        # empty x: rounding is monotone, NaN and inf propagate through max,
-        # and 0 * inf is NaN.  (d @ d) * (x @ x) is finite only when that
-        # product is, so it is tried first.
-        sq0 = [float(f.dot(f)) for f in feats]
-        for epoch in range(hp.epochs):
-            order = list(range(n))
-            SplitMix64(hp.seed + epoch).shuffle(order)
-            total_loss = 0.0
-            correct = 0
-            for step, idx in enumerate(order):
-                if drop:
-                    if drawn == _DROPOUT_BLOCK_STEPS:
-                        masks = dropout_mask(_DROPOUT_BLOCK_STEPS * width, rate, drop_rng)
-                        masks = masks.reshape(_DROPOUT_BLOCK_STEPS, width)
-                        drawn = 0
-                    mask = masks[drawn]
-                    drawn += 1
-                label = labels[idx]
-                p = _forward_into(weights, biases, feats[idx], cache, mask)
-                loss = -math.log(max(p.item(label), PROB_EPS))
-                if not math.isfinite(loss):
-                    raise NumericError(f"non-finite loss at epoch {epoch}, step {step}")
-                total_loss += loss
-                correct += int(p.argmax()) == label
-                p[label] -= 1.0
-                _backward_into(weights_t, cache, grads)
-                for i, g in enumerate(grads):
-                    d, dw, x = g.db, g.dW, inputs[i]
-                    x_sq = sq0[idx] if i == 0 else float(x.dot(x))
-                    if not math.isfinite(float(d.dot(d)) * x_sq) and not math.isfinite(
-                        float(np.max(np.abs(d))) * float(np.max(np.abs(x), initial=0.0))
-                    ):
-                        raise _gradient_error(i, g)
-                    dw *= lr
-                    weights[i] -= dw
-                    d *= lr
-                    biases[i] -= d
-            log.append(EpochStats(epoch, total_loss / n, correct / n))
+    try:
+        # Every non-finite value in the loop ends in a NumericError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # A layer's dW = outer(d, x) or db = d has a non-finite element
+            # exactly when max|d| * max|x| is not finite, max|x| being 0 for an
+            # empty x: rounding is monotone, NaN and inf propagate through max,
+            # and 0 * inf is NaN.  (d @ d) * (x @ x) is finite only when that
+            # product is, so it is tried first.
+            sq0 = [float(f.dot(f)) for f in feats]
+            for epoch in range(hp.epochs):
+                order = list(range(n))
+                SplitMix64(hp.seed + epoch).shuffle(order)
+                total_loss = 0.0
+                correct = 0
+                for step, idx in enumerate(order):
+                    if drop:
+                        if drawn == _DROPOUT_BLOCK_STEPS:
+                            masks = dropout_mask(_DROPOUT_BLOCK_STEPS * width, rate, drop_rng)
+                            masks = masks.reshape(_DROPOUT_BLOCK_STEPS, width)
+                            drawn = 0
+                        mask = masks[drawn]
+                        drawn += 1
+                    label = labels[idx]
+                    p = _forward_into(weights, biases, feats[idx], cache, mask)
+                    loss = -math.log(max(p.item(label), PROB_EPS))
+                    if not math.isfinite(loss):
+                        raise NumericError(f"non-finite loss at epoch {epoch}, step {step}")
+                    total_loss += loss
+                    correct += int(p.argmax()) == label
+                    p[label] -= 1.0
+                    _backward_into(weights_t, cache, grads)
+                    for i, g in enumerate(grads):
+                        d, x = g.db, inputs[i]
+                        x_sq = sq0[idx] if i == 0 else float(x.dot(x))
+                        if not math.isfinite(float(d.dot(d)) * x_sq) and not math.isfinite(
+                            float(np.max(np.abs(d))) * float(np.max(np.abs(x), initial=0.0))
+                        ):
+                            # as in sgd_step, the layers before i are updated
+                            k = sum(w.size + b.size for w, b in zip(weights[:i], biases[:i]))
+                            flat_grads[:k] *= lr
+                            params[:k] -= flat_grads[:k]
+                            raise _gradient_error(i, g)
+                    flat_grads *= lr
+                    params -= flat_grads
+                log.append(EpochStats(epoch, total_loss / n, correct / n))
+    finally:
+        for layer, w, b in zip(layers, weights, biases):
+            layer.weights[...] = w
+            layer.bias[...] = b
     return log
 
 

@@ -345,16 +345,34 @@ def hand_written_sgd(hp, data, num_classes):
     return model
 
 
+def layer_arrays(model):
+    return [(layer.weights, layer.bias) for layer in model.layers]
+
+
+def assert_updated_in_place(model, arrays):
+    # context_projection keys its cache by id(weights), so train must write
+    # into each layer's own arrays, not swap in new ones
+    for layer, (weights, bias) in zip(model.layers, arrays, strict=True):
+        assert layer.weights is weights and layer.bias is bias
+        for a in (weights, bias):
+            assert a.flags.c_contiguous and a.flags.writeable
+
+
+def assert_same_parameters(a, b):
+    for x, y in zip(a.layers, b.layers, strict=True):
+        assert np.array_equal(x.weights, y.weights)
+        assert np.array_equal(x.bias, y.bias)
+
+
 def assert_trains_like_the_hand_written_loop(hp, n, num_classes):
     rng = SplitMix64(2024)
     feats = rng.uniform_array(n * hp.input_dim, -1.0, 1.0).reshape(n, hp.input_dim)
     data = [(feats[i], int(rng.randbelow(num_classes))) for i in range(n)]
     got = build_model(hp.input_dim, num_classes, hp)
+    arrays = layer_arrays(got)
     train(got, data, hp)
-    want = hand_written_sgd(hp, data, num_classes)
-    for a, b in zip(got.layers, want.layers, strict=True):
-        assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(a.bias, b.bias)
+    assert_updated_in_place(got, arrays)
+    assert_same_parameters(got, hand_written_sgd(hp, data, num_classes))
 
 
 @pytest.mark.parametrize("dropout_rate", [0.0, 0.3], ids=lambda r: f"dropout{r}")
@@ -399,6 +417,39 @@ def test_reference_step_rejects_the_overflowing_first_layer_gradient_as_train_do
     ):
         _, cache = forward(model, np.full(2, 1e20), mode="train")
         sgd_step(model, backward(model, cache, one_hot(2, 1)), hp.learning_rate)
+
+
+def overflowing_second_layer_model():
+    # layer 0 puts out 1e200 per unit and W1 = 1e-200 maps that to ~3; the
+    # logits +-9e200 give p = [1, 0].  With label 1, layer 1's delta is 2e200,
+    # so its dW = 2e200 * 1e200 overflows while layer 0's delta W1.T @ d is ~6.
+    hp = tiny_hp(embed_dim=1, layer_count=3, hidden_dim=3, epochs=1)
+    model = build_model(2, 2, hp)
+    model.layers[0].bias[:] = 1e200
+    model.layers[1].weights[:] = 1e-200
+    model.layers[2].weights[:] = [[1e200] * 3, [-1e200] * 3]
+    return hp, model
+
+
+def test_train_rejects_a_second_layer_gradient_as_sgd_step_does():
+    hp, got = overflowing_second_layer_model()
+    _, want = overflowing_second_layer_model()
+    before = copy.deepcopy(got)
+    arrays = layer_arrays(got)
+    x = np.ones(2)
+    message = r"non-finite gradient in layer 1 \(\|dW\|_max=inf, \|db\|_max=2e\+200\)"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=message):
+            train(got, [(x, 1)], hp)
+        with pytest.raises(NumericError, match=message):
+            _, cache = forward(want, x, mode="train")
+            sgd_step(want, backward(want, cache, one_hot(2, 1)), hp.learning_rate)
+    assert_updated_in_place(got, arrays)
+    assert_same_parameters(got, want)
+    # layer 0 took its update (its bias 1e200 absorbs one); layers 1 and 2 did not
+    assert not np.array_equal(got.layers[0].weights, before.layers[0].weights)
+    for layer, old in zip(got.layers[1:], before.layers[1:], strict=True):
+        assert np.array_equal(layer.weights, old.weights) and np.array_equal(layer.bias, old.bias)
 
 
 def test_train_takes_a_finite_gradient_whose_sum_overflows():

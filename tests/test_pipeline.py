@@ -256,6 +256,23 @@ def test_first_layer_weights_are_read_only_after_scoring():
             net.layers[0].weights += 1.0
 
 
+def test_training_a_scored_network_fails_before_its_first_step(monkeypatch):
+    table = deterministic_fallback_table(["a", "b"], 4, seed=1)
+    model = stub_recovery_model(table, threshold=0.0)
+    recover(model, AnnotatedSentence(("a", "b")))
+    net = model.dpi
+    before = [(layer.weights.copy(), layer.bias.copy()) for layer in net.layers]
+    steps = []
+    forward_into = mlp._forward_into
+    monkeypatch.setattr(mlp, "_forward_into", lambda *a: steps.append(a) or forward_into(*a))
+    instances = [(np.ones(net.input_dim), 1), (np.zeros(net.input_dim), 0)]
+    with pytest.raises(ValueError, match="read-only"):
+        mlp.train(net, instances, net.hyperparams)
+    assert steps == []
+    for layer, (weights, bias) in zip(net.layers, before, strict=True):
+        assert np.array_equal(layer.weights, weights) and np.array_equal(layer.bias, bias)
+
+
 def test_tune_threshold_caches_only_the_rows_of_the_dev_words(tmp_path):
     # A fully checked table of 600 words; dev uses a few of them.
     train, dev, _, _ = small_separable_setup(n=60)

@@ -18,10 +18,10 @@ N_INSTANCES = 23
 NUM_CLASSES = 3
 
 
-def _instances(dim):
+def _instances(dim, n=N_INSTANCES, num_classes=NUM_CLASSES):
     rng = SplitMix64(2024)
-    feats = rng.uniform_array(N_INSTANCES * dim, -1.0, 1.0).reshape(N_INSTANCES, dim)
-    return [(feats[i], int(rng.randbelow(NUM_CLASSES))) for i in range(N_INSTANCES)]
+    feats = rng.uniform_array(n * dim, -1.0, 1.0).reshape(n, dim)
+    return [(feats[i], int(rng.randbelow(num_classes))) for i in range(n)]
 
 
 def _param_sha256(model) -> str:
@@ -58,6 +58,24 @@ def _trained(hp):
 )
 def test_trained_parameter_bytes_are_pinned(kw, digest):
     assert _param_sha256(_trained(_hp(**kw))) == digest
+
+
+@pytest.mark.parametrize(
+    "num_classes, digest",
+    [
+        (2, "ff1a787d7c436e4b16960133ade95e10e949fe5b49d3a08f6915c408c6784a22"),
+        (14, "9ac0587a35a8b1b3ca1b8ec6ef0db18d550cbaa10aec568d6d1beb537096160a"),
+    ],
+)
+def test_trained_parameter_bytes_at_the_benchmark_shape_are_pinned(num_classes, digest):
+    # perfbench's train workload: 32 -> 200 -> 2 or 14, dropout 0.2, lr 0.1;
+    # 150 steps cross two dropout blocks.  The hand-written-loop test at this
+    # shape runs train's own kernels, so only a pin sees a change that moves both.
+    hp = Hyperparams(embed_dim=16, window=1, layer_count=2, hidden_dim=200, dropout_rate=0.2,
+                     epochs=1, learning_rate=0.1, seed=5)
+    model = build_model(hp.input_dim, num_classes, hp)
+    train(model, _instances(hp.input_dim, 150, num_classes), hp)
+    assert _param_sha256(model) == digest
 
 
 def test_training_matches_a_hand_written_sgd_loop():
