@@ -26,9 +26,9 @@ from .corpus import (
     split_corpus,
     write_records,
 )
-from .embeddings import EmbeddingError, deterministic_fallback_table, load_embeddings
+from .embeddings import deterministic_fallback_table, load_embeddings
 from .hypotheses import build_dpg_instances
-from .mlp import Hyperparams, ModelFormatError, NumericError
+from .mlp import Hyperparams, NumericError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -262,7 +262,7 @@ def cmd_compare(args) -> int:
     for name, layers in (("linear", 1), ("mlp", args.layers)):
         hp = _hyperparams(args, table.dim, layer_count=layers)
         model = mlp.build_model(hp.input_dim, len(train.label_set), hp)
-        mlp.train(model, train_inst, hp)
+        mlp.train(model, train_inst)
         scores = (mlp.predict(model, dev_features)[0] == dev_labels).astype(float).tolist()
         results[name] = scores
         print(f"{name} (layers={layers}): dev generation acc "
@@ -289,9 +289,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"droprec: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CorpusError, EmbeddingError, ModelFormatError, synth.GrammarError) as exc:
-        print(f"droprec: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except FileNotFoundError as exc:
         print(f"droprec: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_DATA

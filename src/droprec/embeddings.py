@@ -369,9 +369,12 @@ def fallback_vector(word: str, dim: int, seed: int) -> np.ndarray:
 
     The word's UTF-8 bytes are hashed with FNV-1a 64 and XORed with the
     seed to key a SplitMix64 stream; components are uniform in
-    [-0.5/dim, 0.5/dim].
+    [-0.5/dim, 0.5/dim].  A word with no UTF-8 form is an EmbeddingError.
     """
-    stream = SplitMix64(fnv1a64(word.encode("utf-8")) ^ (seed & ((1 << 64) - 1)))
+    try:
+        stream = SplitMix64(fnv1a64(word.encode("utf-8")) ^ (seed & ((1 << 64) - 1)))
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        raise EmbeddingError(f"word {word!r} has no UTF-8 form: {exc.reason}") from None
     return (stream.floats(dim) - 0.5) / dim
 
 

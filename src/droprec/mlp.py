@@ -6,8 +6,8 @@ scaled by 1/(1-rate) so eval-time forward needs no rescaling).  The final
 layer applies an affine map and a max-subtracted softmax.  Training is
 plain stochastic gradient descent on cross-entropy loss; all arithmetic is
 float64 and every random choice draws from seeded SplitMix64 streams, so
-identical (seed, data, hyperparams) reproduce identical parameters bit for
-bit.
+identical (data, hyperparams) reproduce identical parameters bit for bit.
+A network trains from the hyperparams that `build_model` records in it.
 
 A step's arithmetic is written once, in `_forward_into` and `_backward_into`:
 `train` runs them on views of two flat buffers made once per call, a copy of
@@ -384,17 +384,13 @@ def predict_from_first_layer(model: MlpModel, z: np.ndarray) -> tuple[np.ndarray
     return np.argmax(probs, axis=1), probs
 
 
-def train(
-    model: MlpModel,
-    instances: list[tuple[np.ndarray, int]],
-    hp: Hyperparams,
-) -> list[EpochStats]:
-    """Run exactly hp.epochs of SGD over (feature, label) pairs, in place,
-    one step per instance; `hp` must equal `model.hyperparams`.
+def train(model: MlpModel, instances: list[tuple[np.ndarray, int]]) -> list[EpochStats]:
+    """Run SGD over (feature, label) pairs, in place, one step per instance,
+    with the epochs, seed, dropout rate and learning rate of `model.hyperparams`.
 
     Epoch e visits instances in the order given by a Fisher-Yates shuffle
-    seeded with hp.seed + e; dropout draws from SplitMix64 substream 1 of
-    hp.seed, step after step and hidden layer after hidden layer, taken
+    seeded with seed + e; dropout draws from SplitMix64 substream 1 of
+    seed, step after step and hidden layer after hidden layer, taken
     from the stream a block of steps at a time.  Returns per-epoch mean
     loss and accuracy measured on the training passes themselves.  The
     feature arrays are used as given, not copied, when they are float64.
@@ -409,8 +405,6 @@ def train(
     `train` returns or raises; a read-only one (scoring makes first-layer
     weights read-only) is a ValueError before the first step.
     """
-    if hp != model.hyperparams:
-        raise ValueError(f"hp {hp} differs from the model's hyperparams {model.hyperparams}")
     if not instances:
         raise ValueError("cannot train on an empty instance list")
     feats = [np.asarray(f, dtype=np.float64) for f, _ in instances]
@@ -432,9 +426,6 @@ def train(
             raise ValueError(f"layer {i} parameters are read-only")
 
     n = len(instances)
-    # The steps run on a copy of the parameters, in one flat buffer laid out
-    # W0, b0, W1, b1, ... like the gradients' buffer, so an update is one
-    # scale and one subtraction; the copy goes back into the layers' arrays.
     params = np.concatenate([a.ravel() for layer in layers for a in (layer.weights, layer.bias)])
     flat_grads = np.empty_like(params)
     weights, biases = _flat_views(params, layers)
@@ -443,6 +434,7 @@ def train(
     cache = _new_cache(model, feats[0], "train")
     cache.probs = grads[-1].db  # p[label] -= 1 turns the probabilities into the output delta
     inputs = cache.inputs
+    hp = model.hyperparams
     rate = hp.dropout_rate
     width = sum(map(len, cache.relu_masks))
     drop = rate > 0.0 and width > 0

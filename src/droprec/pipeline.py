@@ -68,13 +68,13 @@ def dpi_gap_probability(dpi: MlpModel, table: EmbeddingTable, rows: np.ndarray) 
     return mlp.predict_from_first_layer(dpi, z)[1][:, DROPPED]
 
 
-def tune_threshold(
-    dpi_model: MlpModel, dev: Corpus, table: EmbeddingTable, window: int
-) -> tuple[float, float]:
+def tune_threshold(dpi_model: MlpModel, dev: Corpus, table: EmbeddingTable) -> tuple[float, float]:
     """Grid-search the detection threshold maximizing dev gap accuracy.
 
     Returns (threshold, accuracy).  Ties prefer the threshold nearest 0.5.
+    Gaps are read in the window of `dpi_model.hyperparams`.
     """
+    window = dpi_model.hyperparams.window
     probs = dpi_gap_probability(dpi_model, table, context_rows(dev.sentences, window, table))
     gold = gap_labels(dev) >= 0
     correct = {t: int(np.count_nonzero((probs >= t) == gold)) for t in THRESHOLD_GRID}
@@ -121,19 +121,19 @@ def train_recovery(
 
     dpi_model = mlp.build_model(hp_dpi.input_dim, 2, hp_dpi)
     dpi_model.label_set_name = train.label_set.name
-    dpi_log = mlp.train(dpi_model, build_dpi_instances(train, table, window), hp_dpi)
+    dpi_log = mlp.train(dpi_model, build_dpi_instances(train, table, window))
     if progress:
         for stats in dpi_log:
             progress("dpi", stats)
 
     dpg_model = mlp.build_model(hp_dpg.input_dim, len(train.label_set), hp_dpg)
     dpg_model.label_set_name = train.label_set.name
-    dpg_log = mlp.train(dpg_model, build_dpg_instances(train, table, window), hp_dpg)
+    dpg_log = mlp.train(dpg_model, build_dpg_instances(train, table, window))
     if progress:
         for stats in dpg_log:
             progress("dpg", stats)
 
-    threshold, dev_dpi_acc = tune_threshold(dpi_model, dev, table, window)
+    threshold, dev_dpi_acc = tune_threshold(dpi_model, dev, table)
     model = RecoveryModel(dpi_model, dpg_model, train.label_set, window, threshold, table)
     gold = gap_labels(dev)
     annotated = gold >= 0

@@ -18,6 +18,7 @@ deterministic and parallelizable per sentence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .corpus import (
@@ -28,6 +29,7 @@ from .corpus import (
     Corpus,
     CorpusError,
     LabelSet,
+    label_set_by_name,
 )
 from .rng import SplitMix64
 
@@ -70,10 +72,11 @@ class TemplateGrammar:
             raise GrammarError("grammar has no templates")
         if not 0.0 <= self.drop_rate <= 1.0:
             raise GrammarError(f"drop_rate must be in [0, 1], got {self.drop_rate}")
+        weights = [tmpl.weight for tmpl in self.templates]
+        if not (all(w > 0 for w in weights) and math.isfinite(sum(weights))):  # NaN > 0 is False
+            raise GrammarError(f"template weights {weights} must be positive with a finite sum")
         uses_free_slot = False
         for tmpl in self.templates:
-            if tmpl.weight <= 0:
-                raise GrammarError(f"template weight must be positive, got {tmpl.weight}")
             if not any(not _is_slot(a) for a in tmpl.pattern):
                 raise GrammarError(
                     f"template {tmpl.pattern!r} must contain at least one non-slot atom"
@@ -89,18 +92,22 @@ class TemplateGrammar:
         for tag, prob in self.slot_label_dist.items():
             if tag not in LABEL_BY_TAG:
                 raise GrammarError(f"distribution names unknown tag {tag!r}")
-            if prob <= 0:
-                raise GrammarError(f"distribution weight for {tag!r} must be positive")
+            if not 0 < prob < math.inf:
+                raise GrammarError(f"distribution weight for {tag!r} must be in (0, inf), got {prob}")
         if self.slot_label_dist:
             total = sum(self.slot_label_dist.values())
             if abs(total - 1.0) > 1e-9:
                 raise GrammarError(f"slot label distribution sums to {total}, expected 1")
         elif uses_free_slot:
             raise GrammarError("grammar uses {slot} but has no label distribution")
+        try:
+            self.label_set()
+        except CorpusError as exc:  # an unknown label_set_name
+            raise GrammarError(str(exc)) from None
 
     def label_set(self) -> LabelSet:
         if self.label_set_name is not None:
-            return FULL14 if self.label_set_name == "full14" else ACTUAL10
+            return label_set_by_name(self.label_set_name)
         tags = set(self.slot_label_dist)
         for tmpl in self.templates:
             for atom in tmpl.pattern:

@@ -120,7 +120,7 @@ def test_criterion_6_baseline_ordering_and_significance():
         hp = Hyperparams(embed_dim=16, window=1, layer_count=layers, epochs=30,
                          learning_rate=0.01, seed=104)
         model = build_model(hp.input_dim, 14, hp)
-        mlp.train(model, tr, hp)
+        mlp.train(model, tr)
         acc[layers] = np.count_nonzero(mlp.predict(model, te_features)[0] == te_labels) / len(te)
     assert acc[2] >= acc[1], f"MLP {acc[2]} vs linear baseline {acc[1]}"
 

@@ -434,6 +434,11 @@ def test_fallback_different_seeds_differ():
     assert not np.array_equal(a, b)
 
 
+def test_fallback_rejects_a_word_with_no_utf8_form():
+    with pytest.raises(EmbeddingError, match=r"'a\\ud800'"):
+        deterministic_fallback_table(["ok", "a\ud800"], 2, 0)
+
+
 def test_fallback_components_in_range():
     for word in ("x", "yy", "zzz"):
         vec = fallback_vector(word, 10, seed=7)

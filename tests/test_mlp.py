@@ -167,7 +167,7 @@ def test_a_training_step_moves_the_weights_by_the_finite_difference_gradient(lay
     x = np.random.default_rng(layer_count).normal(size=6)
     numeric = finite_difference_grads(model, x, 1)
     before = copy.deepcopy(model.layers)
-    train(model, [(x, 1)], hp)
+    train(model, [(x, 1)])
     stepped = [((b.weights - a.weights) / hp.learning_rate, (b.bias - a.bias) / hp.learning_rate)
                for b, a in zip(before, model.layers)]
     assert max_relative_error(stepped, numeric) < 1e-4
@@ -283,7 +283,7 @@ def separable_instances(n=50, dim=4, seed=0):
 def test_train_log_has_one_entry_per_epoch():
     hp = tiny_hp(embed_dim=2, epochs=7)
     model = build_model(hp.input_dim, 2, hp)
-    log = train(model, separable_instances(dim=hp.input_dim), hp)
+    log = train(model, separable_instances(dim=hp.input_dim))
     assert [s.epoch for s in log] == list(range(7))
 
 
@@ -291,7 +291,7 @@ def test_train_overfits_separable_data():
     hp = Hyperparams(embed_dim=2, window=1, layer_count=2, hidden_dim=8,
                      epochs=40, learning_rate=0.05, seed=2)
     model = build_model(hp.input_dim, 2, hp)
-    log = train(model, separable_instances(dim=hp.input_dim), hp)
+    log = train(model, separable_instances(dim=hp.input_dim))
     assert log[-1].accuracy == 1.0
     assert log[-1].mean_loss < 0.1
 
@@ -303,7 +303,7 @@ def test_train_bitwise_deterministic():
         hp = Hyperparams(embed_dim=2, window=1, layer_count=2, hidden_dim=6,
                          dropout_rate=0.3, epochs=5, seed=9)
         model = build_model(4, 2, hp)
-        train(model, insts, hp)
+        train(model, insts)
         params.append([(l.weights.copy(), l.bias.copy()) for l in model.layers])
     for (w1, b1), (w2, b2) in zip(*params):
         assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
@@ -313,11 +313,11 @@ def test_train_rejects_empty_and_bad_dims():
     hp = tiny_hp()
     model = build_model(4, 2, hp)
     with pytest.raises(ValueError, match="empty"):
-        train(model, [], hp)
+        train(model, [])
     with pytest.raises(ValueError, match="dim"):
-        train(model, [(np.zeros(3), 0)], hp)
+        train(model, [(np.zeros(3), 0)])
     with pytest.raises(ValueError, match="label"):
-        train(model, [(np.zeros(4), 5)], hp)
+        train(model, [(np.zeros(4), 5)])
 
 
 def test_train_aborts_on_non_finite_loss():
@@ -325,7 +325,7 @@ def test_train_aborts_on_non_finite_loss():
     model = build_model(4, 2, hp)
     bad = [(np.array([np.inf, 0.0, 0.0, 0.0]), 0)]
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="epoch 0"):
-        train(model, bad, hp)
+        train(model, bad)
 
 
 def hand_written_sgd(hp, data, num_classes):
@@ -370,7 +370,7 @@ def assert_trains_like_the_hand_written_loop(hp, n, num_classes):
     data = [(feats[i], int(rng.randbelow(num_classes))) for i in range(n)]
     got = build_model(hp.input_dim, num_classes, hp)
     arrays = layer_arrays(got)
-    train(got, data, hp)
+    train(got, data)
     assert_updated_in_place(got, arrays)
     assert_same_parameters(got, hand_written_sgd(hp, data, num_classes))
 
@@ -403,7 +403,7 @@ def test_train_rejects_an_overflowing_first_layer_gradient_under_a_finite_loss()
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         NumericError, match=r"non-finite gradient in layer 0 \(\|dW\|_max=inf, \|db\|_max=2e\+290\)"
     ):
-        train(model, [(np.full(2, 1e20), 1)], hp)
+        train(model, [(np.full(2, 1e20), 1)])
 
 
 def test_reference_step_rejects_the_overflowing_first_layer_gradient_as_train_does():
@@ -440,7 +440,7 @@ def test_train_rejects_a_second_layer_gradient_as_sgd_step_does():
     message = r"non-finite gradient in layer 1 \(\|dW\|_max=inf, \|db\|_max=2e\+200\)"
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match=message):
-            train(got, [(x, 1)], hp)
+            train(got, [(x, 1)])
         with pytest.raises(NumericError, match=message):
             _, cache = forward(want, x, mode="train")
             sgd_step(want, backward(want, cache, one_hot(2, 1)), hp.learning_rate)
@@ -458,16 +458,9 @@ def test_train_takes_a_finite_gradient_whose_sum_overflows():
     model = build_model(4, 2, hp)
     model.layers[0].weights[:] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        train(model, [(np.full(4, 1e308), 0)], hp)
+        train(model, [(np.full(4, 1e308), 0)])
     assert np.array_equal(model.layers[0].weights, [[2.5e307] * 4, [-2.5e307] * 4])
     assert np.array_equal(model.layers[0].bias, [0.25, -0.25])
-
-
-def test_train_rejects_hyperparams_other_than_the_models():
-    # the dropout rate comes from the model, the rest from hp: a mismatch would be half-applied
-    model = build_model(4, 2, tiny_hp())
-    with pytest.raises(ValueError, match="differs from the model's hyperparams"):
-        train(model, separable_instances(dim=4), tiny_hp(dropout_rate=0.5))
 
 
 def test_single_layer_model_is_multinomial_logistic_regression():
@@ -487,7 +480,7 @@ def test_save_load_round_trip_bit_exact():
                      dropout_rate=0.25, epochs=2, learning_rate=0.015, seed=13)
     model = build_model(hp.input_dim, 5, hp)
     model.label_set_name = "full14"
-    train(model, [(np.random.default_rng(1).normal(size=hp.input_dim), i % 5) for i in range(20)], hp)
+    train(model, [(np.random.default_rng(1).normal(size=hp.input_dim), i % 5) for i in range(20)])
     # the trip through JSON text that each network makes inside a recovery model file
     again = mlp.model_from_dict(json.loads(json.dumps(mlp.model_to_dict(model))))
     assert again.label_set_name == "full14"

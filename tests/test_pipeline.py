@@ -267,7 +267,7 @@ def test_training_a_scored_network_fails_before_its_first_step(monkeypatch):
     monkeypatch.setattr(mlp, "_forward_into", lambda *a: steps.append(a) or forward_into(*a))
     instances = [(np.ones(net.input_dim), 1), (np.zeros(net.input_dim), 0)]
     with pytest.raises(ValueError, match="read-only"):
-        mlp.train(net, instances, net.hyperparams)
+        mlp.train(net, instances)
     assert steps == []
     for layer, (weights, bias) in zip(net.layers, before, strict=True):
         assert np.array_equal(layer.weights, weights) and np.array_equal(layer.bias, bias)
@@ -287,7 +287,7 @@ def test_tune_threshold_caches_only_the_rows_of_the_dev_words(tmp_path):
     assert len(table) == table.unread == len(words)
     hp = Hyperparams(embed_dim=4, window=2, hidden_dim=8, seed=1)
     dpi = mlp.build_model(hp.input_dim, 2, hp)
-    tune_threshold(dpi, dev, table, window=2)
+    tune_threshold(dpi, dev, table)
     (cache,) = table._projections.values()
     assert set(table.rows) == dev_words and cache.count <= len(dev_words) + 1
 
@@ -453,7 +453,7 @@ def test_tune_threshold_prefers_half_on_ties():
     table = deterministic_fallback_table(["a"], 2, seed=0)
     model = stub_recovery_model(table, dpi_bias=(50.0, -50.0))
     dev = Corpus(FULL14, (AnnotatedSentence(("a", "a")),))
-    threshold, acc = tune_threshold(model.dpi, dev, table, window=1)
+    threshold, acc = tune_threshold(model.dpi, dev, table)
     assert threshold == 0.5
     assert acc == 1.0
 

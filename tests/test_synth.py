@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import pytest
@@ -114,6 +115,26 @@ def test_empty_grammar_rejected():
 def test_distribution_must_sum_to_one():
     with pytest.raises(GrammarError, match="sums to"):
         simple_grammar(0.5, {"wo": 0.5, "ni": 0.2})
+
+
+@pytest.mark.parametrize("prob", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_distribution_weights_must_be_positive_and_finite(prob):
+    # NaN compares false, with 0 and in the sum-to-one check alike
+    with pytest.raises(GrammarError, match=r"must be in \(0, inf\)"):
+        simple_grammar(0.5, {"wo": prob, "ni": 1.0})
+
+
+@pytest.mark.parametrize("weights", [(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                                     (1e308, 1e308)])  # the last pair sums to inf
+def test_template_weights_must_be_positive_with_a_finite_sum(weights):
+    with pytest.raises(GrammarError, match="finite sum"):
+        TemplateGrammar(tuple(Template(("a",), w) for w in weights), {}, 0.5, ("a",))
+
+
+@pytest.mark.parametrize("name", ["full_14", "FULL14", "", 14])
+def test_unknown_label_set_name_rejected(name):
+    with pytest.raises(GrammarError, match="unknown label set"):
+        TemplateGrammar((Template(("a",)),), {}, 0.5, ("a",), label_set_name=name)
 
 
 def test_unknown_tags_rejected():

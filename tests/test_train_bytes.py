@@ -41,7 +41,7 @@ def _hp(**kw):
 
 def _trained(hp):
     model = build_model(hp.input_dim, NUM_CLASSES, hp)
-    train(model, _instances(hp.input_dim), hp)
+    train(model, _instances(hp.input_dim))
     return model
 
 
@@ -74,7 +74,7 @@ def test_trained_parameter_bytes_at_the_benchmark_shape_are_pinned(num_classes, 
     hp = Hyperparams(embed_dim=16, window=1, layer_count=2, hidden_dim=200, dropout_rate=0.2,
                      epochs=1, learning_rate=0.1, seed=5)
     model = build_model(hp.input_dim, num_classes, hp)
-    train(model, _instances(hp.input_dim, 150, num_classes), hp)
+    train(model, _instances(hp.input_dim, 150, num_classes))
     assert _param_sha256(model) == digest
 
 
