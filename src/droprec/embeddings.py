@@ -13,8 +13,11 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import queue
 import re
+import threading
 import weakref
+from contextlib import contextmanager
 from itertools import compress
 from pathlib import Path
 from typing import Sequence
@@ -219,9 +222,10 @@ def _is_blank(line: bytes) -> bool:
     return not (_word(line).decode("utf-8").strip() or line.decode("utf-8").strip())
 
 
-def _blocks(fh, sha):
+def _blocks(fh, update):
     """The lines of a binary file, a block of whole lines at a time, read
-    _BLOCK bytes at a time; every byte read updates `sha`.
+    _BLOCK bytes at a time; `update(chunk)` gets every chunk read, in file
+    order, before its lines are yielded.
 
     Yields (data, offset, lines): `lines` split the start of `data`, which
     starts at byte `offset` of the file, each with its line end.  Lines
@@ -232,7 +236,7 @@ def _blocks(fh, sha):
     data, offset = b"", 0
     while True:
         chunk = fh.read(max(_BLOCK, len(data)))  # a long line at least doubles the read
-        sha.update(chunk)
+        update(chunk)
         data += chunk
         lines = data.splitlines(keepends=True)  # for bytes: at "\n", "\r\n" and "\r" only
         rest = lines.pop() if chunk and lines and not lines[-1].endswith(b"\n") else b""
@@ -244,6 +248,38 @@ def _blocks(fh, sha):
         data = rest
 
 
+@contextmanager
+def _hashing(sha):
+    """Context whose value is an `update(chunk)` that queues each chunk
+    for `sha.update` on a second thread, in the order given.
+
+    The thread is joined on leaving, whether or not the body raised.  The
+    first exception of `sha.update` is raised on leaving a body that did
+    not raise.  hashlib releases the GIL while it hashes a chunk of 2 KiB
+    or more, so the calling thread goes on meanwhile.
+    """
+    chunks: queue.SimpleQueue = queue.SimpleQueue()
+    failed: list[BaseException] = []
+
+    def hash_chunks():
+        for chunk in iter(chunks.get, None):
+            try:
+                sha.update(chunk)
+            except BaseException as exc:  # raised again by the calling thread
+                failed.append(exc)
+            del chunk  # hashed: the scan frees it when it reads the next, as unthreaded
+
+    hasher = threading.Thread(target=hash_chunks)
+    hasher.start()
+    try:
+        yield chunks.put
+    finally:
+        chunks.put(None)
+        hasher.join()
+    if failed:
+        raise failed[0]
+
+
 def load_embeddings(
     path: str | Path, expected_dim: int | None = None, sha256: str | None = None
 ) -> EmbeddingTable:
@@ -252,7 +288,10 @@ def load_embeddings(
 
     One scan hashes the file and indexes each word's line; the table's
     source records the hash, and a word's line is parsed into a row the
-    first time the word is looked up.  Without `sha256`, the scan also
+    first time the word is looked up.  The SHA-256 runs on a second
+    thread over the bytes this one reads, unchanged and in file order,
+    while this one splits and indexes them; no thread is left running
+    when the load returns or raises.  Without `sha256`, the scan also
     parses and checks every word line, duplicates included, and keeps no
     vector.  With it, the file must have that hash, or ModelFormatError is
     raised, and a line is checked only when it is read: a file with the
@@ -264,8 +303,8 @@ def load_embeddings(
     sha = hashlib.sha256()
     dim = None
     index: list[tuple[np.ndarray, ...]] = []  # per block: word keys, line starts, lengths, hash()es
-    with path.open("rb") as fh:
-        for data, offset, lines in _blocks(fh, sha):
+    with path.open("rb") as fh, _hashing(sha) as update:
+        for data, offset, lines in _blocks(fh, update):
             sizes = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
             ends = np.cumsum(sizes)
             starts = ends - sizes

@@ -101,20 +101,27 @@ class TemplateGrammar:
         elif uses_free_slot:
             raise GrammarError("grammar uses {slot} but has no label distribution")
         try:
-            self.label_set()
+            label_set = self.label_set()
         except CorpusError as exc:  # an unknown label_set_name
             raise GrammarError(str(exc)) from None
+        for tag in self._tags():
+            if tag not in label_set:
+                raise GrammarError(f"tag {tag!r} not allowed by label set {label_set.name!r}")
 
-    def label_set(self) -> LabelSet:
-        if self.label_set_name is not None:
-            return label_set_by_name(self.label_set_name)
-        tags = set(self.slot_label_dist)
+    def _tags(self) -> dict[str, None]:
+        """Every tag a slot can take: the distribution's, then the pinned ones."""
+        tags = dict.fromkeys(self.slot_label_dist)
         for tmpl in self.templates:
             for atom in tmpl.pattern:
                 pinned = _pinned_tag(atom)
                 if pinned is not None:
-                    tags.add(pinned)
-        if any(LABEL_BY_TAG[t].is_abstract for t in tags):
+                    tags[pinned] = None
+        return tags
+
+    def label_set(self) -> LabelSet:
+        if self.label_set_name is not None:
+            return label_set_by_name(self.label_set_name)
+        if any(LABEL_BY_TAG[t].is_abstract for t in self._tags()):
             return FULL14
         return ACTUAL10
 

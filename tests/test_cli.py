@@ -2,11 +2,14 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import droprec
 from droprec.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from droprec.corpus import FULL14, AnnotatedSentence, Corpus, load_corpus, save_corpus
 from droprec.embeddings import EmbeddingError, context_rows
@@ -194,6 +197,24 @@ def test_edited_word2vec_file_is_data_error(workspace, w2v_model, tmp_path, caps
     err = capsys.readouterr().err
     assert err.count("SHA-256") == 2 and "Traceback" not in err
     assert not (tmp_path / "recovered.jsonl").exists() and not (tmp_path / "report.json").exists()
+
+
+def test_train_on_a_word2vec_file_bad_mid_scan_exits_with_no_thread_left(workspace, tmp_path):
+    # Over 1 MB, so the scan stops with chunks of the file still to hash;
+    # a hashing thread left running would keep the interpreter from exiting.
+    rows = [f"w{i} " + " ".join(["0.125"] * 8) for i in range(40000)]
+    rows[20000] = "w20000 0.125"
+    (tmp_path / "vec.txt").write_text("40000 8\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    src = str(Path(droprec.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "droprec.cli",
+         *train_args(workspace, tmp_path / "model.json", table=("--embeddings", "vec.txt"))],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_DATA
+    assert "line 20002: expected 8 components, got 1" in done.stderr
+    assert "Traceback" not in done.stderr and not (tmp_path / "model.json").exists()
 
 
 def test_model_without_table_hash_loads_through_the_full_parse(workspace, w2v_model, tmp_path,

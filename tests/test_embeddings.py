@@ -1,6 +1,8 @@
 import hashlib
 import sys
+import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -323,6 +325,94 @@ def test_every_block_size_reads_the_same_lines_and_line_numbers(tmp_path, monkey
             load_embeddings(q)
         with pytest.raises(EmbeddingError, match="line 5: expected 2 components, got 1"):
             load_embeddings(q, sha256=sha256_of(q)).lookup("b")
+
+
+def _word2vec_bytes(end: str, words: int = 200) -> bytes:
+    """A 2-dim word2vec file with `end` line ends, a blank line, a duplicate
+    and non-ASCII words, larger than hashlib's 2 KiB GIL-release size."""
+    lines = [f"{words + 1} 2", "\u4e2d 0.5 -1", "", "\u4e2d 9 9"]
+    lines += [f"w{i} {i} {-i / 7!r}" for i in range(words)]
+    return end.join(lines).encode() + end.encode()
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("block", [1, 7, 64, 1 << 20])
+def test_the_recorded_hash_is_the_one_pass_hash_of_the_file(tmp_path, monkeypatch, block, end):
+    p = tmp_path / "vec.txt"
+    p.write_bytes(_word2vec_bytes(end))
+    digest = hashlib.sha256(p.read_bytes()).hexdigest()
+    monkeypatch.setattr(embeddings, "_BLOCK", block)
+    for table in (load_embeddings(p), load_embeddings(p, sha256=digest)):
+        assert table.source["sha256"] == digest
+        assert (len(table), table.duplicates_skipped) == (201, 1)
+    with pytest.raises(ModelFormatError) as error:
+        load_embeddings(p, sha256="0" * 64)
+    assert str(error.value) == (
+        f"{p}: file SHA-256 {digest} differs from the {'0' * 64} the model was trained with")
+
+
+def test_loads_on_more_threads_than_cores_each_record_the_one_pass_hash(tmp_path, monkeypatch):
+    paths = [tmp_path / f"vec{i}.txt" for i in range(3)]
+    for p, end in zip(paths, ("\n", "\r\n", "\r")):
+        p.write_bytes(_word2vec_bytes(end))
+    want = [sha256_of(p) for p in paths] * 2
+    got = [None] * len(want)
+
+    def load(i):
+        got[i] = load_embeddings(paths[i % len(paths)]).source["sha256"]
+
+    monkeypatch.setattr(embeddings, "_BLOCK", 7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        loaders = [threading.Thread(target=load, args=(i,)) for i in range(len(want))]
+        for loader in loaders:
+            loader.start()
+        for loader in loaders:
+            loader.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(loader.is_alive() for loader in loaders)
+    assert got == want
+
+
+@pytest.mark.parametrize("block", [7, 1 << 20])
+def test_no_thread_outlives_a_load_that_fails_mid_file(tmp_path, monkeypatch, block):
+    content = _word2vec_bytes("\n")
+    p = tmp_path / "vec.txt"
+    p.write_bytes(content.replace(b"\nw100 100 ", b"\nw100 "))
+    monkeypatch.setattr(embeddings, "_BLOCK", block)
+    threads = threading.active_count()
+    with pytest.raises(EmbeddingError, match="line 105: expected 2 components, got 1"):
+        load_embeddings(p)
+    assert threading.active_count() == threads
+    load_embeddings(p, sha256=sha256_of(p))  # unparsed lines are not checked
+    assert threading.active_count() == threads
+
+
+class _FailingSha256:
+    """A hasher whose third update raises."""
+
+    def __init__(self):
+        self.updates = 0
+
+    def update(self, chunk):
+        self.updates += 1
+        if self.updates == 3:
+            raise OSError("hasher failed")
+
+
+@pytest.mark.parametrize("hashed", [False, True], ids=["full", "hashed"])
+def test_an_error_of_the_hashing_thread_is_raised_by_the_load(tmp_path, monkeypatch, hashed):
+    p = tmp_path / "vec.txt"
+    p.write_bytes(_word2vec_bytes("\n"))
+    sha = sha256_of(p) if hashed else None
+    monkeypatch.setattr(embeddings, "_BLOCK", 64)
+    monkeypatch.setattr(embeddings, "hashlib", types.SimpleNamespace(sha256=_FailingSha256))
+    threads = threading.active_count()
+    with pytest.raises(OSError, match="hasher failed"):
+        load_embeddings(p, sha256=sha)
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("word", [b"\xff", b"a\xe4\xb8", b"\xe4\xb8\xad\x80"],

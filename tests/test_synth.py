@@ -137,6 +137,17 @@ def test_unknown_label_set_name_rejected(name):
         TemplateGrammar((Template(("a",)),), {}, 0.5, ("a",), label_set_name=name)
 
 
+@pytest.mark.parametrize("templates, dist", [
+    ((Template(("a", "{slot:event}")),), {}),
+    ((Template(("a", "{slot}")),), {"wo": 0.5, "event": 0.5}),
+], ids=["pinned", "distribution"])
+def test_a_tag_the_named_label_set_excludes_is_rejected_at_construction(templates, dist):
+    with pytest.raises(GrammarError, match="tag 'event' not allowed by label set 'actual10'"):
+        TemplateGrammar(templates, dist, 1.0, ("a",), label_set_name="actual10")
+    grammar = TemplateGrammar(templates, dist, 1.0, ("a",), label_set_name="full14")
+    assert generate_corpus(grammar, 3, seed=0).label_set.name == "full14"
+
+
 def test_unknown_tags_rejected():
     with pytest.raises(GrammarError, match="unknown tag"):
         simple_grammar(0.5, {"bogus": 1.0})
