@@ -81,6 +81,12 @@ class LabelSet:
     def __contains__(self, tag: str) -> bool:
         return tag in self.labels
 
+    def check_tags(self, sentence: AnnotatedSentence) -> None:
+        """Raise CorpusError for the first tag of `sentence` outside this set."""
+        for _, tag in sentence.annotations:
+            if tag not in self.labels:
+                raise CorpusError(f"tag {tag!r} not allowed by label set {self.name!r}")
+
     def index_of(self, tag: str) -> int:
         try:
             return self.labels.index(tag)
@@ -103,20 +109,37 @@ def label_set_by_name(name: str) -> LabelSet:
 
 @dataclass(frozen=True)
 class AnnotatedSentence:
-    """Token sequence plus (gap_index, tag) dropped-pronoun annotations."""
+    """Token sequence plus (gap_index, tag) annotations; holds every sentence rule."""
 
     tokens: tuple[str, ...]
     annotations: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self):
-        if not self.tokens or any(not tok for tok in self.tokens):
+        tokens = self.tokens
+        if not isinstance(tokens, tuple):
+            raise CorpusError("sentence tokens must be a tuple")
+        try:  # join takes only str tokens
+            text = "".join(tokens)
+        except TypeError:
+            text = ""
+        if not text or "" in tokens:
             raise CorpusError("sentence tokens must be a non-empty list of non-empty strings")
+        try:  # a lone surrogate, which no writer can write back as UTF-8
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise CorpusError(
+                f"a token holds a character UTF-8 cannot encode ({exc.reason})"
+            ) from None
+        if not isinstance(self.annotations, tuple):
+            raise CorpusError("sentence annotations must be a tuple")
         seen = set()
-        for gap, tag in self.annotations:
-            if not 0 <= gap <= len(self.tokens):
-                raise CorpusError(
-                    f"gap index {gap} out of range [0, {len(self.tokens)}]"
-                )
+        for pair in self.annotations:
+            if not (type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int
+                    and type(pair[1]) is str):  # a bool or float gap is not a gap index
+                raise CorpusError("annotation must be a [gap_index, tag] pair")
+            gap, tag = pair
+            if not 0 <= gap <= len(tokens):
+                raise CorpusError(f"gap index {gap} out of range [0, {len(tokens)}]")
             if gap in seen:
                 raise CorpusError(f"duplicate annotation at gap {gap}")
             seen.add(gap)
@@ -134,12 +157,14 @@ class Corpus:
 
     def __post_init__(self):
         for i, sent in enumerate(self.sentences):
-            for _, tag in sent.annotations:
-                if tag not in self.label_set:
-                    raise CorpusError(
-                        f"sentence {i}: tag {tag!r} not allowed by label set "
-                        f"{self.label_set.name!r}"
-                    )
+            try:
+                self.label_set.check_tags(sent)
+            except CorpusError as exc:
+                raise CorpusError(f"sentence {i}: {exc}") from None
+        try:  # a mapping with str keys (dict(**m) takes no other) and a UTF-8 JSON form
+            json.dumps(dict(**self.metadata), ensure_ascii=False).encode("utf-8")
+        except (TypeError, ValueError, RecursionError) as exc:  # UnicodeEncodeError included
+            raise CorpusError(f"metadata has no JSON form UTF-8 can encode: {exc}") from None
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -148,51 +173,24 @@ class Corpus:
         return sum(len(s.annotations) for s in self.sentences)
 
 
-def _check_encodable(text: str, line_no: int, what: str) -> None:
-    """Reject `text` if it holds a lone surrogate, which no writer can
-    write back as UTF-8."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise CorpusError(
-            f"line {line_no}: {what} holds a character UTF-8 cannot encode ({exc.reason})"
-        ) from None
-
-
 def _parse_sentence(obj, line_no: int, label_set: LabelSet) -> AnnotatedSentence:
     if not isinstance(obj, dict) or "tokens" not in obj:
         raise CorpusError(f"line {line_no}: expected an object with a 'tokens' key")
-    tokens = obj["tokens"]
-    if not isinstance(tokens, list) or not all(isinstance(t, str) and t for t in tokens):
-        raise CorpusError(f"line {line_no}: 'tokens' must be a list of non-empty strings")
-    raw_annos = obj.get("annotations", [])
-    if not isinstance(raw_annos, list):
-        raise CorpusError(f"line {line_no}: 'annotations' must be a list")
-    annos = []
-    for item in raw_annos:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not isinstance(item[0], int)
-            or isinstance(item[0], bool)
-            or not isinstance(item[1], str)
-        ):
-            raise CorpusError(f"line {line_no}: annotation must be a [gap_index, tag] pair")
-        annos.append((item[0], item[1]))
+    tokens, annos = obj["tokens"], obj.get("annotations", [])
+    if not isinstance(tokens, list) or not isinstance(annos, list):
+        raise CorpusError(f"line {line_no}: 'tokens' and 'annotations' must be lists")
     try:
-        sentence = AnnotatedSentence(tuple(tokens), tuple(annos))
+        sentence = AnnotatedSentence(
+            tuple(tokens), tuple(tuple(a) if isinstance(a, list) else a for a in annos)
+        )
+        label_set.check_tags(sentence)
     except CorpusError as exc:
         raise CorpusError(f"line {line_no}: {exc}") from None
-    for _, tag in annos:
-        if tag not in label_set:
-            raise CorpusError(
-                f"line {line_no}: tag {tag!r} not allowed by label set {label_set.name!r}"
-            )
     return sentence
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """Read a JSONL corpus file, validating every sentence.
+    """Read a JSONL corpus file; AnnotatedSentence and Corpus check its data.
 
     Raises CorpusError with the offending line number on malformed input.
     """
@@ -219,11 +217,10 @@ def load_corpus(path: str | Path) -> Corpus:
     metadata = header.get("metadata", {})
     if not isinstance(metadata, dict):
         raise CorpusError("line 1: 'metadata' must be an object")
-    # Text decoded from UTF-8 holds no lone surrogate; only a JSON "\\u"
-    # escape can make one.
-    escaped = "\\u" in text
-    if escaped:
-        _check_encodable(json.dumps(metadata, ensure_ascii=False), 1, "metadata")
+    try:
+        Corpus(label_set, (), metadata)  # the header's metadata, before any sentence
+    except CorpusError as exc:
+        raise CorpusError(f"line 1: {exc}") from None
 
     sentences = []
     for offset, line in enumerate(lines[1:], start=2):
@@ -236,9 +233,7 @@ def load_corpus(path: str | Path) -> Corpus:
         except RecursionError:
             raise CorpusError(f"line {offset}: JSON nested too deeply to parse") from None
         sentences.append(_parse_sentence(obj, offset, label_set))
-        if escaped:
-            _check_encodable("".join(sentences[-1].tokens), offset, "a token")
-    return Corpus(label_set, tuple(sentences), dict(metadata))
+    return Corpus(label_set, tuple(sentences), metadata)
 
 
 @contextmanager

@@ -89,6 +89,14 @@ class TemplateGrammar:
                     raise GrammarError(f"template pins unknown tag {pinned!r}")
                 if atom == _WORD and not self.vocab:
                     raise GrammarError("template uses {w} but the vocab is empty")
+            pairs = zip(tmpl.pattern, tmpl.pattern[1:])
+            if self.drop_rate > 0 and any(_is_slot(a) and _is_slot(b) for a, b in pairs):
+                raise GrammarError(f"template {tmpl.pattern!r} has two adjacent slots to drop")
+        words = [a for t in self.templates for a in t.pattern if a != _WORD and not _is_slot(a)]
+        try:  # every word a sentence can hold passes the corpus token rule
+            AnnotatedSentence((*self.vocab, *words))
+        except CorpusError as exc:
+            raise GrammarError(f"grammar word rejected: {exc}") from None
         for tag, prob in self.slot_label_dist.items():
             if tag not in LABEL_BY_TAG:
                 raise GrammarError(f"distribution names unknown tag {tag!r}")
@@ -160,12 +168,7 @@ def generate_sentence(grammar: TemplateGrammar, rng: SplitMix64) -> AnnotatedSen
         elif _is_slot(atom):
             tag = _pinned_tag(atom) or _sample_label(grammar.slot_label_dist, rng)
             if rng.next_float() < grammar.drop_rate:
-                gap = len(tokens)
-                if any(g == gap for g, _ in annotations):
-                    raise CorpusError(
-                        f"template {tmpl.pattern!r} dropped two adjacent slots at gap {gap}"
-                    )
-                annotations.append((gap, tag))
+                annotations.append((len(tokens), tag))
             else:
                 tokens.append(LABEL_BY_TAG[tag].surface_form)
         else:

@@ -1,5 +1,7 @@
 import json
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,6 +244,67 @@ def test_corpus_rejects_label_outside_label_set():
     sent = AnnotatedSentence(("a",), ((0, "event"),))
     with pytest.raises(CorpusError, match="not allowed by label set"):
         Corpus(ACTUAL10, (sent,), {})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AnnotatedSentence(("a",), ((True, "wo"),)),
+    lambda: AnnotatedSentence(("a",), ((1.0, "wo"),)),
+    lambda: AnnotatedSentence(("a", 5)),
+    lambda: AnnotatedSentence(["a"]),
+    lambda: AnnotatedSentence(("a",), ((0, "wo", 0.5),)),
+    lambda: AnnotatedSentence(("a\ud800",)),
+    lambda: Corpus(FULL14, (), {"k": {1, 2}}),
+    lambda: Corpus(FULL14, (), {1: "v"}),
+    lambda: Corpus(FULL14, (), [("k", "v")]),
+    lambda: Corpus(FULL14, (), {"k": "\udfff"}),
+], ids=["bool-gap", "float-gap", "int-token", "list-tokens", "triple", "surrogate-token",
+        "set-metadata", "int-key-metadata", "list-metadata", "surrogate-metadata"])
+def test_what_no_file_can_hold_is_rejected_at_construction(build):
+    with pytest.raises(CorpusError):
+        build()
+
+
+def _mostly(good, bad):
+    """`good`, but one draw in sixteen from `bad` (k == 5: Hypothesis
+    favours the ends of a range)."""
+    return st.integers(0, 15).flatmap(lambda k: bad if k == 5 else good)
+
+
+_SURROGATES = st.text(st.characters(categories=["Cs"]), min_size=1, max_size=2)  # no UTF-8 form
+_TOKEN = _mostly(st.text(min_size=1, max_size=3),
+                 st.one_of(st.just(""), st.integers(), _SURROGATES))
+_GAP = _mostly(st.integers(0, 3), st.one_of(st.integers(-1, 5), st.booleans(), st.floats(0, 3)))
+_TAG = _mostly(st.sampled_from(FULL14.labels), st.sampled_from(("", "zzz")))
+_ANNOTATION = _mostly(st.tuples(_GAP, _TAG), st.tuples(_GAP, _TAG, st.floats(0, 1)))
+_TOKENS = st.lists(_TOKEN, min_size=1, max_size=4)
+_SENTENCE = st.tuples(_mostly(_TOKENS.map(tuple), _TOKENS),
+                      st.lists(_ANNOTATION, max_size=2).map(tuple))
+_METADATA = st.dictionaries(
+    _mostly(st.text(max_size=3), st.integers()),
+    _mostly(st.text(max_size=3), st.one_of(_SURROGATES, st.frozensets(st.integers()))),
+    max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([FULL14, ACTUAL10]), st.lists(_SENTENCE, max_size=3), _METADATA)
+def test_what_the_constructors_accept_saves_and_loads_back_equal(label_set, sentences, metadata):
+    try:
+        corpus = Corpus(label_set, tuple(AnnotatedSentence(*s) for s in sentences), metadata)
+    except CorpusError:
+        return  # never another exception
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.jsonl"), Path(tmp, "second.jsonl")
+        save_corpus(corpus, first)
+        again = load_corpus(first)
+        save_corpus(again, second)
+        assert second.read_bytes() == first.read_bytes()
+    assert again.label_set is corpus.label_set
+    assert again.metadata == corpus.metadata
+    assert len(again.sentences) == len(corpus.sentences)
+    for got, want in zip(again.sentences, corpus.sentences):
+        assert got.tokens == want.tokens
+        assert got.annotations == want.annotations
+        assert all(type(gap) is int for gap, _ in want.annotations)
 
 
 # --- splitting ---------------------------------------------------------------

@@ -161,12 +161,26 @@ def test_all_slot_template_rejected():
 
 
 def test_adjacent_dropped_slots_rejected():
-    g = TemplateGrammar(
-        (Template(("left", "{slot:wo}", "{slot:ni}", "right")),),
-        {}, drop_rate=1.0, vocab=(),
-    )
-    with pytest.raises(CorpusError, match="two adjacent slots"):
-        generate_corpus(g, 5, seed=0)
+    # at any drop_rate > 0 some seed drops both slots into one gap
+    for drop_rate in (1.0, 0.3):
+        with pytest.raises(GrammarError, match="two adjacent slots"):
+            TemplateGrammar(
+                (Template(("left", "{slot:wo}", "{slot:ni}", "right")),),
+                {}, drop_rate=drop_rate, vocab=(),
+            )
+
+
+def test_adjacent_slots_that_never_drop_are_allowed():
+    g = TemplateGrammar((Template(("left", "{slot:wo}", "{slot:ni}", "right")),),
+                        {}, drop_rate=0.0, vocab=())
+    assert generate_corpus(g, 3, seed=1).sentences[0].tokens == ("left", "我", "你", "right")
+
+
+@pytest.mark.parametrize("vocab, atom", [(("", "a"), "x"), (("a", "b\udc00"), "x"), (("a",), "")],
+                         ids=["empty-vocab-word", "surrogate-vocab-word", "empty-literal"])
+def test_a_word_no_sentence_can_hold_is_rejected_at_construction(vocab, atom):
+    with pytest.raises(GrammarError, match="grammar word rejected"):
+        TemplateGrammar((Template((atom, "{w}", "{slot:wo}")),), {}, 0.3, vocab)
 
 
 def test_drop_rate_bounds():
