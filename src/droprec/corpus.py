@@ -107,6 +107,25 @@ def label_set_by_name(name: str) -> LabelSet:
     return label_set
 
 
+def check_metadata(metadata: Mapping) -> None:
+    """Raise ValueError unless `metadata` is a mapping with `str` keys whose
+    strict JSON form UTF-8 can encode and reads back equal.
+
+    This is the one rule for the metadata of corpus and model files.  At
+    any depth it refuses NaN and the infinities (strict JSON has none), a
+    tuple (JSON reads back a list) and a key that is no `str` (JSON reads
+    back a `str`).
+    """
+    try:  # dict(**m) takes only a mapping with str keys
+        text = json.dumps(dict(**metadata), ensure_ascii=False, allow_nan=False)
+        text.encode("utf-8")
+    except (TypeError, ValueError, RecursionError) as exc:  # UnicodeEncodeError included
+        raise ValueError(f"metadata has no JSON form UTF-8 can encode: {exc}") from None
+    if json.loads(text) != metadata:
+        raise ValueError("metadata does not read back equal from JSON: a tuple, or a key "
+                         "that is no string")
+
+
 @dataclass(frozen=True)
 class AnnotatedSentence:
     """Token sequence plus (gap_index, tag) annotations; holds every sentence rule."""
@@ -156,15 +175,19 @@ class Corpus:
     metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.sentences, tuple):
+            raise CorpusError("corpus sentences must be a tuple")
         for i, sent in enumerate(self.sentences):
+            if not isinstance(sent, AnnotatedSentence):
+                raise CorpusError(f"sentence {i}: not an AnnotatedSentence")
             try:
                 self.label_set.check_tags(sent)
             except CorpusError as exc:
                 raise CorpusError(f"sentence {i}: {exc}") from None
-        try:  # a mapping with str keys (dict(**m) takes no other) and a UTF-8 JSON form
-            json.dumps(dict(**self.metadata), ensure_ascii=False).encode("utf-8")
-        except (TypeError, ValueError, RecursionError) as exc:  # UnicodeEncodeError included
-            raise CorpusError(f"metadata has no JSON form UTF-8 can encode: {exc}") from None
+        try:
+            check_metadata(self.metadata)
+        except ValueError as exc:
+            raise CorpusError(str(exc)) from None
 
     def __len__(self) -> int:
         return len(self.sentences)

@@ -18,6 +18,7 @@ their arguments and run them on fresh buffers.
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import asdict, dataclass, fields as dataclass_fields
 
@@ -35,7 +36,7 @@ _DROPOUT_STREAM = 1
 # train() draws the dropout floats of this many steps with one call.
 _DROPOUT_BLOCK_STEPS = 64
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 class ModelFormatError(ValueError):
@@ -499,8 +500,10 @@ def train(model: MlpModel, instances: list[tuple[np.ndarray, int]]) -> list[Epoc
 # --- serialization --------------------------------------------------------
 #
 # A network is one versioned JSON object, nested in the recovery model file
-# (pipeline.recovery_to_dict).  Parameters are stored as C99 hex floats
-# (float.hex()) so a save/load round trip is bit exact.
+# (pipeline.recovery_to_dict).  Each layer's weights and bias are one base64
+# string of their little-endian float64 ("<f8") bytes in C order, with the
+# shape in the layer's out_dim and in_dim, so a save/load round trip is bit
+# exact.  Version 1 stored hex float strings; it is refused, not converted.
 
 
 def require_int(value, name: str) -> int:
@@ -510,28 +513,32 @@ def require_int(value, name: str) -> int:
     return value
 
 
-def _array_to_hex(a: np.ndarray) -> list[str]:
-    return [float(v).hex() for v in a.ravel()]
+def _array_to_base64(a: np.ndarray) -> str:
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _array_from_hex(values: list[str], shape: tuple[int, ...]) -> np.ndarray:
+def _array_from_base64(block: str, shape: tuple[int, ...]) -> np.ndarray:
     for size in shape:
         require_int(size, "layer size")
-    if type(values) is not list:
-        raise ModelFormatError(f"parameter block must be a list, got {type(values).__name__}")
-    try:
-        flat = np.fromiter(map(float.fromhex, values), dtype=float, count=len(values))
-    except (ValueError, TypeError, OverflowError):  # OverflowError: beyond a double's range
-        raise ModelFormatError("unparseable hex float in model file") from None
-    if flat.size != int(np.prod(shape)):
+    if type(block) is not str:
         raise ModelFormatError(
-            f"parameter block has {flat.size} values, expected shape {shape}"
+            f"parameter block must be a base64 string, got {type(block).__name__}"
         )
+    try:  # binascii.Error, or ValueError for a character outside ASCII
+        raw = base64.b64decode(block, validate=True)
+    except ValueError:
+        raise ModelFormatError("parameter block is not valid base64") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ModelFormatError(
+            f"parameter block has {len(raw)} bytes, expected 8 per value of shape {shape}"
+        )
+    # One copy into an owned, writeable, native array: no view of `raw`.
+    a = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
     # Elementwise: a sum first would be no faster here, and would warn on
     # finite parameters whose sum overflows.
-    if not np.isfinite(flat).all():
+    if not np.isfinite(a).all():
         raise ModelFormatError("non-finite parameter in model file")
-    return flat.reshape(shape)
+    return a
 
 
 def model_to_dict(model: MlpModel) -> dict:
@@ -546,8 +553,8 @@ def model_to_dict(model: MlpModel) -> dict:
             {
                 "out_dim": layer.out_dim,
                 "in_dim": layer.in_dim,
-                "weights": _array_to_hex(layer.weights),
-                "bias": _array_to_hex(layer.bias),
+                "weights": _array_to_base64(layer.weights),
+                "bias": _array_to_base64(layer.bias),
             }
             for layer in model.layers
         ],
@@ -560,7 +567,7 @@ def model_from_dict(obj: dict) -> MlpModel:
     if obj.get("format_version") != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
             f"unsupported model format version {obj.get('format_version')!r}, "
-            f"expected {MODEL_FORMAT_VERSION}"
+            f"expected {MODEL_FORMAT_VERSION}; retrain the model with `droprec train`"
         )
     try:
         fields = {**obj["hyperparams"]}  # TypeError unless a mapping
@@ -568,8 +575,8 @@ def model_from_dict(obj: dict) -> MlpModel:
         hp = Hyperparams(**fields)
         layers = [
             DenseLayer(
-                _array_from_hex(entry["weights"], (entry["out_dim"], entry["in_dim"])),
-                _array_from_hex(entry["bias"], (entry["out_dim"],)),
+                _array_from_base64(entry["weights"], (entry["out_dim"], entry["in_dim"])),
+                _array_from_base64(entry["bias"], (entry["out_dim"],)),
             )
             for entry in obj["layers"]
         ]

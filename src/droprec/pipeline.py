@@ -20,7 +20,8 @@ from typing import Callable
 import numpy as np
 
 from . import mlp
-from .corpus import Corpus, AnnotatedSentence, LabelSet, atomic_open, label_set_by_name
+from .corpus import (Corpus, AnnotatedSentence, LabelSet, atomic_open, check_metadata,
+                     label_set_by_name)
 from .embeddings import (SOURCE_FIELDS, EmbeddingTable, context_projection, context_rows,
                          table_from_source)
 from .hypotheses import DROPPED, build_dpg_instances, build_dpi_instances, gap_labels
@@ -202,7 +203,7 @@ def recovery_from_dict(obj: dict, model_dir: str | Path = ".") -> RecoveryModel:
     `model_dir`, the directory of the model file; one without (written
     before the hash was recorded) names it relative to the working
     directory.  The two parameter blocks are popped from `obj` as they
-    are converted, so their hex strings are freed before the embedding
+    are converted, so their base64 strings are freed before the embedding
     table is built.
     """
     if not isinstance(obj, dict) or obj.get("kind") != "recovery":
@@ -269,7 +270,9 @@ def save_recovery_model(model: RecoveryModel, path: str | Path) -> None:
     with its path relative to the model file's directory, so the bytes do
     not depend on the working directory.  A table whose source kind model
     loading cannot rebuild raises ValueError, and nothing is written; so
-    does a NaN or infinite number, which strict JSON cannot hold."""
+    does a NaN or infinite number, which strict JSON cannot hold, and
+    metadata that breaks `corpus.check_metadata`."""
+    check_metadata(model.metadata)
     obj = recovery_to_dict(model)
     ref = obj["table_ref"]
     if ref.get("kind") not in SOURCE_FIELDS:

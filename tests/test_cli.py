@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import droprec
+from _blocks import decode_block, encode_block, with_value
 from droprec.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from droprec.corpus import FULL14, AnnotatedSentence, Corpus, load_corpus, save_corpus
 from droprec.embeddings import EmbeddingError, context_rows
@@ -451,11 +452,15 @@ def test_unreadable_model_is_data_error(workspace, model_file, tmp_path, capsys,
 
 @pytest.mark.parametrize(
     "edit, message",
-    [(("dpi", "nan"), "non-finite parameter"), (("dpg", "nan"), "non-finite parameter"),
-     (("dpi", "inf"), "non-finite parameter"), (("dpg", "-inf"), "non-finite parameter"),
-     (("dpg", "0x1p+2000"), "unparseable hex float"),
+    [(("dpi", float("nan")), "non-finite parameter"),
+     (("dpg", float("nan")), "non-finite parameter"),
+     (("dpi", float("inf")), "non-finite parameter"),
+     (("dpg", float("-inf")), "non-finite parameter"),
+     (("dpg", "@@@@"), "parameter block is not valid base64"),
+     (("dpi", "AAAAAAAAAA=="), "parameter block has 7 bytes"),
      (("table_ref", 10**12), "with embedding dim 1000000000000")],
-    ids=["dpi-nan", "dpg-nan", "dpi-inf", "dpg-minus-inf", "beyond-a-double", "huge-table-dim"],
+    ids=["dpi-nan", "dpg-nan", "dpi-inf", "dpg-minus-inf", "not-base64", "seven-bytes",
+         "huge-table-dim"],
 )
 def test_model_with_numbers_it_cannot_use_is_data_error(workspace, model_file, tmp_path,
                                                         capsys, edit, message):
@@ -464,7 +469,8 @@ def test_model_with_numbers_it_cannot_use_is_data_error(workspace, model_file, t
     if part == "table_ref":
         obj["table_ref"]["dim"] = value
     else:
-        obj[part]["layers"][0]["weights"][0] = value
+        first = obj[part]["layers"][0]
+        first["weights"] = value if type(value) is str else with_value(first["weights"], 0, value)
     model = tmp_path / "model.json"
     model.write_text(json.dumps(obj), encoding="utf-8")
     capsys.readouterr()
@@ -474,6 +480,29 @@ def test_model_with_numbers_it_cannot_use_is_data_error(workspace, model_file, t
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_a_version_1_model_file_is_data_error_asking_to_retrain(workspace, model_file, tmp_path,
+                                                                capsys):
+    obj = json.loads(model_file.read_text(encoding="utf-8"))
+    for net in ("dpi", "dpg"):  # the hex float lists that version 1 wrote
+        obj[net]["format_version"] = 1
+        for layer in obj[net]["layers"]:
+            for block in ("weights", "bias"):
+                layer[block] = [float(v).hex() for v in decode_block(layer[block])]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(obj), encoding="utf-8")
+    test = str(workspace / "splits" / "test.jsonl")
+    capsys.readouterr()
+    assert main(["recover", "--model", str(model), "--in", test,
+                 "--out", str(tmp_path / "out.jsonl")]) == EXIT_DATA
+    assert main(["eval", "--model", str(model), "--test", test,
+                 "--report", str(tmp_path / "report.json")]) == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == err[1]
+    assert err[0].startswith("droprec: ") and err[0].endswith(
+        "unsupported model format version 1, expected 2; retrain the model with `droprec train`")
+    assert not (tmp_path / "out.jsonl").exists() and not (tmp_path / "report.json").exists()
 
 
 def test_corpus_and_sentence_detection_agree(workspace, model_file):
@@ -589,7 +618,7 @@ def test_scoring_that_overflows_exits_3_with_one_line_and_no_output(
     shutil.copy(w2v_model.parent / "vec.txt", tmp_path / "vec.txt")
     obj = json.loads(source.read_text(encoding="utf-8"))
     first = obj[net]["layers"][0]
-    first[field] = [sys.float_info.max.hex()] * len(first[field])
+    first[field] = encode_block(np.full(decode_block(first[field]).size, sys.float_info.max))
     model = tmp_path / "model.json"
     model.write_text(json.dumps(obj), encoding="utf-8")
     test = str(workspace / "splits" / "test.jsonl")

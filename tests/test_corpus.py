@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _metadata import METADATA, SURROGATES, mostly
 from droprec.corpus import (
     ACTUAL10,
     FULL14,
@@ -152,6 +153,15 @@ def test_load_rejects_missing_header(tmp_path):
         load_corpus(p)
 
 
+@pytest.mark.parametrize("value", ["NaN", "-Infinity"])
+def test_load_rejects_header_metadata_that_is_no_strict_json(tmp_path, value):
+    p = tmp_path / "c.jsonl"
+    p.write_text('{"label_set": "full14", "metadata": {"k": [%s]}}\n{"tokens": ["a"]}\n' % value,
+                 encoding="utf-8")
+    with pytest.raises(CorpusError, match="line 1: metadata has no JSON form"):
+        load_corpus(p)
+
+
 def test_load_rejects_bad_annotation_shape(tmp_path):
     p = tmp_path / "c.jsonl"
     write_jsonl(p, {"label_set": "full14", "metadata": {}},
@@ -257,39 +267,38 @@ def test_corpus_rejects_label_outside_label_set():
     lambda: Corpus(FULL14, (), {1: "v"}),
     lambda: Corpus(FULL14, (), [("k", "v")]),
     lambda: Corpus(FULL14, (), {"k": "\udfff"}),
+    lambda: Corpus(FULL14, [AnnotatedSentence(("a",))]),
+    lambda: Corpus(FULL14, (("a",),)),
+    lambda: Corpus(FULL14, (), {"k": ("a",)}),
+    lambda: Corpus(FULL14, (), {"k": [{1: "x"}]}),
+    lambda: Corpus(FULL14, (), {"k": float("nan")}),
+    lambda: Corpus(FULL14, (), {"k": [float("-inf")]}),
 ], ids=["bool-gap", "float-gap", "int-token", "list-tokens", "triple", "surrogate-token",
-        "set-metadata", "int-key-metadata", "list-metadata", "surrogate-metadata"])
+        "set-metadata", "int-key-metadata", "list-metadata", "surrogate-metadata",
+        "list-of-sentences", "sentence-not-annotated", "tuple-metadata",
+        "nested-int-key-metadata", "nan-metadata", "infinite-metadata"])
 def test_what_no_file_can_hold_is_rejected_at_construction(build):
     with pytest.raises(CorpusError):
         build()
 
 
-def _mostly(good, bad):
-    """`good`, but one draw in sixteen from `bad` (k == 5: Hypothesis
-    favours the ends of a range)."""
-    return st.integers(0, 15).flatmap(lambda k: bad if k == 5 else good)
-
-
-_SURROGATES = st.text(st.characters(categories=["Cs"]), min_size=1, max_size=2)  # no UTF-8 form
-_TOKEN = _mostly(st.text(min_size=1, max_size=3),
-                 st.one_of(st.just(""), st.integers(), _SURROGATES))
-_GAP = _mostly(st.integers(0, 3), st.one_of(st.integers(-1, 5), st.booleans(), st.floats(0, 3)))
-_TAG = _mostly(st.sampled_from(FULL14.labels), st.sampled_from(("", "zzz")))
-_ANNOTATION = _mostly(st.tuples(_GAP, _TAG), st.tuples(_GAP, _TAG, st.floats(0, 1)))
+_TOKEN = mostly(st.text(min_size=1, max_size=3),
+                st.one_of(st.just(""), st.integers(), SURROGATES))
+_GAP = mostly(st.integers(0, 3), st.one_of(st.integers(-1, 5), st.booleans(), st.floats(0, 3)))
+_TAG = mostly(st.sampled_from(FULL14.labels), st.sampled_from(("", "zzz")))
+_ANNOTATION = mostly(st.tuples(_GAP, _TAG), st.tuples(_GAP, _TAG, st.floats(0, 1)))
 _TOKENS = st.lists(_TOKEN, min_size=1, max_size=4)
-_SENTENCE = st.tuples(_mostly(_TOKENS.map(tuple), _TOKENS),
-                      st.lists(_ANNOTATION, max_size=2).map(tuple))
-_METADATA = st.dictionaries(
-    _mostly(st.text(max_size=3), st.integers()),
-    _mostly(st.text(max_size=3), st.one_of(_SURROGATES, st.frozensets(st.integers()))),
-    max_size=3)
+_SENTENCE = st.tuples(mostly(_TOKENS.map(tuple), _TOKENS),
+                     st.lists(_ANNOTATION, max_size=2).map(tuple))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([FULL14, ACTUAL10]), st.lists(_SENTENCE, max_size=3), _METADATA)
-def test_what_the_constructors_accept_saves_and_loads_back_equal(label_set, sentences, metadata):
+@given(st.sampled_from([FULL14, ACTUAL10]), st.lists(_SENTENCE, max_size=3),
+       mostly(st.just(tuple), st.just(list)), METADATA)
+def test_what_the_constructors_accept_saves_and_loads_back_equal(label_set, sentences, container,
+                                                                 metadata):
     try:
-        corpus = Corpus(label_set, tuple(AnnotatedSentence(*s) for s in sentences), metadata)
+        corpus = Corpus(label_set, container(AnnotatedSentence(*s) for s in sentences), metadata)
     except CorpusError:
         return  # never another exception
     with tempfile.TemporaryDirectory() as tmp:

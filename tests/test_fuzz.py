@@ -8,10 +8,15 @@ and the examples hold every break fixed by hand so far.
 """
 
 import json
+import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from _blocks import decode_block, with_value
 from droprec import mlp
 from droprec.cli import EXIT_DATA, main
 from droprec.corpus import FULL14, CorpusError, load_corpus, save_corpus
@@ -32,6 +37,7 @@ LITERALS = [
     '""', '"x"', '"nope"', '"0.5"', "[]", "{}", '[[0, "ta_m"]]', '"\\ud800"', '" "',
     '"0x1.fffffffffffffp+1023"', '"-0x1.fffffffffffffp+1023"', '"0x1p-1074"', '"0x1p+1024"',
     '"0x1p+2000"', '"-0x0p+0"', '"nan"', '"inf"', '"-inf"', '"0x"', DEEP,
+    '"AAA="', '"@@@@"', '"AAAAAAAAAAA="', '"AAAAAAAA+H8="', '"AAAAAAAA8P8="',
 ]
 
 CORPUS = generate_corpus(builtin_grammar("separable"), 4, seed=3)
@@ -216,13 +222,34 @@ def model_edit(*edit) -> bytes:
 # Both networks with zero-width first layers, which pass the input-width checks.
 ZERO_WIDTH = [((net, *key), value) for net in ("dpi", "dpg") for key, value in
               [(("input_dim",), "0"), (("layers", 0, "in_dim"), "0"),
-               (("layers", 0, "weights"), "[]")]]
+               (("layers", 0, "weights"), '""')]]
+
+
+def block_with(net, layer, block, index, value) -> str:
+    """JSON literal of a parameter block of MODEL with one value replaced."""
+    return json.dumps(with_value(MODEL[net]["layers"][layer][block], index, value))
+
+
+# The hex float lists of a version 1 file, in place of a version 2 block.
+HEX_BLOCK = json.dumps([float(v).hex() for v in decode_block(MODEL["dpi"]["layers"][1]["bias"])])
 VALID_MODEL = json.dumps(MODEL).encode("utf-8")
 MODEL_FILES = st.one_of(
     st.binary(max_size=200),
     edits(MODEL).map(lambda e: mutated(MODEL, e).encode("utf-8")),
     corrupted(VALID_MODEL),
 )
+# A parameter block that is no finite double (NaN, -inf), no base64 ("@@@@"),
+# 2 bytes ("AAA="), 7 bytes, or a version 1 hex list in a version 1 or 2
+# network.
+BLOCK_BREAKS = [
+    model_edit((("dpi", "layers", 0, "weights"), block_with("dpi", 0, "weights", 0, math.nan))),
+    model_edit((("dpg", "layers", 1, "bias"), block_with("dpg", 1, "bias", 0, -math.inf))),
+    model_edit((("dpg", "layers", 0, "weights"), '"@@@@"')),
+    model_edit((("dpi", "layers", 1, "bias"), '"AAA="')),
+    model_edit((("dpg", "layers", 1, "weights"), '"AAAAAAAAAA=="')),
+    model_edit((("dpi", "layers", 1, "bias"), HEX_BLOCK)),
+    model_edit((("dpi", "format_version"), "1"), (("dpi", "layers", 1, "bias"), HEX_BLOCK)),
+]
 MODEL_BREAKS = [
     b"{broken", DEEP.encode(), b'{"kind": "\xff"}', b"[]",
     model_edit((("threshold",), '"abc"')), model_edit((("threshold",), "true")),
@@ -232,9 +259,7 @@ MODEL_BREAKS = [
     model_edit((("table_ref", "dim"), '"2"')), model_edit((("table_ref", "kind"), '"nope"')),
     model_edit((("table_ref", "vocab"), '"ab"')), model_edit((("table_ref", "vocab", 0), "1")),
     model_edit((("table_ref", "vocab", 0), '"\\ud800"')),
-    model_edit((("dpi", "layers", 0, "weights", 0), '"nan"')),
-    model_edit((("dpg", "layers", 1, "bias", 0), '"-inf"')),
-    model_edit((("dpg", "layers", 0, "weights", 1), '"0x1p+2000"')),
+    *BLOCK_BREAKS,
     model_edit((("dpi", "layers", 0, "in_dim"), "4.7")),
     model_edit((("dpi", "input_dim"), "4.0")),
     model_edit((("dpi", "hyperparams", "learning_rate"), "NaN")),
@@ -258,6 +283,33 @@ def test_any_model_bytes_load_or_raise_model_format_error(tmp_path, data):
     path = tmp_path / "model.json"
     path.write_bytes(data)
     loads_or_raises(load_recovery_model, path, ModelFormatError)
+
+
+@pytest.mark.parametrize("data", BLOCK_BREAKS)
+def test_each_parameter_block_break_is_refused(tmp_path, data):
+    path = tmp_path / "model.json"
+    path.write_bytes(data)
+    assert not loads_or_raises(load_recovery_model, path, ModelFormatError)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@FUZZ
+@given(arrays(np.float64, st.integers(1, 6).map(lambda k: 2 * k + 2), elements=FINITE))
+@example(np.array([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   sys.float_info.max, -sys.float_info.max]))
+def test_any_finite_parameters_survive_the_model_file_bit_exactly(values):
+    k = (values.size - 2) // 2  # a k -> 2 network: 2k weights and 2 biases
+    model = mlp.build_model(k, 2, Hyperparams(embed_dim=1, layer_count=1, seed=0))
+    layer = model.layers[0]
+    layer.weights[...] = values[:2 * k].reshape(2, k)
+    layer.bias[...] = values[2 * k:]
+    text = json.dumps(mlp.model_to_dict(model), allow_nan=False)
+    again = mlp.model_from_dict(json.loads(text))
+    assert again.layers[0].weights.tobytes() == layer.weights.tobytes()
+    assert again.layers[0].bias.tobytes() == layer.bias.tobytes()
+    assert json.dumps(mlp.model_to_dict(again), allow_nan=False) == text
 
 
 # --- through the CLI --------------------------------------------------------------

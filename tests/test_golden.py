@@ -12,7 +12,7 @@ import hashlib
 from droprec.cli import EXIT_OK, main
 from droprec.corpus import load_corpus
 
-MODEL_SHA256 = "569fff57b79095c29d2f66c921f5f1cf4a066735117e195b4a485f4467d11751"
+MODEL_SHA256 = "f625b21493cef918fad66dca425101cd498654ae02b0a0887c1aeb3e672d268b"
 GOLD_REPORT_SHA256 = "4c4aca89314eaa06f303e1f5e4f258a3b5422426db6f34a24957fb548a23969c"
 PREDICTED_REPORT_SHA256 = "928ddcd6f20ad9be59fb7e802e7a059f275b729c6a6620eeedd788d2e25d75ba"
 RECOVER_SHA256 = "08b98c022d539c88b3450e1eba9fe9a6fb51c69c93deb7c19e23d5332ebf4417"
@@ -45,7 +45,7 @@ def test_criterion_7_chain_digests(tmp_path, monkeypatch, capsys):
     assert _sha256(tmp_path / "recovered.jsonl") == RECOVER_SHA256
 
 
-W2V_MODEL_SHA256 = "fab841e7434a148768630e566901f1d29a7535a0b3df054b0c8d6af3170962b4"
+W2V_MODEL_SHA256 = "3dc106ab308f71a4886e0110b1822b17d7d50913589f74c6969c79549ef2c7a1"
 W2V_PREDICTED_REPORT_SHA256 = "46ad0b242dd725771f0f1038bcb8928ce905bf0ec0268b408f38cbf065a0fd44"
 W2V_RECOVER_SHA256 = "0ff6410b6dd0d14d292b933dee5eb7522dac2ab1a2985345c9d30379a28c9910"
 

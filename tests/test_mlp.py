@@ -1,3 +1,4 @@
+import base64
 import copy
 import json
 import math
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from _blocks import decode_block
 from _gradcheck import finite_difference_grads, max_relative_error
 from droprec import mlp
 from droprec.mlp import (
@@ -526,25 +528,93 @@ def test_load_rejects_broken_shape_chain():
         mlp.model_from_dict(obj)
 
 
+def tiny_network_object() -> dict:
+    """The JSON object of a 2 -> 5 -> 2 network, as its file holds it."""
+    return json.loads(json.dumps(mlp.model_to_dict(build_model(2, 2, tiny_hp(embed_dim=1)))))
+
+
 @pytest.mark.parametrize(
-    "value, match",
-    [("0x1p+2000", "unparseable hex float"), ("nan", "non-finite parameter"),
-     ("inf", "non-finite parameter"), ("-inf", "non-finite parameter")],
-    ids=["beyond-a-double", "nan", "inf", "minus-inf"],
+    "bits",
+    [0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000001, 0x7FF0000000000000,
+     0xFFF0000000000000],
+    ids=["nan", "signalling-nan", "minus-nan-with-payload", "inf", "minus-inf"],
 )
 @pytest.mark.parametrize("block", ["weights", "bias"])
-def test_load_rejects_a_parameter_that_is_no_finite_double(block, value, match):
-    obj = json.loads(json.dumps(mlp.model_to_dict(build_model(2, 2, tiny_hp(embed_dim=1)))))
-    obj["layers"][1][block][-1] = value
+def test_load_rejects_a_parameter_that_is_no_finite_double(block, bits):
+    obj = tiny_network_object()
+    raw = base64.b64decode(obj["layers"][1][block])
+    obj["layers"][1][block] = base64.b64encode(raw[:-8] + bits.to_bytes(8, "little")).decode()
+    with pytest.raises(ModelFormatError, match="non-finite parameter"):
+        mlp.model_from_dict(obj)
+
+
+def _reencoded(edit):
+    return lambda block: base64.b64encode(edit(base64.b64decode(block))).decode()
+
+
+# Any 8 bytes are a double, so a block fails only as base64 or by its length.
+@pytest.mark.parametrize(
+    "edit, match",
+    [(lambda b: "@" + b[1:], "not valid base64"),
+     (lambda b: b.rstrip("="), "not valid base64"),
+     (lambda b: b + "=", "not valid base64"),
+     (lambda b: "\u00e9" + b[1:], "not valid base64"),
+     (_reencoded(lambda raw: raw[:-1]), "bytes, expected 8 per value of shape"),
+     (_reencoded(lambda raw: raw[:-8]), "bytes, expected 8 per value of shape"),
+     (_reencoded(lambda raw: raw + raw[:8]), "bytes, expected 8 per value of shape")],
+    ids=["bad-alphabet", "missing-padding", "excess-padding", "non-ascii", "seven-byte-tail",
+         "one-value-short", "one-value-long"],
+)
+@pytest.mark.parametrize("block", ["weights", "bias"])
+def test_load_rejects_a_parameter_block_that_is_not_base64_of_its_doubles(block, edit, match):
+    obj = tiny_network_object()
+    obj["layers"][1][block] = edit(obj["layers"][1][block])
     with pytest.raises(ModelFormatError, match=match):
         mlp.model_from_dict(obj)
 
 
-def test_load_rejects_a_parameter_block_that_is_not_a_list():
-    obj = json.loads(json.dumps(mlp.model_to_dict(build_model(2, 2, tiny_hp(embed_dim=1)))))
-    obj["layers"][1]["bias"] = "00"  # as many characters as the block has values
-    with pytest.raises(ModelFormatError, match="must be a list, got str"):
+@pytest.mark.parametrize("value", ["hex-list", 0, None], ids=["hex-list", "number", "null"])
+def test_load_rejects_a_parameter_block_that_is_not_a_string(value):
+    obj = tiny_network_object()
+    if value == "hex-list":  # a version 1 block in a version 2 network
+        value = [float(v).hex() for v in decode_block(obj["layers"][1]["bias"])]
+    obj["layers"][1]["bias"] = value
+    with pytest.raises(ModelFormatError,
+                       match=f"must be a base64 string, got {type(value).__name__}"):
         mlp.model_from_dict(obj)
+
+
+def test_a_version_1_network_is_refused_with_the_retrain_message():
+    obj = tiny_network_object()
+    obj["format_version"] = 1
+    for layer in obj["layers"]:  # the hex float lists that version 1 wrote
+        for block in ("weights", "bias"):
+            layer[block] = [float(v).hex() for v in decode_block(layer[block])]
+    with pytest.raises(ModelFormatError,
+                       match="version 1, expected 2; retrain the model with `droprec train`"):
+        mlp.model_from_dict(obj)
+
+
+def test_loaded_parameters_are_owned_writeable_native_arrays():
+    again = mlp.model_from_dict(tiny_network_object())
+    for layer in again.layers:
+        for a in (layer.weights, layer.bias):
+            assert a.dtype == np.float64 and a.dtype.isnative
+            assert a.flags.c_contiguous and a.flags.writeable
+            assert a.flags.owndata and a.base is None  # no view of the decoded bytes
+
+
+def test_a_loaded_network_trains_to_the_bytes_of_the_original():
+    hp = Hyperparams(embed_dim=2, window=1, layer_count=3, hidden_dim=6,
+                     dropout_rate=0.3, epochs=3, learning_rate=0.05, seed=4)
+    model = build_model(hp.input_dim, 3, hp)
+    loaded = mlp.model_from_dict(json.loads(json.dumps(mlp.model_to_dict(model))))
+    arrays = layer_arrays(loaded)
+    rng = SplitMix64(7)
+    data = [(rng.uniform_array(hp.input_dim, -1.0, 1.0), i % 3) for i in range(30)]
+    assert train(loaded, data) == train(model, data)
+    assert_updated_in_place(loaded, arrays)
+    assert json.dumps(mlp.model_to_dict(loaded)) == json.dumps(mlp.model_to_dict(model))
 
 
 def test_load_accepts_finite_parameters_whose_sum_overflows():

@@ -4,12 +4,16 @@ import math
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _blocks import with_value
+from _metadata import METADATA
 from droprec import mlp, pipeline
 from droprec.corpus import (ACTUAL10, FULL14, AnnotatedSentence, Corpus, CorpusError,
                             load_corpus, split_corpus)
@@ -314,6 +318,35 @@ def test_recovery_model_round_trip(tmp_path):
         assert np.array_equal(a, b)
 
 
+@settings(max_examples=150, deadline=None)
+@given(METADATA)
+def test_what_save_recovery_model_accepts_as_metadata_loads_back_equal(metadata):
+    model = stub_recovery_model(deterministic_fallback_table(["a"], 2, seed=0))
+    model.metadata = metadata
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
+        try:
+            save_recovery_model(model, first)
+        except ValueError:  # never another exception, and nothing written
+            assert not list(Path(tmp).iterdir())
+            return
+        again = load_recovery_model(first)
+        save_recovery_model(again, second)
+        assert second.read_bytes() == first.read_bytes()
+    assert again.metadata == metadata
+
+
+@pytest.mark.parametrize("metadata", [{"k": ("a",)}, {"k": {1: "x"}}, {1: "x"},
+                                      {"k": [float("nan")]}, {"k": {"a", "b"}}],
+                         ids=["tuple", "nested-int-key", "int-key", "nan", "set"])
+def test_saving_metadata_that_reads_back_unequal_writes_nothing(tmp_path, metadata):
+    model = stub_recovery_model(deterministic_fallback_table(["a"], 2, seed=0))
+    model.metadata = metadata
+    with pytest.raises(ValueError, match="metadata"):
+        save_recovery_model(model, tmp_path / "model.json")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_model_file_with_batch_size_and_negative_rate_keys_loads(tmp_path):
     # Model files written while training had batch and negative-sampling
     # options carry "batch_size": 1 in both hyperparams blocks and
@@ -362,7 +395,7 @@ def test_recovery_load_rejects_threshold_outside_unit_interval(threshold):
 # 0, passes the dim checks.
 ZERO_WIDTH = {"window": 0, **{(net, *key): value for net in ("dpi", "dpg") for key, value in
                              [(("input_dim",), 0), (("layers", 0, "in_dim"), 0),
-                              (("layers", 0, "weights"), [])]}}
+                              (("layers", 0, "weights"), "")]}}
 
 
 @pytest.mark.parametrize(
@@ -407,7 +440,8 @@ def test_load_recovery_model_rejects_non_finite_parameters(tmp_path, network, va
     table = deterministic_fallback_table(["a"], 2, seed=0)
     path = tmp_path / "model.json"
     obj = recovery_to_dict(stub_recovery_model(table))
-    obj[network]["layers"][0]["weights"][1] = value
+    first = obj[network]["layers"][0]
+    first["weights"] = with_value(first["weights"], 1, float(value))
     path.write_text(json.dumps(obj), encoding="utf-8")
     with pytest.raises(ModelFormatError, match="non-finite parameter"):
         load_recovery_model(path)
