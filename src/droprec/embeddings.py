@@ -30,9 +30,9 @@ from .rng import SplitMix64, fnv1a64
 
 log = logging.getLogger(__name__)
 
-# The fields that table_from_source reads, per source kind.  A type marks a
-# required field of that type; a pattern marks an optional string field
-# that must match it in full.
+# The fields of a table source besides its kind, which table_from_source
+# reads: a type marks a field of that type, a pattern a string field that
+# must match it in full.
 SOURCE_FIELDS = {"word2vec": {"path": str, "dim": int, "sha256": re.compile("[0-9a-f]{64}")},
                  "fallback": {"vocab": list, "dim": int, "seed": int}}
 
@@ -428,12 +428,11 @@ def deterministic_fallback_table(vocab: list[str], dim: int, seed: int) -> Embed
 
 
 def table_from_source(source: dict) -> EmbeddingTable:
-    """Rebuild a table from its `source` descriptor (used by model loading)."""
+    """Rebuild a table from its `source` descriptor (used by model loading);
+    a word2vec file must have the descriptor's `sha256`."""
     kind = source.get("kind")
     if kind == "word2vec":
-        return load_embeddings(
-            source["path"], expected_dim=source.get("dim"), sha256=source.get("sha256")
-        )
+        return load_embeddings(source["path"], expected_dim=source["dim"], sha256=source["sha256"])
     if kind == "fallback":
         return deterministic_fallback_table(source["vocab"], source["dim"], source["seed"])
     raise EmbeddingError(f"cannot rebuild embedding table from source kind {kind!r}")

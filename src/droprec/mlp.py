@@ -36,8 +36,6 @@ _DROPOUT_STREAM = 1
 # train() draws the dropout floats of this many steps with one call.
 _DROPOUT_BLOCK_STEPS = 64
 
-MODEL_FORMAT_VERSION = 2
-
 
 class ModelFormatError(ValueError):
     """Corrupt, mis-versioned, or shape-inconsistent model file."""
@@ -108,30 +106,15 @@ class DenseLayer:
 @dataclass
 class MlpModel:
     layers: list[DenseLayer]
-    input_dim: int
-    num_classes: int
     hyperparams: Hyperparams
-    label_set_name: str | None = None
 
-    def validate_shapes(self) -> None:
-        if not self.layers:
-            raise ModelFormatError("model has no layers")
-        if self.layers[0].in_dim != self.input_dim:
-            raise ModelFormatError(
-                f"first layer expects {self.layers[0].in_dim} inputs, model declares "
-                f"{self.input_dim}"
-            )
-        for i in range(1, len(self.layers)):
-            if self.layers[i].in_dim != self.layers[i - 1].out_dim:
-                raise ModelFormatError(
-                    f"layer {i} input {self.layers[i].in_dim} does not chain from layer "
-                    f"{i - 1} output {self.layers[i - 1].out_dim}"
-                )
-        if self.layers[-1].out_dim != self.num_classes:
-            raise ModelFormatError(
-                f"output layer has {self.layers[-1].out_dim} units, model declares "
-                f"{self.num_classes} classes"
-            )
+    @property
+    def input_dim(self) -> int:
+        return self.layers[0].in_dim
+
+    @property
+    def num_classes(self) -> int:
+        return self.layers[-1].out_dim
 
 
 @dataclass
@@ -166,20 +149,19 @@ def build_model(input_dim: int, num_classes: int, hp: Hyperparams) -> MlpModel:
     """
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
-    dims = (
-        [input_dim]
-        + [hp.hidden_dim] * (hp.layer_count - 1)
-        + [num_classes]
-    )
+    dims = _layer_dims(input_dim, num_classes, hp)
     rng = SplitMix64.for_stream(hp.seed, _INIT_STREAM)
     layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform_array(fan_out * fan_in, -limit, limit).reshape(fan_out, fan_in)
         layers.append(DenseLayer(w, np.zeros(fan_out)))
-    model = MlpModel(layers, input_dim, num_classes, hp)
-    model.validate_shapes()
-    return model
+    return MlpModel(layers, hp)
+
+
+def _layer_dims(input_dim: int, num_classes: int, hp: Hyperparams) -> list[int]:
+    """Widths of a network's input and of each layer's output."""
+    return [input_dim] + [hp.hidden_dim] * (hp.layer_count - 1) + [num_classes]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -410,14 +392,13 @@ def train(model: MlpModel, instances: list[tuple[np.ndarray, int]]) -> list[Epoc
         raise ValueError("cannot train on an empty instance list")
     feats = [np.asarray(f, dtype=np.float64) for f, _ in instances]
     labels = [int(lab) for _, lab in instances]
+    shape, num_classes = (model.input_dim,), model.num_classes
     for i, f in enumerate(feats):
-        if f.shape != (model.input_dim,):
-            raise ValueError(
-                f"instance {i} has dim {f.shape}, model expects ({model.input_dim},)"
-            )
+        if f.shape != shape:
+            raise ValueError(f"instance {i} has dim {f.shape}, model expects {shape}")
     for i, lab in enumerate(labels):
-        if not 0 <= lab < model.num_classes:
-            raise ValueError(f"instance {i} label {lab} outside [0, {model.num_classes})")
+        if not 0 <= lab < num_classes:
+            raise ValueError(f"instance {i} label {lab} outside [0, {num_classes})")
 
     layers = model.layers
     # Checked up front: the steps run on a copy, so a read-only array would
@@ -499,18 +480,24 @@ def train(model: MlpModel, instances: list[tuple[np.ndarray, int]]) -> list[Epoc
 
 # --- serialization --------------------------------------------------------
 #
-# A network is one versioned JSON object, nested in the recovery model file
-# (pipeline.recovery_to_dict).  Each layer's weights and bias are one base64
-# string of their little-endian float64 ("<f8") bytes in C order, with the
-# shape in the layer's out_dim and in_dim, so a save/load round trip is bit
-# exact.  Version 1 stored hex float strings; it is refused, not converted.
+# A network is one JSON object nested in the recovery model file
+# (pipeline.recovery_to_dict): its hyperparams, and per layer its weights and
+# bias, each one base64 string of their little-endian float64 ("<f8") bytes
+# in C order, so a save/load round trip is bit exact.  The shapes are not
+# stored: the hyperparams and the class count fix them.
+
+_NETWORK_FIELDS = {"hyperparams", "layers"}
+_LAYER_FIELDS = {"weights", "bias"}
 
 
-def require_int(value, name: str) -> int:
-    """`value` itself if it is an int (a bool is not); TypeError otherwise."""
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
+def check_fields(obj, names: set[str], what: str) -> None:
+    """TypeError unless `obj` is a JSON object, ValueError if it holds a
+    field not in `names`; a missing field is left to the reader's KeyError."""
+    if type(obj) is not dict:
+        raise TypeError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    if not obj.keys() <= names:
+        raise ValueError(f"{what} holds fields the format does not have: "
+                         f"{sorted(obj.keys() - names)}")
 
 
 def _array_to_base64(a: np.ndarray) -> str:
@@ -518,8 +505,6 @@ def _array_to_base64(a: np.ndarray) -> str:
 
 
 def _array_from_base64(block: str, shape: tuple[int, ...]) -> np.ndarray:
-    for size in shape:
-        require_int(size, "layer size")
     if type(block) is not str:
         raise ModelFormatError(
             f"parameter block must be a base64 string, got {type(block).__name__}"
@@ -543,51 +528,34 @@ def _array_from_base64(block: str, shape: tuple[int, ...]) -> np.ndarray:
 
 def model_to_dict(model: MlpModel) -> dict:
     return {
-        "format_version": MODEL_FORMAT_VERSION,
-        "kind": "mlp",
-        "input_dim": model.input_dim,
-        "num_classes": model.num_classes,
-        "label_set": model.label_set_name,
         "hyperparams": asdict(model.hyperparams),
         "layers": [
-            {
-                "out_dim": layer.out_dim,
-                "in_dim": layer.in_dim,
-                "weights": _array_to_base64(layer.weights),
-                "bias": _array_to_base64(layer.bias),
-            }
+            {"weights": _array_to_base64(layer.weights), "bias": _array_to_base64(layer.bias)}
             for layer in model.layers
         ],
     }
 
 
-def model_from_dict(obj: dict) -> MlpModel:
-    if not isinstance(obj, dict) or obj.get("kind") != "mlp":
-        raise ModelFormatError("not an mlp model object")
-    if obj.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported model format version {obj.get('format_version')!r}, "
-            f"expected {MODEL_FORMAT_VERSION}; retrain the model with `droprec train`"
-        )
+def model_from_dict(obj: dict, num_classes: int) -> MlpModel:
+    """The network of a `model_to_dict` object with `num_classes` outputs.
+
+    Its layers have the shapes that `build_model` gives a network of its
+    hyperparams' `input_dim`: `hidden_dim` outputs for each hidden layer,
+    `num_classes` for the last.  The object must hold `layer_count` layers.
+    """
     try:
-        fields = {**obj["hyperparams"]}  # TypeError unless a mapping
-        fields.pop("batch_size", None)  # written by versions that had batched training
-        hp = Hyperparams(**fields)
-        layers = [
-            DenseLayer(
-                _array_from_base64(entry["weights"], (entry["out_dim"], entry["in_dim"])),
-                _array_from_base64(entry["bias"], (entry["out_dim"],)),
-            )
-            for entry in obj["layers"]
-        ]
-        model = MlpModel(
-            layers,
-            require_int(obj["input_dim"], "input_dim"),
-            require_int(obj["num_classes"], "num_classes"),
-            hp,
-            obj.get("label_set"),
-        )
+        check_fields(obj, _NETWORK_FIELDS, "network")
+        hp = Hyperparams(**obj["hyperparams"])  # TypeError unless a mapping of its fields
+        entries = obj["layers"]
+        if len(entries) != hp.layer_count:
+            raise ValueError(f"network has {len(entries)} layers, its layer_count is "
+                             f"{hp.layer_count}")
+        dims = _layer_dims(hp.input_dim, num_classes, hp)
+        layers = []
+        for entry, fan_in, fan_out in zip(entries, dims[:-1], dims[1:]):
+            check_fields(entry, _LAYER_FIELDS, "layer")
+            layers.append(DenseLayer(_array_from_base64(entry["weights"], (fan_out, fan_in)),
+                                     _array_from_base64(entry["bias"], (fan_out,))))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"corrupt model file: {exc}") from None
-    model.validate_shapes()
-    return model
+    return MlpModel(layers, hp)

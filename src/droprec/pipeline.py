@@ -25,9 +25,11 @@ from .corpus import (Corpus, AnnotatedSentence, LabelSet, atomic_open, check_met
 from .embeddings import (SOURCE_FIELDS, EmbeddingTable, context_projection, context_rows,
                          table_from_source)
 from .hypotheses import DROPPED, build_dpg_instances, build_dpi_instances, gap_labels
-from .mlp import EpochStats, Hyperparams, MlpModel, ModelFormatError, require_int
+from .mlp import EpochStats, Hyperparams, MlpModel, ModelFormatError, check_fields
 
-RECOVERY_FORMAT_VERSION = 1
+RECOVERY_FORMAT_VERSION = 2
+_RECOVERY_FIELDS = {"format_version", "kind", "label_set", "threshold", "table_ref", "metadata",
+                    "dpi", "dpg"}
 
 # Dev-tuned detection threshold: candidate grid and tie policy (closest to
 # 0.5 wins, then the smaller value).
@@ -41,25 +43,20 @@ class RecoveryModel:
     dpi: MlpModel
     dpg: MlpModel
     label_set: LabelSet
-    window: int
     threshold: float
     table: EmbeddingTable
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def window(self) -> int:
+        """The context window of both networks."""
+        return self.dpi.hyperparams.window
 
 
 @dataclass(frozen=True)
 class RecoveredSentence:
     tokens: tuple[str, ...]
     recovered: tuple[tuple[int, str, float], ...]  # (gap_index, tag, confidence)
-
-
-def _check_dims(model: MlpModel, window: int, dim: int, stage: str) -> None:
-    expected = 2 * window * dim
-    if model.input_dim != expected:
-        raise ModelFormatError(
-            f"{stage} model expects input dim {model.input_dim}, but window {window} "
-            f"with embedding dim {dim} gives {expected}"
-        )
 
 
 def dpi_gap_probability(dpi: MlpModel, table: EmbeddingTable, rows: np.ndarray) -> np.ndarray:
@@ -121,21 +118,19 @@ def train_recovery(
     window = hp_dpi.window
 
     dpi_model = mlp.build_model(hp_dpi.input_dim, 2, hp_dpi)
-    dpi_model.label_set_name = train.label_set.name
     dpi_log = mlp.train(dpi_model, build_dpi_instances(train, table, window))
     if progress:
         for stats in dpi_log:
             progress("dpi", stats)
 
     dpg_model = mlp.build_model(hp_dpg.input_dim, len(train.label_set), hp_dpg)
-    dpg_model.label_set_name = train.label_set.name
     dpg_log = mlp.train(dpg_model, build_dpg_instances(train, table, window))
     if progress:
         for stats in dpg_log:
             progress("dpg", stats)
 
     threshold, dev_dpi_acc = tune_threshold(dpi_model, dev, table)
-    model = RecoveryModel(dpi_model, dpg_model, train.label_set, window, threshold, table)
+    model = RecoveryModel(dpi_model, dpg_model, train.label_set, threshold, table)
     gold = gap_labels(dev)
     annotated = gold >= 0
     dev_dpg_acc = None  # dev has no annotated gap to score
@@ -187,7 +182,6 @@ def recovery_to_dict(model: RecoveryModel) -> dict:
         "format_version": RECOVERY_FORMAT_VERSION,
         "kind": "recovery",
         "label_set": model.label_set.name,
-        "window": model.window,
         "threshold": model.threshold,
         "table_ref": model.table.source,
         "metadata": model.metadata,
@@ -199,34 +193,39 @@ def recovery_to_dict(model: RecoveryModel) -> dict:
 def recovery_from_dict(obj: dict, model_dir: str | Path = ".") -> RecoveryModel:
     """Build a recovery model from its JSON object.
 
-    A word2vec `table_ref` with a `sha256` names its file relative to
-    `model_dir`, the directory of the model file; one without (written
-    before the hash was recorded) names it relative to the working
-    directory.  The two parameter blocks are popped from `obj` as they
-    are converted, so their base64 strings are freed before the embedding
-    table is built.
+    Each field is stored once: the window and `embed_dim` are the networks'
+    hyperparams, and the layer shapes follow from these, the class count
+    (2 for detection, the label set's size for generation) and `layer_count`.
+    So beyond the fields themselves three relations are checked: the two
+    windows are equal, each `embed_dim` is the `table_ref` dim, and each
+    network has `layer_count` layers.  A field the format does not have is
+    refused.  A word2vec `table_ref` names its file relative to `model_dir`,
+    the directory of the model file, and carries the file's `sha256`.  The
+    two parameter blocks are popped from `obj` as they are converted, so
+    their base64 strings are freed before the embedding table is built.
     """
     if not isinstance(obj, dict) or obj.get("kind") != "recovery":
         raise ModelFormatError("not a recovery model object")
     if obj.get("format_version") != RECOVERY_FORMAT_VERSION:
         raise ModelFormatError(
-            f"unsupported recovery format version {obj.get('format_version')!r}"
+            f"unsupported recovery format version {obj.get('format_version')!r}, expected "
+            f"{RECOVERY_FORMAT_VERSION}; retrain the model with `droprec train`"
         )
     # CorpusError (an unknown label set) is a ValueError, so it lands here too.
     try:
-        window = require_int(obj["window"], "window")
+        check_fields(obj, _RECOVERY_FIELDS, "recovery model")
         if type(obj["threshold"]) not in (int, float):
             raise TypeError(f"could not convert threshold {obj['threshold']!r} to a number")
         threshold = float(obj["threshold"])
         label_set = label_set_by_name(obj["label_set"])
-        table_ref = dict(obj["table_ref"])
-        if table_ref.get("kind") not in SOURCE_FIELDS:
-            raise ValueError(f"table_ref kind {table_ref.get('kind')!r} cannot be rebuilt")
-        for key, kind in SOURCE_FIELDS[table_ref["kind"]].items():
+        table_ref = obj["table_ref"]
+        if table_ref["kind"] not in SOURCE_FIELDS:  # TypeError unless table_ref is an object
+            raise ValueError(f"table_ref kind {table_ref['kind']!r} cannot be rebuilt")
+        fields = SOURCE_FIELDS[table_ref["kind"]]
+        check_fields(table_ref, {"kind", *fields}, "table_ref")
+        for key, kind in fields.items():
             if isinstance(kind, re.Pattern):
-                if key in table_ref and not (
-                    type(table_ref[key]) is str and kind.fullmatch(table_ref[key])
-                ):
+                if not (type(table_ref[key]) is str and kind.fullmatch(table_ref[key])):
                     raise ValueError(
                         f"table_ref {key} must match {kind.pattern}, got {table_ref[key]!r}"
                     )
@@ -236,37 +235,31 @@ def recovery_from_dict(obj: dict, model_dir: str | Path = ".") -> RecoveryModel:
             "".join(table_ref.get("vocab", ())).encode("utf-8")
         except (TypeError, UnicodeEncodeError):
             raise TypeError("table_ref vocab must be a list of UTF-8 words") from None
-        dpi = mlp.model_from_dict(obj.pop("dpi"))
-        dpg = mlp.model_from_dict(obj.pop("dpg"))
-        metadata = dict(obj.get("metadata", {}))
+        metadata = obj["metadata"]
+        check_metadata(metadata)
+        dpi = mlp.model_from_dict(obj.pop("dpi"), 2)
+        dpg = mlp.model_from_dict(obj.pop("dpg"), len(label_set))
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"corrupt recovery model: {exc}") from None
     if not 0.0 <= threshold <= 1.0:
         raise ModelFormatError(f"detection threshold {threshold} is not in [0, 1]")
-    if dpg.num_classes != len(label_set):
-        raise ModelFormatError(
-            f"generation model has {dpg.num_classes} classes but label set "
-            f"{label_set.name!r} has {len(label_set)}"
-        )
-    # Before the table is built: a table of the declared dim must fit both
-    # networks, so a dim no network can use allocates nothing.
-    _check_dims(dpi, window, table_ref["dim"], "detection")
-    _check_dims(dpg, window, table_ref["dim"], "generation")
-    # Networks with zero-width first layers pass the checks above.
-    if window < 1:
-        raise ModelFormatError(f"window must be >= 1, got {window}")
-    if table_ref["dim"] < 1:
-        raise ModelFormatError(f"table_ref dim must be >= 1, got {table_ref['dim']}")
-    if "sha256" in table_ref:
-        table_ref["path"] = str(Path(model_dir) / table_ref["path"])
+    if dpi.hyperparams.window != dpg.hyperparams.window:
+        raise ModelFormatError(f"detection window {dpi.hyperparams.window} differs from "
+                               f"generation window {dpg.hyperparams.window}")
+    for stage, net in (("detection", dpi), ("generation", dpg)):
+        if net.hyperparams.embed_dim != table_ref["dim"]:
+            raise ModelFormatError(f"{stage} embed_dim {net.hyperparams.embed_dim} differs "
+                                   f"from table_ref dim {table_ref['dim']}")
+    if table_ref["kind"] == "word2vec":
+        table_ref = {**table_ref, "path": str(Path(model_dir) / table_ref["path"])}
     table = table_from_source(table_ref)
-    return RecoveryModel(dpi, dpg, label_set, window, threshold, table, metadata)
+    return RecoveryModel(dpi, dpg, label_set, threshold, table, metadata)
 
 
 def save_recovery_model(model: RecoveryModel, path: str | Path) -> None:
-    """Write the model as JSON.  A hashed word2vec `table_ref` is stored
+    """Write the model as JSON.  A word2vec `table_ref` is stored
     with its path relative to the model file's directory, so the bytes do
     not depend on the working directory.  A table whose source kind model
     loading cannot rebuild raises ValueError, and nothing is written; so
@@ -277,7 +270,7 @@ def save_recovery_model(model: RecoveryModel, path: str | Path) -> None:
     ref = obj["table_ref"]
     if ref.get("kind") not in SOURCE_FIELDS:
         raise ValueError(f"embedding table source kind {ref.get('kind')!r} cannot be rebuilt")
-    if "sha256" in ref:
+    if ref["kind"] == "word2vec":
         obj["table_ref"] = {**ref, "path": os.path.relpath(ref["path"], Path(path).parent)}
     with atomic_open(path) as fh:
         fh.write(json.dumps(obj, allow_nan=False))

@@ -13,7 +13,7 @@ import droprec
 from _blocks import decode_block, encode_block, with_value
 from droprec.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from droprec.corpus import FULL14, AnnotatedSentence, Corpus, load_corpus, save_corpus
-from droprec.embeddings import EmbeddingError, context_rows
+from droprec.embeddings import context_rows
 from droprec.pipeline import dpi_gap_probability, load_recovery_model, predict_dpi, recover
 
 
@@ -218,30 +218,6 @@ def test_train_on_a_word2vec_file_bad_mid_scan_exits_with_no_thread_left(workspa
     assert "Traceback" not in done.stderr and not (tmp_path / "model.json").exists()
 
 
-def test_model_without_table_hash_loads_through_the_full_parse(workspace, w2v_model, tmp_path,
-                                                              monkeypatch):
-    run = tmp_path / "run"
-    shutil.copytree(w2v_model.parent, run)
-    obj = json.loads((run / "model.json").read_text(encoding="utf-8"))
-    del obj["table_ref"]["sha256"]
-    (run / "model.json").write_text(json.dumps(obj), encoding="utf-8")
-    monkeypatch.chdir(run)  # without a hash the path is relative to the working directory
-    model = load_recovery_model("model.json")
-    assert model.table.unread == len(model.table)
-    hashed, bare = tmp_path / "hashed", tmp_path / "bare"
-    hashed.mkdir(), bare.mkdir()
-    assert recover_and_eval(workspace, w2v_model, hashed) == (EXIT_OK, EXIT_OK)
-    assert recover_and_eval(workspace, "model.json", bare) == (EXIT_OK, EXIT_OK)
-    assert output_bytes(bare) == output_bytes(hashed)
-    # The full parse checks the lines no corpus word reads, too.
-    content = (run / "vec.txt").read_bytes()
-    at = content.index(b"\nunused1 ") + 1
-    (run / "vec.txt").write_bytes(content[:at] + b"unused1 x" + content[content.index(b"\n", at):])
-    line = content[:at].count(b"\n") + 1
-    with pytest.raises(EmbeddingError, match=f"line {line}: expected 8 components, got 1"):
-        load_recovery_model("model.json")
-
-
 def test_train_rejects_a_malformed_duplicate_embedding_line(workspace, tmp_path, capsys):
     vec = tmp_path / "vec.txt"
     vec.write_text("2 8\nthe " + " ".join(["0.5"] * 8) + "\nthe 5\n", encoding="utf-8")
@@ -312,12 +288,14 @@ def test_dev_without_annotations_gives_a_strict_json_model(workspace, tmp_path, 
 
     obj = json.loads(model.read_text(encoding="utf-8"), parse_constant=reject)
     assert obj["metadata"]["dev_dpg_accuracy_gold"] is None
-    # Files written before held a bare NaN there; they still load.
+    # A bare NaN there, which no save writes, is refused: metadata is strict JSON.
     obj["metadata"]["dev_dpg_accuracy_gold"] = float("nan")
     model.write_text(json.dumps(obj), encoding="utf-8")
     assert main(["recover", "--model", str(model),
                  "--in", str(workspace / "splits" / "test.jsonl"),
-                 "--out", str(tmp_path / "out.jsonl")]) == EXIT_OK
+                 "--out", str(tmp_path / "out.jsonl")]) == EXIT_DATA
+    assert "metadata has no JSON form" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 def test_train_accepts_reference_generation_settings(workspace, tmp_path):
@@ -458,7 +436,7 @@ def test_unreadable_model_is_data_error(workspace, model_file, tmp_path, capsys,
      (("dpg", float("-inf")), "non-finite parameter"),
      (("dpg", "@@@@"), "parameter block is not valid base64"),
      (("dpi", "AAAAAAAAAA=="), "parameter block has 7 bytes"),
-     (("table_ref", 10**12), "with embedding dim 1000000000000")],
+     (("table_ref", 10**12), "differs from table_ref dim 1000000000000")],
     ids=["dpi-nan", "dpg-nan", "dpi-inf", "dpg-minus-inf", "not-base64", "seven-bytes",
          "huge-table-dim"],
 )
@@ -482,14 +460,52 @@ def test_model_with_numbers_it_cannot_use_is_data_error(workspace, model_file, t
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def version_1_object(obj: dict, hex_blocks: bool) -> dict:
+    """The recovery format 1 file of a model file's object: the window at the
+    top, and each network with its own version, kind, label set and sizes.
+    Its networks held hex float lists at their version 1, base64 blocks at 2."""
+    old = {**obj, "format_version": 1, "window": obj["dpi"]["hyperparams"]["window"]}
+    for net, classes in (("dpi", 2), ("dpg", len(FULL14))):
+        layers = []
+        for layer in obj[net]["layers"]:
+            bias, weights = decode_block(layer["bias"]), decode_block(layer["weights"])
+            layers.append({"out_dim": bias.size, "in_dim": weights.size // bias.size,
+                           **{block: [float(v).hex() for v in decode_block(layer[block])]
+                              if hex_blocks else layer[block] for block in ("weights", "bias")}})
+        old[net] = {"format_version": 1 if hex_blocks else 2, "kind": "mlp",
+                    "input_dim": layers[0]["in_dim"], "num_classes": classes,
+                    "label_set": obj["label_set"], "hyperparams": obj[net]["hyperparams"],
+                    "layers": layers}
+    return old
+
+
 def test_a_version_1_model_file_is_data_error_asking_to_retrain(workspace, model_file, tmp_path,
                                                                 capsys):
     obj = json.loads(model_file.read_text(encoding="utf-8"))
-    for net in ("dpi", "dpg"):  # the hex float lists that version 1 wrote
-        obj[net]["format_version"] = 1
-        for layer in obj[net]["layers"]:
-            for block in ("weights", "bias"):
-                layer[block] = [float(v).hex() for v in decode_block(layer[block])]
+    test = str(workspace / "splits" / "test.jsonl")
+    for hex_blocks in (True, False):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(version_1_object(obj, hex_blocks)), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["recover", "--model", str(model), "--in", test,
+                     "--out", str(tmp_path / "out.jsonl")]) == EXIT_DATA
+        assert main(["eval", "--model", str(model), "--test", test,
+                     "--report", str(tmp_path / "report.json")]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == err[1]
+        assert err[0] == "droprec: unsupported recovery format version 1, expected 2; " \
+                         "retrain the model with `droprec train`"
+        assert not (tmp_path / "out.jsonl").exists() and not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("classes", [1, 3])
+def test_a_detector_without_two_classes_is_data_error(workspace, model_file, tmp_path, capsys,
+                                                      classes):
+    obj = json.loads(model_file.read_text(encoding="utf-8"))
+    last = obj["dpi"]["layers"][-1]  # its blocks resized to `classes` output rows
+    width = decode_block(last["weights"]).size // 2
+    last["weights"] = encode_block(np.resize(decode_block(last["weights"]), classes * width))
+    last["bias"] = encode_block(np.resize(decode_block(last["bias"]), classes))
     model = tmp_path / "model.json"
     model.write_text(json.dumps(obj), encoding="utf-8")
     test = str(workspace / "splits" / "test.jsonl")
@@ -499,9 +515,8 @@ def test_a_version_1_model_file_is_data_error_asking_to_retrain(workspace, model
     assert main(["eval", "--model", str(model), "--test", test,
                  "--report", str(tmp_path / "report.json")]) == EXIT_DATA
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 and err[0] == err[1]
-    assert err[0].startswith("droprec: ") and err[0].endswith(
-        "unsupported model format version 1, expected 2; retrain the model with `droprec train`")
+    assert len(err) == 2 and err[0] == err[1] and "Traceback" not in err[0]
+    assert err[0].startswith("droprec: ") and "expected 8 per value of shape" in err[0]
     assert not (tmp_path / "out.jsonl").exists() and not (tmp_path / "report.json").exists()
 
 

@@ -7,6 +7,7 @@ The strategies mutate real files written by the package's own writers,
 and the examples hold every break fixed by hand so far.
 """
 
+import copy
 import json
 import math
 import sys
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _blocks import decode_block, with_value
+from _blocks import decode_block, encode_block, with_value
 from droprec import mlp
 from droprec.cli import EXIT_DATA, main
 from droprec.corpus import FULL14, CorpusError, load_corpus, save_corpus
@@ -52,7 +53,7 @@ def model_object() -> dict:
     table = deterministic_fallback_table(["a", "b"], 2, seed=1)
     hp = Hyperparams(embed_dim=2, window=1, layer_count=2, hidden_dim=2, epochs=1, seed=0)
     model = RecoveryModel(mlp.build_model(4, 2, hp), mlp.build_model(4, len(FULL14), hp),
-                          FULL14, 1, 0.5, table, {"dev_dpi_accuracy": 0.5})
+                          FULL14, 0.5, table, {"dev_dpi_accuracy": 0.5})
     return json.loads(json.dumps(recovery_to_dict(model)))
 
 
@@ -219,15 +220,28 @@ def model_edit(*edit) -> bytes:
     return mutated(MODEL, edit).encode("utf-8")
 
 
-# Both networks with zero-width first layers, which pass the input-width checks.
-ZERO_WIDTH = [((net, *key), value) for net in ("dpi", "dpg") for key, value in
-              [(("input_dim",), "0"), (("layers", 0, "in_dim"), "0"),
-               (("layers", 0, "weights"), '""')]]
-
-
 def block_with(net, layer, block, index, value) -> str:
     """JSON literal of a parameter block of MODEL with one value replaced."""
     return json.dumps(with_value(MODEL[net]["layers"][layer][block], index, value))
+
+
+def resized(net, layer, rows, blocks=("weights", "bias")) -> str:
+    """JSON literal of network `net` of MODEL with `blocks` of layer `layer`
+    resized to `rows` output rows."""
+    obj = copy.deepcopy(MODEL[net])
+    entry = obj["layers"][layer]
+    width = decode_block(entry["weights"]).size // decode_block(entry["bias"]).size
+    for block, size in (("weights", rows * width), ("bias", rows)):
+        if block in blocks:
+            entry[block] = encode_block(np.resize(decode_block(entry[block]), size))
+    return json.dumps(obj)
+
+
+def with_hyperparams(net, classes, **changes) -> str:
+    """JSON literal of a network of `classes` outputs whose hyperparams are
+    those of network `net` of MODEL with `changes`; its shapes match them."""
+    hp = Hyperparams(**{**MODEL[net]["hyperparams"], **changes})
+    return json.dumps(mlp.model_to_dict(mlp.build_model(hp.input_dim, classes, hp)))
 
 
 # The hex float lists of a version 1 file, in place of a version 2 block.
@@ -239,8 +253,8 @@ MODEL_FILES = st.one_of(
     corrupted(VALID_MODEL),
 )
 # A parameter block that is no finite double (NaN, -inf), no base64 ("@@@@"),
-# 2 bytes ("AAA="), 7 bytes, or a version 1 hex list in a version 1 or 2
-# network.
+# 2 bytes ("AAA="), 7 bytes, or a version 1 hex list in a version 2 or 1
+# file.
 BLOCK_BREAKS = [
     model_edit((("dpi", "layers", 0, "weights"), block_with("dpi", 0, "weights", 0, math.nan))),
     model_edit((("dpg", "layers", 1, "bias"), block_with("dpg", 1, "bias", 0, -math.inf))),
@@ -248,20 +262,40 @@ BLOCK_BREAKS = [
     model_edit((("dpi", "layers", 1, "bias"), '"AAA="')),
     model_edit((("dpg", "layers", 1, "weights"), '"AAAAAAAAAA=="')),
     model_edit((("dpi", "layers", 1, "bias"), HEX_BLOCK)),
-    model_edit((("dpi", "format_version"), "1"), (("dpi", "layers", 1, "bias"), HEX_BLOCK)),
+    model_edit((("format_version",), "1"), (("dpi", "layers", 1, "bias"), HEX_BLOCK)),
 ]
+BLOCK_BREAK_IDS = ["nan", "minus-inf", "not-base64", "two-bytes", "seven-bytes", "hex-list",
+                   "hex-list-in-version-1"]
+# Files whose fields are each well formed but break a relation between them:
+# the shapes the hyperparams and class counts fix, and the three relations
+# the loader checks besides.  Each must be refused.
+RELATION_BREAKS = {
+    "dpi-one-class": model_edit((("dpi",), resized("dpi", -1, 1))),
+    "dpi-three-classes": model_edit((("dpi",), resized("dpi", -1, 3))),
+    "dpg-thirteen-classes": model_edit((("dpg",), resized("dpg", -1, len(FULL14) - 1))),
+    "windows-differ": model_edit((("dpg",), with_hyperparams("dpg", len(FULL14), window=2))),
+    "embed-dim-not-table-dim": model_edit((("table_ref", "dim"), "3")),
+    "both-embed-dims-not-table-dim": model_edit(
+        (("dpi",), with_hyperparams("dpi", 2, embed_dim=3)),
+        (("dpg",), with_hyperparams("dpg", len(FULL14), embed_dim=3))),
+    "more-layers-than-layer-count": model_edit((("dpi", "hyperparams", "layer_count"), "1")),
+    "fewer-layers-than-layer-count": model_edit((("dpg", "hyperparams", "layer_count"), "3")),
+    "weights-one-row-short": model_edit((("dpi",), resized("dpi", 0, 1, ["weights"]))),
+    "weights-one-row-long": model_edit((("dpg",), resized("dpg", 1, len(FULL14) + 1,
+                                                          ["weights"]))),
+    "bias-one-row-short": model_edit((("dpg",), resized("dpg", 0, 1, ["bias"]))),
+    "word2vec-table-without-sha256": model_edit(
+        (("table_ref",), json.dumps({"kind": "word2vec", "path": "vec.txt", "dim": 2}))),
+}
 MODEL_BREAKS = [
     b"{broken", DEEP.encode(), b'{"kind": "\xff"}', b"[]",
     model_edit((("threshold",), '"abc"')), model_edit((("threshold",), "true")),
     model_edit((("threshold",), "NaN")), model_edit((("label_set",), '"nope"')),
-    model_edit((("window",), "0")), model_edit((("window",), "1.7")),
-    model_edit((("window",), "true")), model_edit((("table_ref", "dim"), "1000000000000")),
+    model_edit((("table_ref", "dim"), "1000000000000")),
     model_edit((("table_ref", "dim"), '"2"')), model_edit((("table_ref", "kind"), '"nope"')),
     model_edit((("table_ref", "vocab"), '"ab"')), model_edit((("table_ref", "vocab", 0), "1")),
     model_edit((("table_ref", "vocab", 0), '"\\ud800"')),
-    *BLOCK_BREAKS,
-    model_edit((("dpi", "layers", 0, "in_dim"), "4.7")),
-    model_edit((("dpi", "input_dim"), "4.0")),
+    *BLOCK_BREAKS, *RELATION_BREAKS.values(),
     model_edit((("dpi", "hyperparams", "learning_rate"), "NaN")),
     model_edit((("dpi", "hyperparams", "learning_rate"), "true")),
     model_edit((("dpi", "hyperparams", "epochs"), "true")),
@@ -270,9 +304,8 @@ MODEL_BREAKS = [
     model_edit((("dpi", "hyperparams", "layer_count"), "2.0")),
     model_edit((("dpi", "hyperparams", "embed_dim"), "true")),
     model_edit((("dpi", "hyperparams", "window"), "1.0")),
-    model_edit((("window",), "0"), *ZERO_WIDTH),
-    model_edit((("table_ref", "dim"), "0"), *ZERO_WIDTH),
     model_edit((("metadata",), "NaN")), model_edit((("metadata", "dev_dpi_accuracy"), "NaN")),
+    model_edit((("metadata",), '[["k", 1]]')),
 ]
 
 
@@ -285,28 +318,42 @@ def test_any_model_bytes_load_or_raise_model_format_error(tmp_path, data):
     loads_or_raises(load_recovery_model, path, ModelFormatError)
 
 
-@pytest.mark.parametrize("data", BLOCK_BREAKS)
+@pytest.mark.parametrize("data", BLOCK_BREAKS, ids=BLOCK_BREAK_IDS)
 def test_each_parameter_block_break_is_refused(tmp_path, data):
     path = tmp_path / "model.json"
     path.write_bytes(data)
     assert not loads_or_raises(load_recovery_model, path, ModelFormatError)
 
 
+@pytest.mark.parametrize("data", RELATION_BREAKS.values(), ids=RELATION_BREAKS.keys())
+def test_each_relation_break_is_refused(tmp_path, data):
+    path = tmp_path / "model.json"
+    path.write_bytes(data)
+    assert not loads_or_raises(load_recovery_model, path, ModelFormatError)
+
+
+def test_the_unbroken_model_loads(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(VALID_MODEL)
+    assert loads_or_raises(load_recovery_model, path, ModelFormatError)
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @FUZZ
-@given(arrays(np.float64, st.integers(1, 6).map(lambda k: 2 * k + 2), elements=FINITE))
+@given(arrays(np.float64, st.integers(1, 6).map(lambda d: 4 * d + 2), elements=FINITE))
 @example(np.array([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                    sys.float_info.max, -sys.float_info.max]))
 def test_any_finite_parameters_survive_the_model_file_bit_exactly(values):
     k = (values.size - 2) // 2  # a k -> 2 network: 2k weights and 2 biases
-    model = mlp.build_model(k, 2, Hyperparams(embed_dim=1, layer_count=1, seed=0))
+    hp = Hyperparams(embed_dim=k // 2, layer_count=1, seed=0)  # window 1: k inputs
+    model = mlp.build_model(hp.input_dim, 2, hp)
     layer = model.layers[0]
     layer.weights[...] = values[:2 * k].reshape(2, k)
     layer.bias[...] = values[2 * k:]
     text = json.dumps(mlp.model_to_dict(model), allow_nan=False)
-    again = mlp.model_from_dict(json.loads(text))
+    again = mlp.model_from_dict(json.loads(text), 2)
     assert again.layers[0].weights.tobytes() == layer.weights.tobytes()
     assert again.layers[0].bias.tobytes() == layer.bias.tobytes()
     assert json.dumps(mlp.model_to_dict(again), allow_nan=False) == text

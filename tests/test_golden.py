@@ -11,8 +11,9 @@ import hashlib
 
 from droprec.cli import EXIT_OK, main
 from droprec.corpus import load_corpus
+from droprec.pipeline import load_recovery_model, save_recovery_model
 
-MODEL_SHA256 = "f625b21493cef918fad66dca425101cd498654ae02b0a0887c1aeb3e672d268b"
+MODEL_SHA256 = "628b3c5386c16f604e8bc7c195c7b34c2021877a54f9a663dbfea61dab2d4f43"
 GOLD_REPORT_SHA256 = "4c4aca89314eaa06f303e1f5e4f258a3b5422426db6f34a24957fb548a23969c"
 PREDICTED_REPORT_SHA256 = "928ddcd6f20ad9be59fb7e802e7a059f275b729c6a6620eeedd788d2e25d75ba"
 RECOVER_SHA256 = "08b98c022d539c88b3450e1eba9fe9a6fb51c69c93deb7c19e23d5332ebf4417"
@@ -20,6 +21,13 @@ RECOVER_SHA256 = "08b98c022d539c88b3450e1eba9fe9a6fb51c69c93deb7c19e23d5332ebf44
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _assert_load_save_round_trips(path):
+    """Saving the loaded model beside the file writes the file's bytes."""
+    again = path.with_name("again.json")
+    save_recovery_model(load_recovery_model(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_criterion_7_chain_digests(tmp_path, monkeypatch, capsys):
@@ -43,9 +51,10 @@ def test_criterion_7_chain_digests(tmp_path, monkeypatch, capsys):
     assert _sha256(tmp_path / "gold.json") == GOLD_REPORT_SHA256
     assert _sha256(tmp_path / "predicted.json") == PREDICTED_REPORT_SHA256
     assert _sha256(tmp_path / "recovered.jsonl") == RECOVER_SHA256
+    _assert_load_save_round_trips(tmp_path / "model.json")
 
 
-W2V_MODEL_SHA256 = "3dc106ab308f71a4886e0110b1822b17d7d50913589f74c6969c79549ef2c7a1"
+W2V_MODEL_SHA256 = "8b49e9365a89c6304e145e5c10975e16b180141c2d546ea707367f5103edf2ba"
 W2V_PREDICTED_REPORT_SHA256 = "46ad0b242dd725771f0f1038bcb8928ce905bf0ec0268b408f38cbf065a0fd44"
 W2V_RECOVER_SHA256 = "0ff6410b6dd0d14d292b933dee5eb7522dac2ab1a2985345c9d30379a28c9910"
 
@@ -86,3 +95,4 @@ def test_word2vec_chain_digests(tmp_path, monkeypatch, capsys):
     assert _sha256(tmp_path / "model.json") == W2V_MODEL_SHA256
     assert _sha256(tmp_path / "predicted.json") == W2V_PREDICTED_REPORT_SHA256
     assert _sha256(tmp_path / "recovered.jsonl") == W2V_RECOVER_SHA256
+    _assert_load_save_round_trips(tmp_path / "model.json")

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from _blocks import decode_block
+from _blocks import decode_block, encode_block
 from _gradcheck import finite_difference_grads, max_relative_error
 from droprec import mlp
+from droprec.corpus import FULL14
+from droprec.embeddings import deterministic_fallback_table
 from droprec.mlp import (
     DenseLayer,
     Hyperparams,
@@ -27,6 +29,7 @@ from droprec.mlp import (
     softmax,
     train,
 )
+from droprec.pipeline import RecoveryModel, recovery_from_dict, recovery_to_dict
 from droprec.rng import SplitMix64
 
 
@@ -198,7 +201,7 @@ def test_sgd_zero_learning_rate_is_noop():
 
 def test_sgd_scalar_arithmetic():
     layer = DenseLayer(np.array([[1.0]]), np.array([0.0]))
-    model = MlpModel([layer], 1, 1, tiny_hp())
+    model = MlpModel([layer], tiny_hp())
     sgd_step(model, [LayerGrads(np.array([[0.5]]), np.array([0.0]))], 0.1)
     assert layer.weights[0, 0] == pytest.approx(0.95, abs=1e-15)
 
@@ -233,7 +236,7 @@ def test_sgd_rejects_infinite_gradient_naming_its_layer():
 
 def test_sgd_accepts_finite_gradient_whose_sum_overflows():
     layer = DenseLayer(np.zeros((1, 2)), np.zeros(1))
-    model = MlpModel([layer], 2, 1, tiny_hp())
+    model = MlpModel([layer], tiny_hp())
     grads = [LayerGrads(np.array([[1e308, 1e308]]), np.array([0.0]))]
     with np.errstate(over="ignore"):
         sgd_step(model, grads, 0.5)
@@ -481,12 +484,11 @@ def test_save_load_round_trip_bit_exact():
     hp = Hyperparams(embed_dim=3, window=2, layer_count=3, hidden_dim=7,
                      dropout_rate=0.25, epochs=2, learning_rate=0.015, seed=13)
     model = build_model(hp.input_dim, 5, hp)
-    model.label_set_name = "full14"
     train(model, [(np.random.default_rng(1).normal(size=hp.input_dim), i % 5) for i in range(20)])
     # the trip through JSON text that each network makes inside a recovery model file
-    again = mlp.model_from_dict(json.loads(json.dumps(mlp.model_to_dict(model))))
-    assert again.label_set_name == "full14"
+    again = mlp.model_from_dict(json.loads(json.dumps(mlp.model_to_dict(model))), 5)
     assert again.hyperparams == hp
+    assert [layer.weights.shape for layer in again.layers] == [(7, 12), (7, 7), (5, 7)]
     rng = np.random.default_rng(2)
     for _ in range(100):
         x = rng.normal(size=hp.input_dim)
@@ -494,11 +496,14 @@ def test_save_load_round_trip_bit_exact():
 
 
 def test_load_rejects_wrong_version():
+    # The version is the recovery model file's; a network holds none.
     model = build_model(2, 2, tiny_hp(embed_dim=1))
     obj = json.loads(json.dumps(mlp.model_to_dict(model)))
-    obj["format_version"] = 99
-    with pytest.raises(ModelFormatError, match="version"):
-        mlp.model_from_dict(obj)
+    assert set(obj) == {"hyperparams", "layers"}
+    assert all(set(layer) == {"weights", "bias"} for layer in obj["layers"])
+    obj["format_version"] = 2
+    with pytest.raises(ModelFormatError, match=r"fields the format does not have: \['format_"):
+        mlp.model_from_dict(obj, 2)
 
 
 @pytest.mark.parametrize(
@@ -517,15 +522,31 @@ def test_load_rejects_malformed_hyperparams(hyperparams):
     else:
         obj["hyperparams"] = hyperparams
     with pytest.raises(ModelFormatError, match="corrupt model file"):
-        mlp.model_from_dict(obj)
+        mlp.model_from_dict(obj, 2)
 
 
 def test_load_rejects_broken_shape_chain():
     model = build_model(4, 2, tiny_hp())
     obj = json.loads(json.dumps(mlp.model_to_dict(model)))
-    obj["layers"][0]["out_dim"] = 3  # no longer chains into layer 1
-    with pytest.raises(ModelFormatError):
-        mlp.model_from_dict(obj)
+    first = obj["layers"][0]  # 3 of its 5 units: no longer chains into layer 1
+    first["weights"] = encode_block(decode_block(first["weights"])[:12])
+    first["bias"] = encode_block(decode_block(first["bias"])[:3])
+    with pytest.raises(ModelFormatError, match=r"expected 8 per value of shape \(5, 4\)"):
+        mlp.model_from_dict(obj, 2)
+
+
+@pytest.mark.parametrize("layer_count", [1, 3])
+def test_load_rejects_a_layer_count_the_layers_do_not_have(layer_count):
+    obj = tiny_network_object()
+    obj["hyperparams"]["layer_count"] = layer_count
+    with pytest.raises(ModelFormatError, match=f"has 2 layers, its layer_count is {layer_count}"):
+        mlp.model_from_dict(obj, 2)
+
+
+@pytest.mark.parametrize("classes", [1, 3])
+def test_load_takes_the_class_count_from_its_caller(classes):
+    with pytest.raises(ModelFormatError, match=rf"expected 8 per value of shape \({classes}, 5\)"):
+        mlp.model_from_dict(tiny_network_object(), classes)
 
 
 def tiny_network_object() -> dict:
@@ -545,7 +566,7 @@ def test_load_rejects_a_parameter_that_is_no_finite_double(block, bits):
     raw = base64.b64decode(obj["layers"][1][block])
     obj["layers"][1][block] = base64.b64encode(raw[:-8] + bits.to_bytes(8, "little")).decode()
     with pytest.raises(ModelFormatError, match="non-finite parameter"):
-        mlp.model_from_dict(obj)
+        mlp.model_from_dict(obj, 2)
 
 
 def _reencoded(edit):
@@ -570,7 +591,7 @@ def test_load_rejects_a_parameter_block_that_is_not_base64_of_its_doubles(block,
     obj = tiny_network_object()
     obj["layers"][1][block] = edit(obj["layers"][1][block])
     with pytest.raises(ModelFormatError, match=match):
-        mlp.model_from_dict(obj)
+        mlp.model_from_dict(obj, 2)
 
 
 @pytest.mark.parametrize("value", ["hex-list", 0, None], ids=["hex-list", "number", "null"])
@@ -581,7 +602,7 @@ def test_load_rejects_a_parameter_block_that_is_not_a_string(value):
     obj["layers"][1]["bias"] = value
     with pytest.raises(ModelFormatError,
                        match=f"must be a base64 string, got {type(value).__name__}"):
-        mlp.model_from_dict(obj)
+        mlp.model_from_dict(obj, 2)
 
 
 def test_a_version_1_network_is_refused_with_the_retrain_message():
@@ -590,13 +611,20 @@ def test_a_version_1_network_is_refused_with_the_retrain_message():
     for layer in obj["layers"]:  # the hex float lists that version 1 wrote
         for block in ("weights", "bias"):
             layer[block] = [float(v).hex() for v in decode_block(layer[block])]
-    with pytest.raises(ModelFormatError,
-                       match="version 1, expected 2; retrain the model with `droprec train`"):
-        mlp.model_from_dict(obj)
+    with pytest.raises(ModelFormatError, match="fields the format does not have"):
+        mlp.model_from_dict(obj, 2)
+    table = deterministic_fallback_table(["a"], 1, seed=0)
+    recovery = recovery_to_dict(RecoveryModel(build_model(2, 2, tiny_hp(embed_dim=1)),
+                                              build_model(2, 14, tiny_hp(embed_dim=1)),
+                                              FULL14, 0.5, table))
+    recovery.update(format_version=1, dpi=obj)
+    with pytest.raises(ModelFormatError, match="unsupported recovery format version 1, "
+                       "expected 2; retrain the model with `droprec train`"):
+        recovery_from_dict(recovery)
 
 
 def test_loaded_parameters_are_owned_writeable_native_arrays():
-    again = mlp.model_from_dict(tiny_network_object())
+    again = mlp.model_from_dict(tiny_network_object(), 2)
     for layer in again.layers:
         for a in (layer.weights, layer.bias):
             assert a.dtype == np.float64 and a.dtype.isnative
@@ -608,7 +636,7 @@ def test_a_loaded_network_trains_to_the_bytes_of_the_original():
     hp = Hyperparams(embed_dim=2, window=1, layer_count=3, hidden_dim=6,
                      dropout_rate=0.3, epochs=3, learning_rate=0.05, seed=4)
     model = build_model(hp.input_dim, 3, hp)
-    loaded = mlp.model_from_dict(json.loads(json.dumps(mlp.model_to_dict(model))))
+    loaded = mlp.model_from_dict(json.loads(json.dumps(mlp.model_to_dict(model))), 3)
     arrays = layer_arrays(loaded)
     rng = SplitMix64(7)
     data = [(rng.uniform_array(hp.input_dim, -1.0, 1.0), i % 3) for i in range(30)]
@@ -620,7 +648,7 @@ def test_a_loaded_network_trains_to_the_bytes_of_the_original():
 def test_load_accepts_finite_parameters_whose_sum_overflows():
     model = build_model(2, 2, tiny_hp(embed_dim=1))
     model.layers[0].weights[:] = 1.5e308
-    again = mlp.model_from_dict(json.loads(json.dumps(mlp.model_to_dict(model))))
+    again = mlp.model_from_dict(json.loads(json.dumps(mlp.model_to_dict(model))), 2)
     assert np.array_equal(again.layers[0].weights, model.layers[0].weights)
 
 

@@ -56,7 +56,7 @@ def stub_recovery_model(table, label_set=FULL14, window=1, threshold=0.5,
     dpg = mlp.build_model(input_dim, len(label_set), hp)
     dpg.layers[0].weights[:] = 0.0
     dpg.layers[0].bias[:] = 0.0 if dpg_bias is None else np.array(dpg_bias)
-    return RecoveryModel(dpi, dpg, label_set, window, threshold, table, {})
+    return RecoveryModel(dpi, dpg, label_set, threshold, table, {})
 
 
 # --- training ----------------------------------------------------------------
@@ -347,31 +347,19 @@ def test_saving_metadata_that_reads_back_unequal_writes_nothing(tmp_path, metada
     assert list(tmp_path.iterdir()) == []
 
 
-def test_model_file_with_batch_size_and_negative_rate_keys_loads(tmp_path):
-    # Model files written while training had batch and negative-sampling
-    # options carry "batch_size": 1 in both hyperparams blocks and
-    # "negative_rate": 1.0 in the metadata.
-    train, dev, test, table = small_separable_setup(n=60)
-    hp = Hyperparams(embed_dim=8, window=1, layer_count=2, epochs=10, learning_rate=0.05,
-                     seed=6)
-    model = train_recovery(train, dev, table, hp, hp)
-    save_recovery_model(model, tmp_path / "model.json")
-    obj = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
-    for stage in ("dpi", "dpg"):
-        obj[stage]["hyperparams"]["batch_size"] = 1
+def test_batch_size_in_hyperparams_is_refused_and_negative_rate_in_metadata_loads(tmp_path):
+    # Versions with batched training wrote "batch_size" into the hyperparams,
+    # only in recovery format 1 files; metadata holds any key.
+    table = deterministic_fallback_table(["a"], 2, seed=0)
+    obj = recovery_to_dict(stub_recovery_model(table))
     obj["metadata"]["negative_rate"] = 1.0
-    (tmp_path / "old.json").write_text(json.dumps(obj), encoding="utf-8")
-
-    old = load_recovery_model(tmp_path / "old.json")
-    for got, want in ((old.dpi, model.dpi), (old.dpg, model.dpg)):
-        assert got.hyperparams == want.hyperparams
-        for a, b in zip(got.layers, want.layers):
-            assert np.array_equal(a.weights, b.weights)
-            assert np.array_equal(a.bias, b.bias)
-    assert old.threshold == model.threshold
-    recovered = [recover(model, s) for s in test.sentences]
-    assert any(r.recovered for r in recovered)
-    assert [recover(old, s) for s in test.sentences] == recovered
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert load_recovery_model(path).metadata == {"negative_rate": 1.0}
+    obj["dpg"]["hyperparams"]["batch_size"] = 1
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="unexpected keyword argument 'batch_size'"):
+        load_recovery_model(path)
 
 
 def test_recovery_load_rejects_bad_version():
@@ -391,33 +379,47 @@ def test_recovery_load_rejects_threshold_outside_unit_interval(threshold):
         recovery_from_dict(obj)
 
 
-# Both networks with zero-width first layers: window 0, or a table dim of
-# 0, passes the dim checks.
-ZERO_WIDTH = {"window": 0, **{(net, *key): value for net in ("dpi", "dpg") for key, value in
-                             [(("input_dim",), 0), (("layers", 0, "in_dim"), 0),
-                              (("layers", 0, "weights"), "")]}}
+# Both networks with zero-width first layers: window 0, or embedding dims of
+# 0 in the networks and the table, as the hyperparams refuse.
+ZERO_WIDTH = {(net, *key): value for net in ("dpi", "dpg") for key, value in
+              [(("hyperparams", "window"), 0), (("layers", 0, "weights"), "")]}
+ZERO_DIM = {("table_ref", "dim"): 0, **{(net, *key): value for net in ("dpi", "dpg") for key, value
+                                        in [(("hyperparams", "embed_dim"), 0),
+                                            (("layers", 0, "weights"), "")]}}
 
 
 @pytest.mark.parametrize(
     "field, value, match",
-    [("threshold", "abc", "could not convert"), ("window", 0, "input dim"),
-     ("label_set", "nope", "unknown label set"), ("window", 1.7, "window must be an integer"),
-     ("window", True, "window must be an integer"),
+    [("threshold", "abc", "could not convert"),
+     (("dpi", "hyperparams", "window"), 0, "window must be >= 1, got 0"),
+     ("label_set", "nope", "unknown label set"),
+     (("dpi", "hyperparams", "window"), 1.7, "hyperparams window must be int"),
+     (("dpg", "hyperparams", "window"), True, "hyperparams window must be int"),
      ("threshold", True, "could not convert"), ("threshold", "0.5", "could not convert"),
-     (("dpi", "input_dim"), 8.7, "input_dim must be an integer"),
-     (("dpg", "num_classes"), 14.0, "num_classes must be an integer"),
-     (("dpi", "layers", 0, "out_dim"), 2.0, "layer size must be an integer"),
-     (("dpg", "layers", 0, "in_dim"), True, "layer size must be an integer"),
+     (("dpi", "input_dim"), 8.7, r"network holds fields the format does not have: \['input_dim'\]"),
+     (("dpg", "num_classes"), 14.0,
+      r"network holds fields the format does not have: \['num_classes'\]"),
+     (("dpi", "layers", 0, "out_dim"), 2.0,
+      r"layer holds fields the format does not have: \['out_dim'\]"),
+     (("dpg", "layers", 0, "in_dim"), True,
+      r"layer holds fields the format does not have: \['in_dim'\]"),
      (("dpi", "hyperparams", "learning_rate"), float("nan"), "learning_rate"),
      (("table_ref", "kind"), "bogus", "kind 'bogus' cannot be rebuilt"),
      (ZERO_WIDTH, None, "window must be >= 1, got 0"),
-     ({**ZERO_WIDTH, "window": 1, ("table_ref", "dim"): 0}, None,
-      "table_ref dim must be >= 1, got 0")],
+     (ZERO_DIM, None, "embed_dim must be >= 1, got 0"),
+     ("window", 1, r"recovery model holds fields the format does not have: \['window'\]"),
+     (("dpi", "format_version"), 2, r"network holds fields the format does not have"),
+     (("table_ref", "sha256"), "0" * 64, r"table_ref holds fields the format does not have"),
+     ("metadata", [["k", 1]], "metadata has no JSON form"),
+     ("metadata", {"k": float("nan")}, "metadata has no JSON form"),
+     ("metadata", {"k": (1, {"a": float("-inf")})}, "metadata has no JSON form")],
     ids=["non-numeric-threshold", "window-zero", "unknown-label-set", "window-float",
          "window-bool", "threshold-bool", "threshold-string", "input-dim-float",
          "num-classes-float", "out-dim-float", "in-dim-bool", "learning-rate-nan",
          "table-kind-unknown", "window-zero-zero-width-layers",
-         "table-dim-zero-zero-width-layers"],
+         "table-dim-zero-zero-width-layers", "top-level-window", "network-format-version",
+         "fallback-table-sha256", "metadata-list-of-pairs", "metadata-nan",
+         "metadata-nested-minus-inf"],
 )
 def test_load_recovery_model_raises_model_format_error(tmp_path, field, value, match):
     table = deterministic_fallback_table(["a"], 2, seed=0)
@@ -455,7 +457,7 @@ def test_table_ref_dim_that_fits_no_network_is_rejected_before_the_table_is_buil
     monkeypatch.setattr(pipeline, "table_from_source",
                         lambda source: pytest.fail("the table was built"))
     with pytest.raises(ModelFormatError,
-                       match="expects input dim 4, but window 1 with embedding dim 10+ gives"):
+                       match="detection embed_dim 2 differs from table_ref dim 10+"):
         recovery_from_dict(obj)
 
 
@@ -478,7 +480,7 @@ def test_recovery_load_rejects_class_count_mismatch():
     table = deterministic_fallback_table(["a"], 2, seed=0)
     obj = recovery_to_dict(stub_recovery_model(table))
     obj["label_set"] = "actual10"  # generator still has 14 outputs
-    with pytest.raises(ModelFormatError, match="classes"):
+    with pytest.raises(ModelFormatError, match=r"expected 8 per value of shape \(10, 4\)"):
         recovery_from_dict(obj)
 
 
