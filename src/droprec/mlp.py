@@ -149,7 +149,7 @@ def build_model(input_dim: int, num_classes: int, hp: Hyperparams) -> MlpModel:
     """
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
-    dims = _layer_dims(input_dim, num_classes, hp)
+    dims = layer_dims(input_dim, num_classes, hp)
     rng = SplitMix64.for_stream(hp.seed, _INIT_STREAM)
     layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -159,7 +159,7 @@ def build_model(input_dim: int, num_classes: int, hp: Hyperparams) -> MlpModel:
     return MlpModel(layers, hp)
 
 
-def _layer_dims(input_dim: int, num_classes: int, hp: Hyperparams) -> list[int]:
+def layer_dims(input_dim: int, num_classes: int, hp: Hyperparams) -> list[int]:
     """Widths of a network's input and of each layer's output."""
     return [input_dim] + [hp.hidden_dim] * (hp.layer_count - 1) + [num_classes]
 
@@ -488,6 +488,7 @@ def train(model: MlpModel, instances: list[tuple[np.ndarray, int]]) -> list[Epoc
 
 _NETWORK_FIELDS = {"hyperparams", "layers"}
 _LAYER_FIELDS = {"weights", "bias"}
+_HYPERPARAM_FIELDS = {field.name for field in dataclass_fields(Hyperparams)}
 
 
 def check_fields(obj, names: set[str], what: str) -> None:
@@ -504,25 +505,30 @@ def _array_to_base64(a: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _array_from_base64(block: str, shape: tuple[int, ...]) -> np.ndarray:
+def _array_from_base64(block: str, shape: tuple[int, ...], what: str) -> np.ndarray:
     if type(block) is not str:
         raise ModelFormatError(
-            f"parameter block must be a base64 string, got {type(block).__name__}"
+            f"{what}: parameter block must be a base64 string, got {type(block).__name__}"
         )
     try:  # binascii.Error, or ValueError for a character outside ASCII
         raw = base64.b64decode(block, validate=True)
+        # b64decode also takes excess padding and nonzero pad bits, which
+        # would not save back: only the encoding of `raw` itself loads.
+        if len(block) != 4 * -(-len(raw) // 3) or (
+                block[-4:] != base64.b64encode(raw[-(len(raw) % 3 or 3):]).decode("ascii")):
+            raise ValueError
     except ValueError:
-        raise ModelFormatError("parameter block is not valid base64") from None
+        raise ModelFormatError(f"{what}: parameter block is not valid base64") from None
     if len(raw) != 8 * math.prod(shape):
         raise ModelFormatError(
-            f"parameter block has {len(raw)} bytes, expected 8 per value of shape {shape}"
+            f"{what}: parameter block has {len(raw)} bytes, expected 8 per value of shape {shape}"
         )
     # One copy into an owned, writeable, native array: no view of `raw`.
     a = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
     # Elementwise: a sum first would be no faster here, and would warn on
     # finite parameters whose sum overflows.
     if not np.isfinite(a).all():
-        raise ModelFormatError("non-finite parameter in model file")
+        raise ModelFormatError(f"{what}: non-finite parameter in model file")
     return a
 
 
@@ -536,26 +542,33 @@ def model_to_dict(model: MlpModel) -> dict:
     }
 
 
-def model_from_dict(obj: dict, num_classes: int) -> MlpModel:
-    """The network of a `model_to_dict` object with `num_classes` outputs.
+def model_from_dict(obj: dict, num_classes: int, name: str) -> MlpModel:
+    """The network of a `model_to_dict` object with `num_classes` outputs;
+    errors name it `name` and name its layer.
 
-    Its layers have the shapes that `build_model` gives a network of its
-    hyperparams' `input_dim`: `hidden_dim` outputs for each hidden layer,
-    `num_classes` for the last.  The object must hold `layer_count` layers.
+    Its hyperparams must hold every field.  Its layers have the shapes that
+    `build_model` gives a network of its hyperparams' `input_dim`:
+    `hidden_dim` outputs for each hidden layer, `num_classes` for the last.
+    The object must hold `layer_count` layers.
     """
     try:
         check_fields(obj, _NETWORK_FIELDS, "network")
-        hp = Hyperparams(**obj["hyperparams"])  # TypeError unless a mapping of its fields
+        fields = obj["hyperparams"]
+        if type(fields) is dict and (missing := _HYPERPARAM_FIELDS - fields.keys()):
+            raise ValueError(f"{name} hyperparams lack fields {sorted(missing)}")
+        hp = Hyperparams(**fields)  # TypeError unless a mapping of its fields
         entries = obj["layers"]
         if len(entries) != hp.layer_count:
-            raise ValueError(f"network has {len(entries)} layers, its layer_count is "
+            raise ValueError(f"{name} has {len(entries)} layers, its layer_count is "
                              f"{hp.layer_count}")
-        dims = _layer_dims(hp.input_dim, num_classes, hp)
+        dims = layer_dims(hp.input_dim, num_classes, hp)
         layers = []
-        for entry, fan_in, fan_out in zip(entries, dims[:-1], dims[1:]):
+        for i, (entry, fan_in, fan_out) in enumerate(zip(entries, dims[:-1], dims[1:])):
             check_fields(entry, _LAYER_FIELDS, "layer")
-            layers.append(DenseLayer(_array_from_base64(entry["weights"], (fan_out, fan_in)),
-                                     _array_from_base64(entry["bias"], (fan_out,))))
+            where = f"{name} layer {i}"
+            layers.append(DenseLayer(
+                _array_from_base64(entry["weights"], (fan_out, fan_in), f"{where} weights"),
+                _array_from_base64(entry["bias"], (fan_out,), f"{where} bias")))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"corrupt model file: {exc}") from None
     return MlpModel(layers, hp)

@@ -5,7 +5,7 @@ dropped here?) and one multi-class MLP over gold dropped positions (which
 pronoun?).  The detection threshold is tuned on the dev split.  At
 inference, every gap whose detection probability clears the threshold is
 sent to the generator, which assigns the argmax label with its softmax
-confidence.
+confidence.  `RecoveryModel` holds the rules for how these parts fit.
 """
 
 from __future__ import annotations
@@ -47,6 +47,31 @@ class RecoveryModel:
     table: EmbeddingTable
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.check()
+        self.threshold = float(self.threshold)
+
+    def check(self) -> None:
+        """Raise ValueError unless the parts fit: a threshold in [0, 1]; both networks
+        over one window of the table, shaped as `mlp.build_model` shapes their hyperparams
+        with 2 classes (dpi) or one per label (dpg); metadata that passes `check_metadata`."""
+        t = self.threshold
+        if isinstance(t, bool) or not isinstance(t, (int, float)):
+            raise ValueError(f"could not convert threshold {t!r} to a number")
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"detection threshold {t} is not in [0, 1]")
+        for name, net, classes in (("dpi", self.dpi, 2), ("dpg", self.dpg, len(self.label_set))):
+            hp = net.hyperparams
+            if (hp.window, hp.embed_dim) != (self.window, self.table.dim):
+                raise ValueError(f"{name} has window {hp.window}, embed_dim {hp.embed_dim}; both "
+                                 f"networks must share a window and the table dim {self.table.dim}")
+            dims = mlp.layer_dims(hp.input_dim, classes, hp)
+            shapes = [(layer.weights.shape, layer.bias.shape) for layer in net.layers]
+            if shapes != [((o, i), (o,)) for i, o in zip(dims, dims[1:])]:
+                raise ValueError(f"{name} layer shapes {shapes} do not follow from its "
+                                 f"hyperparams and {classes} classes")
+        check_metadata(self.metadata)
+
     @property
     def window(self) -> int:
         """The context window of both networks."""
@@ -59,21 +84,19 @@ class RecoveredSentence:
     recovered: tuple[tuple[int, str, float], ...]  # (gap_index, tag, confidence)
 
 
-def dpi_gap_probability(dpi: MlpModel, table: EmbeddingTable, rows: np.ndarray) -> np.ndarray:
+def dpi_gap_probability(model: RecoveryModel, rows: np.ndarray) -> np.ndarray:
     """Eval-mode probability that a pronoun is dropped, per gap of a
-    `context_rows` matrix of `table`."""
-    z = context_projection(rows, table, dpi.layers[0].weights)
-    return mlp.predict_from_first_layer(dpi, z)[1][:, DROPPED]
+    `context_rows` matrix of the model's table."""
+    z = context_projection(rows, model.table, model.dpi.layers[0].weights)
+    return mlp.predict_from_first_layer(model.dpi, z)[1][:, DROPPED]
 
 
-def tune_threshold(dpi_model: MlpModel, dev: Corpus, table: EmbeddingTable) -> tuple[float, float]:
+def tune_threshold(model: RecoveryModel, dev: Corpus) -> tuple[float, float]:
     """Grid-search the detection threshold maximizing dev gap accuracy.
 
     Returns (threshold, accuracy).  Ties prefer the threshold nearest 0.5.
-    Gaps are read in the window of `dpi_model.hyperparams`.
     """
-    window = dpi_model.hyperparams.window
-    probs = dpi_gap_probability(dpi_model, table, context_rows(dev.sentences, window, table))
+    probs = dpi_gap_probability(model, context_rows(dev.sentences, model.window, model.table))
     gold = gap_labels(dev) >= 0
     correct = {t: int(np.count_nonzero((probs >= t) == gold)) for t in THRESHOLD_GRID}
     best = min(THRESHOLD_GRID, key=lambda t: (-correct[t], abs(t - 0.5), t))
@@ -90,11 +113,10 @@ def train_recovery(
 ) -> RecoveryModel:
     """Train both stages and tune the detection threshold on dev.
 
-    Both corpora must share a label set, both hyperparameter sets must
-    agree with the embedding table dimension and use the same window, and
-    dev must be non-empty.  Dev accuracy of both stages lands in the
-    returned model's metadata; generation's is scored at the annotated dev
-    gaps, and is None when there are none.
+    Both corpora must share a label set and dev must be non-empty.  Hyperparams
+    that break a `RecoveryModel` rule raise ValueError before the first step.
+    Dev accuracy of both stages lands in the returned model's metadata;
+    generation's is scored at the annotated dev gaps, and is None without any.
     """
     if train.label_set.name != dev.label_set.name:
         raise ValueError(
@@ -104,38 +126,24 @@ def train_recovery(
         raise ValueError("training corpus is empty")
     if not dev.sentences:
         raise ValueError("dev corpus is empty")
-    for stage, hp in (("detection", hp_dpi), ("generation", hp_dpg)):
-        if hp.embed_dim != table.dim:
-            raise ValueError(
-                f"{stage} hyperparams declare embed_dim {hp.embed_dim}, table has {table.dim}"
-            )
-    if hp_dpi.window != hp_dpg.window:
-        raise ValueError(
-            f"both stages must share a window, got {hp_dpi.window} and {hp_dpg.window}"
-        )
     if train.total_annotations() == 0:
         raise ValueError("training corpus has no dropped-pronoun annotations")
-    window = hp_dpi.window
+    model = RecoveryModel(mlp.build_model(hp_dpi.input_dim, 2, hp_dpi),
+                          mlp.build_model(hp_dpg.input_dim, len(train.label_set), hp_dpg),
+                          train.label_set, 0.5, table)
+    for name, net, build in (("dpi", model.dpi, build_dpi_instances),
+                             ("dpg", model.dpg, build_dpg_instances)):
+        log = mlp.train(net, build(train, table, model.window))
+        if progress:
+            for stats in log:
+                progress(name, stats)
 
-    dpi_model = mlp.build_model(hp_dpi.input_dim, 2, hp_dpi)
-    dpi_log = mlp.train(dpi_model, build_dpi_instances(train, table, window))
-    if progress:
-        for stats in dpi_log:
-            progress("dpi", stats)
-
-    dpg_model = mlp.build_model(hp_dpg.input_dim, len(train.label_set), hp_dpg)
-    dpg_log = mlp.train(dpg_model, build_dpg_instances(train, table, window))
-    if progress:
-        for stats in dpg_log:
-            progress("dpg", stats)
-
-    threshold, dev_dpi_acc = tune_threshold(dpi_model, dev, table)
-    model = RecoveryModel(dpi_model, dpg_model, train.label_set, threshold, table)
+    model.threshold, dev_dpi_acc = tune_threshold(model, dev)
     gold = gap_labels(dev)
     annotated = gold >= 0
     dev_dpg_acc = None  # dev has no annotated gap to score
     if annotated.any():
-        classes = predict_dpg(model, context_rows(dev.sentences, window, table)[annotated])[0]
+        classes = predict_dpg(model, context_rows(dev.sentences, model.window, table)[annotated])[0]
         dev_dpg_acc = int(np.count_nonzero(classes == gold[annotated])) / len(classes)
     model.metadata = {
         "dev_dpi_accuracy": dev_dpi_acc,
@@ -149,7 +157,7 @@ def train_recovery(
 def predict_dpi(model: RecoveryModel, rows: np.ndarray) -> np.ndarray:
     """Detected gaps among the rows of a `context_rows` matrix of the
     model's table: P(dropped) >= the model threshold."""
-    return dpi_gap_probability(model.dpi, model.table, rows) >= model.threshold
+    return dpi_gap_probability(model, rows) >= model.threshold
 
 
 def predict_dpg(model: RecoveryModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,16 +201,15 @@ def recovery_to_dict(model: RecoveryModel) -> dict:
 def recovery_from_dict(obj: dict, model_dir: str | Path = ".") -> RecoveryModel:
     """Build a recovery model from its JSON object.
 
-    Each field is stored once: the window and `embed_dim` are the networks'
-    hyperparams, and the layer shapes follow from these, the class count
-    (2 for detection, the label set's size for generation) and `layer_count`.
-    So beyond the fields themselves three relations are checked: the two
-    windows are equal, each `embed_dim` is the `table_ref` dim, and each
-    network has `layer_count` layers.  A field the format does not have is
-    refused.  A word2vec `table_ref` names its file relative to `model_dir`,
-    the directory of the model file, and carries the file's `sha256`.  The
-    two parameter blocks are popped from `obj` as they are converted, so
-    their base64 strings are freed before the embedding table is built.
+    Each field is stored once, and a field the format does not have is refused.
+    Each network's blocks decode at the shapes its hyperparams and class count
+    fix; how the parts fit is checked by `RecoveryModel`, whose ValueError
+    becomes ModelFormatError.  Only the detection `embed_dim` is compared with
+    the `table_ref` dim first, so that no table of a dim no network uses is
+    built.  A word2vec `table_ref` names its file relative to `model_dir`, the
+    directory of the model file, and carries the file's `sha256`.  The blocks
+    are popped from `obj` as they are decoded, freeing their base64 strings
+    before the table is built.
     """
     if not isinstance(obj, dict) or obj.get("kind") != "recovery":
         raise ModelFormatError("not a recovery model object")
@@ -214,9 +221,7 @@ def recovery_from_dict(obj: dict, model_dir: str | Path = ".") -> RecoveryModel:
     # CorpusError (an unknown label set) is a ValueError, so it lands here too.
     try:
         check_fields(obj, _RECOVERY_FIELDS, "recovery model")
-        if type(obj["threshold"]) not in (int, float):
-            raise TypeError(f"could not convert threshold {obj['threshold']!r} to a number")
-        threshold = float(obj["threshold"])
+        threshold, metadata = obj["threshold"], obj["metadata"]
         label_set = label_set_by_name(obj["label_set"])
         table_ref = obj["table_ref"]
         if table_ref["kind"] not in SOURCE_FIELDS:  # TypeError unless table_ref is an object
@@ -235,27 +240,22 @@ def recovery_from_dict(obj: dict, model_dir: str | Path = ".") -> RecoveryModel:
             "".join(table_ref.get("vocab", ())).encode("utf-8")
         except (TypeError, UnicodeEncodeError):
             raise TypeError("table_ref vocab must be a list of UTF-8 words") from None
-        metadata = obj["metadata"]
-        check_metadata(metadata)
-        dpi = mlp.model_from_dict(obj.pop("dpi"), 2)
-        dpg = mlp.model_from_dict(obj.pop("dpg"), len(label_set))
+        dpi = mlp.model_from_dict(obj.pop("dpi"), 2, "dpi")
+        dpg = mlp.model_from_dict(obj.pop("dpg"), len(label_set), "dpg")
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"corrupt recovery model: {exc}") from None
-    if not 0.0 <= threshold <= 1.0:
-        raise ModelFormatError(f"detection threshold {threshold} is not in [0, 1]")
-    if dpi.hyperparams.window != dpg.hyperparams.window:
-        raise ModelFormatError(f"detection window {dpi.hyperparams.window} differs from "
-                               f"generation window {dpg.hyperparams.window}")
-    for stage, net in (("detection", dpi), ("generation", dpg)):
-        if net.hyperparams.embed_dim != table_ref["dim"]:
-            raise ModelFormatError(f"{stage} embed_dim {net.hyperparams.embed_dim} differs "
-                                   f"from table_ref dim {table_ref['dim']}")
+    if dpi.hyperparams.embed_dim != table_ref["dim"]:
+        raise ModelFormatError(f"detection embed_dim {dpi.hyperparams.embed_dim} differs "
+                               f"from table_ref dim {table_ref['dim']}")
     if table_ref["kind"] == "word2vec":
         table_ref = {**table_ref, "path": str(Path(model_dir) / table_ref["path"])}
     table = table_from_source(table_ref)
-    return RecoveryModel(dpi, dpg, label_set, threshold, table, metadata)
+    try:
+        return RecoveryModel(dpi, dpg, label_set, threshold, table, metadata)
+    except ValueError as exc:
+        raise ModelFormatError(f"corrupt recovery model: {exc}") from None
 
 
 def save_recovery_model(model: RecoveryModel, path: str | Path) -> None:
@@ -263,9 +263,9 @@ def save_recovery_model(model: RecoveryModel, path: str | Path) -> None:
     with its path relative to the model file's directory, so the bytes do
     not depend on the working directory.  A table whose source kind model
     loading cannot rebuild raises ValueError, and nothing is written; so
-    does a NaN or infinite number, which strict JSON cannot hold, and
-    metadata that breaks `corpus.check_metadata`."""
-    check_metadata(model.metadata)
+    does a NaN or infinite number, which strict JSON cannot hold, and a model that
+    breaks a `RecoveryModel` rule (a threshold or metadata assigned after it was built)."""
+    model.check()
     obj = recovery_to_dict(model)
     ref = obj["table_ref"]
     if ref.get("kind") not in SOURCE_FIELDS:

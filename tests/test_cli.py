@@ -517,6 +517,7 @@ def test_a_detector_without_two_classes_is_data_error(workspace, model_file, tmp
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and err[0] == err[1] and "Traceback" not in err[0]
     assert err[0].startswith("droprec: ") and "expected 8 per value of shape" in err[0]
+    assert f"dpi layer {len(obj['dpi']['layers']) - 1} weights: parameter block has" in err[0]
     assert not (tmp_path / "out.jsonl").exists() and not (tmp_path / "report.json").exists()
 
 
@@ -529,7 +530,7 @@ def test_corpus_and_sentence_detection_agree(workspace, model_file):
     # The fixture's tuned threshold detects nothing; halfway between the two
     # middle probabilities detects about half the gaps, and lies far from
     # any last-bit difference between the two paths.
-    values = np.unique(dpi_gap_probability(model.dpi, model.table, rows))
+    values = np.unique(dpi_gap_probability(model, rows))
     model.threshold = float(values[len(values) // 2 - 1 : len(values) // 2 + 1].mean())
     whole = predict_dpi(model, rows)
     per_sentence = [predict_dpi(model, context_rows((sent,), model.window, model.table))

@@ -23,7 +23,8 @@ from droprec.cli import EXIT_DATA, main
 from droprec.corpus import FULL14, CorpusError, load_corpus, save_corpus
 from droprec.embeddings import EmbeddingError, deterministic_fallback_table, load_embeddings
 from droprec.mlp import Hyperparams, ModelFormatError
-from droprec.pipeline import RecoveryModel, load_recovery_model, recovery_to_dict
+from droprec.pipeline import (RecoveryModel, load_recovery_model, recovery_to_dict,
+                              save_recovery_model)
 from droprec.synth import builtin_grammar, generate_corpus
 
 FUZZ = settings(max_examples=120, deadline=None,
@@ -253,8 +254,8 @@ MODEL_FILES = st.one_of(
     corrupted(VALID_MODEL),
 )
 # A parameter block that is no finite double (NaN, -inf), no base64 ("@@@@"),
-# 2 bytes ("AAA="), 7 bytes, or a version 1 hex list in a version 2 or 1
-# file.
+# 2 bytes ("AAA="), 7 bytes, a version 1 hex list in a version 2 or 1 file,
+# or 16 zero bytes whose last character sets a pad bit ("…AB==").
 BLOCK_BREAKS = [
     model_edit((("dpi", "layers", 0, "weights"), block_with("dpi", 0, "weights", 0, math.nan))),
     model_edit((("dpg", "layers", 1, "bias"), block_with("dpg", 1, "bias", 0, -math.inf))),
@@ -263,9 +264,10 @@ BLOCK_BREAKS = [
     model_edit((("dpg", "layers", 1, "weights"), '"AAAAAAAAAA=="')),
     model_edit((("dpi", "layers", 1, "bias"), HEX_BLOCK)),
     model_edit((("format_version",), "1"), (("dpi", "layers", 1, "bias"), HEX_BLOCK)),
+    model_edit((("dpi", "layers", 1, "bias"), '"AAAAAAAAAAAAAAAAAAAAAB=="')),
 ]
 BLOCK_BREAK_IDS = ["nan", "minus-inf", "not-base64", "two-bytes", "seven-bytes", "hex-list",
-                   "hex-list-in-version-1"]
+                   "hex-list-in-version-1", "non-canonical-tail"]
 # Files whose fields are each well formed but break a relation between them:
 # the shapes the hyperparams and class counts fix, and the three relations
 # the loader checks besides.  Each must be refused.
@@ -306,6 +308,8 @@ MODEL_BREAKS = [
     model_edit((("dpi", "hyperparams", "window"), "1.0")),
     model_edit((("metadata",), "NaN")), model_edit((("metadata", "dev_dpi_accuracy"), "NaN")),
     model_edit((("metadata",), '[["k", 1]]')),
+    json.dumps({**MODEL, "dpi": {**MODEL["dpi"], "hyperparams": {
+        k: v for k, v in MODEL["dpi"]["hyperparams"].items() if k != "seed"}}}).encode("utf-8"),
 ]
 
 
@@ -315,7 +319,11 @@ MODEL_BREAKS = [
 def test_any_model_bytes_load_or_raise_model_format_error(tmp_path, data):
     path = tmp_path / "model.json"
     path.write_bytes(data)
-    loads_or_raises(load_recovery_model, path, ModelFormatError)
+    if loads_or_raises(load_recovery_model, path, ModelFormatError):
+        # what loads saves back as the object it was read from
+        save_recovery_model(load_recovery_model(path), tmp_path / "again.json")
+        again = (tmp_path / "again.json").read_text(encoding="utf-8")
+        assert json.loads(again) == json.loads(data.decode("utf-8"))
 
 
 @pytest.mark.parametrize("data", BLOCK_BREAKS, ids=BLOCK_BREAK_IDS)
@@ -353,7 +361,7 @@ def test_any_finite_parameters_survive_the_model_file_bit_exactly(values):
     layer.weights[...] = values[:2 * k].reshape(2, k)
     layer.bias[...] = values[2 * k:]
     text = json.dumps(mlp.model_to_dict(model), allow_nan=False)
-    again = mlp.model_from_dict(json.loads(text), 2)
+    again = mlp.model_from_dict(json.loads(text), 2, "dpi")
     assert again.layers[0].weights.tobytes() == layer.weights.tobytes()
     assert again.layers[0].bias.tobytes() == layer.bias.tobytes()
     assert json.dumps(mlp.model_to_dict(again), allow_nan=False) == text

@@ -486,7 +486,7 @@ def test_save_load_round_trip_bit_exact():
     model = build_model(hp.input_dim, 5, hp)
     train(model, [(np.random.default_rng(1).normal(size=hp.input_dim), i % 5) for i in range(20)])
     # the trip through JSON text that each network makes inside a recovery model file
-    again = mlp.model_from_dict(json.loads(json.dumps(mlp.model_to_dict(model))), 5)
+    again = mlp.model_from_dict(json.loads(json.dumps(mlp.model_to_dict(model))), 5, "dpg")
     assert again.hyperparams == hp
     assert [layer.weights.shape for layer in again.layers] == [(7, 12), (7, 7), (5, 7)]
     rng = np.random.default_rng(2)
@@ -503,7 +503,7 @@ def test_load_rejects_wrong_version():
     assert all(set(layer) == {"weights", "bias"} for layer in obj["layers"])
     obj["format_version"] = 2
     with pytest.raises(ModelFormatError, match=r"fields the format does not have: \['format_"):
-        mlp.model_from_dict(obj, 2)
+        mlp.model_from_dict(obj, 2, "dpi")
 
 
 @pytest.mark.parametrize(
@@ -522,7 +522,17 @@ def test_load_rejects_malformed_hyperparams(hyperparams):
     else:
         obj["hyperparams"] = hyperparams
     with pytest.raises(ModelFormatError, match="corrupt model file"):
-        mlp.model_from_dict(obj, 2)
+        mlp.model_from_dict(obj, 2, "dpi")
+
+
+@pytest.mark.parametrize("field", ["embed_dim", "window", "layer_count", "dropout_rate",
+                                   "epochs", "learning_rate", "hidden_dim", "seed"])
+def test_load_rejects_hyperparams_without_a_field(field):
+    # A default in its place would load, and save back other bytes.
+    obj = tiny_network_object()
+    del obj["hyperparams"][field]
+    with pytest.raises(ModelFormatError, match=rf"dpg hyperparams lack fields \['{field}'\]"):
+        mlp.model_from_dict(obj, 2, "dpg")
 
 
 def test_load_rejects_broken_shape_chain():
@@ -532,7 +542,7 @@ def test_load_rejects_broken_shape_chain():
     first["weights"] = encode_block(decode_block(first["weights"])[:12])
     first["bias"] = encode_block(decode_block(first["bias"])[:3])
     with pytest.raises(ModelFormatError, match=r"expected 8 per value of shape \(5, 4\)"):
-        mlp.model_from_dict(obj, 2)
+        mlp.model_from_dict(obj, 2, "dpi")
 
 
 @pytest.mark.parametrize("layer_count", [1, 3])
@@ -540,13 +550,13 @@ def test_load_rejects_a_layer_count_the_layers_do_not_have(layer_count):
     obj = tiny_network_object()
     obj["hyperparams"]["layer_count"] = layer_count
     with pytest.raises(ModelFormatError, match=f"has 2 layers, its layer_count is {layer_count}"):
-        mlp.model_from_dict(obj, 2)
+        mlp.model_from_dict(obj, 2, "dpi")
 
 
 @pytest.mark.parametrize("classes", [1, 3])
 def test_load_takes_the_class_count_from_its_caller(classes):
     with pytest.raises(ModelFormatError, match=rf"expected 8 per value of shape \({classes}, 5\)"):
-        mlp.model_from_dict(tiny_network_object(), classes)
+        mlp.model_from_dict(tiny_network_object(), classes, "dpi")
 
 
 def tiny_network_object() -> dict:
@@ -566,11 +576,19 @@ def test_load_rejects_a_parameter_that_is_no_finite_double(block, bits):
     raw = base64.b64decode(obj["layers"][1][block])
     obj["layers"][1][block] = base64.b64encode(raw[:-8] + bits.to_bytes(8, "little")).decode()
     with pytest.raises(ModelFormatError, match="non-finite parameter"):
-        mlp.model_from_dict(obj, 2)
+        mlp.model_from_dict(obj, 2, "dpi")
 
 
 def _reencoded(edit):
     return lambda block: base64.b64encode(edit(base64.b64decode(block))).decode()
+
+
+def _pad_bit_set(block):
+    """`block` with the lowest pad bit of its last data character set: the
+    same bytes to `b64decode`, but not their encoding."""
+    i = len(block.rstrip("=")) - 1
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    return block[:i] + alphabet[alphabet.index(block[i]) + 1] + block[i + 1:]
 
 
 # Any 8 bytes are a double, so a block fails only as base64 or by its length.
@@ -579,19 +597,29 @@ def _reencoded(edit):
     [(lambda b: "@" + b[1:], "not valid base64"),
      (lambda b: b.rstrip("="), "not valid base64"),
      (lambda b: b + "=", "not valid base64"),
+     (_pad_bit_set, "not valid base64"),
      (lambda b: "\u00e9" + b[1:], "not valid base64"),
      (_reencoded(lambda raw: raw[:-1]), "bytes, expected 8 per value of shape"),
      (_reencoded(lambda raw: raw[:-8]), "bytes, expected 8 per value of shape"),
      (_reencoded(lambda raw: raw + raw[:8]), "bytes, expected 8 per value of shape")],
-    ids=["bad-alphabet", "missing-padding", "excess-padding", "non-ascii", "seven-byte-tail",
-         "one-value-short", "one-value-long"],
+    ids=["bad-alphabet", "missing-padding", "excess-padding", "pad-bit-set", "non-ascii",
+         "seven-byte-tail", "one-value-short", "one-value-long"],
 )
 @pytest.mark.parametrize("block", ["weights", "bias"])
 def test_load_rejects_a_parameter_block_that_is_not_base64_of_its_doubles(block, edit, match):
     obj = tiny_network_object()
     obj["layers"][1][block] = edit(obj["layers"][1][block])
-    with pytest.raises(ModelFormatError, match=match):
-        mlp.model_from_dict(obj, 2)
+    with pytest.raises(ModelFormatError, match=f"dpi layer 1 {block}: parameter block .*{match}"):
+        mlp.model_from_dict(obj, 2, "dpi")
+
+
+@pytest.mark.parametrize("padding", ["=", "===="])
+def test_load_rejects_padding_after_a_whole_last_group(padding):
+    # b64decode takes it; the bias of 3 values is 24 bytes, 32 characters.
+    obj = mlp.model_to_dict(build_model(2, 2, tiny_hp(embed_dim=1, hidden_dim=3)))
+    obj["layers"][0]["bias"] += padding
+    with pytest.raises(ModelFormatError, match="dpg layer 0 bias: parameter block is not valid"):
+        mlp.model_from_dict(obj, 2, "dpg")
 
 
 @pytest.mark.parametrize("value", ["hex-list", 0, None], ids=["hex-list", "number", "null"])
@@ -602,7 +630,7 @@ def test_load_rejects_a_parameter_block_that_is_not_a_string(value):
     obj["layers"][1]["bias"] = value
     with pytest.raises(ModelFormatError,
                        match=f"must be a base64 string, got {type(value).__name__}"):
-        mlp.model_from_dict(obj, 2)
+        mlp.model_from_dict(obj, 2, "dpi")
 
 
 def test_a_version_1_network_is_refused_with_the_retrain_message():
@@ -612,7 +640,7 @@ def test_a_version_1_network_is_refused_with_the_retrain_message():
         for block in ("weights", "bias"):
             layer[block] = [float(v).hex() for v in decode_block(layer[block])]
     with pytest.raises(ModelFormatError, match="fields the format does not have"):
-        mlp.model_from_dict(obj, 2)
+        mlp.model_from_dict(obj, 2, "dpi")
     table = deterministic_fallback_table(["a"], 1, seed=0)
     recovery = recovery_to_dict(RecoveryModel(build_model(2, 2, tiny_hp(embed_dim=1)),
                                               build_model(2, 14, tiny_hp(embed_dim=1)),
@@ -624,7 +652,7 @@ def test_a_version_1_network_is_refused_with_the_retrain_message():
 
 
 def test_loaded_parameters_are_owned_writeable_native_arrays():
-    again = mlp.model_from_dict(tiny_network_object(), 2)
+    again = mlp.model_from_dict(tiny_network_object(), 2, "dpi")
     for layer in again.layers:
         for a in (layer.weights, layer.bias):
             assert a.dtype == np.float64 and a.dtype.isnative
@@ -636,7 +664,7 @@ def test_a_loaded_network_trains_to_the_bytes_of_the_original():
     hp = Hyperparams(embed_dim=2, window=1, layer_count=3, hidden_dim=6,
                      dropout_rate=0.3, epochs=3, learning_rate=0.05, seed=4)
     model = build_model(hp.input_dim, 3, hp)
-    loaded = mlp.model_from_dict(json.loads(json.dumps(mlp.model_to_dict(model))), 3)
+    loaded = mlp.model_from_dict(json.loads(json.dumps(mlp.model_to_dict(model))), 3, "dpg")
     arrays = layer_arrays(loaded)
     rng = SplitMix64(7)
     data = [(rng.uniform_array(hp.input_dim, -1.0, 1.0), i % 3) for i in range(30)]
@@ -648,7 +676,7 @@ def test_a_loaded_network_trains_to_the_bytes_of_the_original():
 def test_load_accepts_finite_parameters_whose_sum_overflows():
     model = build_model(2, 2, tiny_hp(embed_dim=1))
     model.layers[0].weights[:] = 1.5e308
-    again = mlp.model_from_dict(json.loads(json.dumps(mlp.model_to_dict(model))), 2)
+    again = mlp.model_from_dict(json.loads(json.dumps(mlp.model_to_dict(model))), 2, "dpi")
     assert np.array_equal(again.layers[0].weights, model.layers[0].weights)
 
 

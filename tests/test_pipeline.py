@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from droprec.corpus import (ACTUAL10, FULL14, AnnotatedSentence, Corpus, CorpusE
                             load_corpus, split_corpus)
 from droprec.embeddings import (EmbeddingError, EmbeddingTable, context_embedding, context_rows,
                                 deterministic_fallback_table, load_embeddings)
-from droprec.mlp import Hyperparams, ModelFormatError
+from droprec.mlp import Hyperparams, MlpModel, ModelFormatError
 from droprec.pipeline import (
     RecoveryModel,
     dpi_gap_probability,
@@ -57,6 +58,81 @@ def stub_recovery_model(table, label_set=FULL14, window=1, threshold=0.5,
     dpg.layers[0].weights[:] = 0.0
     dpg.layers[0].bias[:] = 0.0 if dpg_bias is None else np.array(dpg_bias)
     return RecoveryModel(dpi, dpg, label_set, threshold, table, {})
+
+
+# --- the model's rules -------------------------------------------------------
+
+TINY_HP = Hyperparams(embed_dim=2, window=1, layer_count=2, hidden_dim=2, epochs=1, seed=0)
+
+
+def fitting_parts() -> dict:
+    """The parts of a model that fit: 4 -> 2 -> {2, 14} over a 2-dim table."""
+    return {"dpi": mlp.build_model(4, 2, TINY_HP), "dpg": mlp.build_model(4, len(FULL14), TINY_HP),
+            "label_set": FULL14, "threshold": 0.5,
+            "table": deterministic_fallback_table(["a"], 2, seed=0), "metadata": {}}
+
+
+def network(classes, **changes) -> MlpModel:
+    """A network of `classes` outputs shaped as TINY_HP with `changes` gives."""
+    hp = replace(TINY_HP, **changes)
+    return mlp.build_model(hp.input_dim, classes, hp)
+
+
+def resized(classes, layer, rows, blocks=("weights", "bias")) -> MlpModel:
+    """A TINY_HP network whose `blocks` of layer `layer` have `rows` rows."""
+    net = network(classes)
+    entry = net.layers[layer]
+    if "weights" in blocks:
+        entry.weights = np.resize(entry.weights, (rows, entry.in_dim))
+    if "bias" in blocks:
+        entry.bias = np.resize(entry.bias, rows)
+    return net
+
+
+# The in-memory counterparts of the model files that break a relation
+# (test_fuzz.RELATION_BREAKS), and parts that break the other rules.
+PART_BREAKS = {
+    "dpi-one-class": ({"dpi": resized(2, -1, 1)}, r"dpi layer shapes .* and 2 classes"),
+    "dpi-three-classes": ({"dpi": network(3)}, r"dpi layer shapes .* and 2 classes"),
+    "dpg-thirteen-classes": ({"dpg": network(13)}, r"dpg layer shapes .* and 14 classes"),
+    "windows-differ": ({"dpg": network(14, window=2)}, "dpg has window 2, .* share a window"),
+    "embed-dim-not-table-dim": ({"table": deterministic_fallback_table(["a"], 3, seed=0)},
+                                "dpi has window 1, embed_dim 2; .* the table dim 3"),
+    "both-embed-dims-not-table-dim": ({"dpi": network(2, embed_dim=3),
+                                       "dpg": network(14, embed_dim=3)},
+                                      "dpi has window 1, embed_dim 3; .* the table dim 2"),
+    "more-layers-than-layer-count": ({"dpi": MlpModel(network(2).layers,
+                                                      replace(TINY_HP, layer_count=1))},
+                                     "dpi layer shapes"),
+    "fewer-layers-than-layer-count": ({"dpg": MlpModel(network(14).layers,
+                                                       replace(TINY_HP, layer_count=3))},
+                                      "dpg layer shapes"),
+    "weights-one-row-short": ({"dpi": resized(2, 0, 1, ["weights"])}, "dpi layer shapes"),
+    "weights-one-row-long": ({"dpg": resized(14, 1, 15, ["weights"])}, "dpg layer shapes"),
+    "bias-one-row-short": ({"dpg": resized(14, 0, 1, ["bias"])}, "dpg layer shapes"),
+    "threshold-above-one": ({"threshold": 1.5}, r"threshold 1.5 is not in \[0, 1\]"),
+    "threshold-nan": ({"threshold": math.nan}, r"threshold nan is not in \[0, 1\]"),
+    "threshold-bool": ({"threshold": True}, "could not convert threshold True"),
+    "threshold-string": ({"threshold": "0.5"}, "could not convert threshold '0.5'"),
+    "metadata-tuple": ({"metadata": {"k": ("a",)}}, "metadata does not read back equal"),
+}
+
+
+@pytest.mark.parametrize("changes, match", PART_BREAKS.values(), ids=PART_BREAKS.keys())
+def test_parts_that_do_not_fit_are_refused_when_built_and_when_saved(tmp_path, changes, match):
+    with pytest.raises(ValueError, match=match):
+        RecoveryModel(**{**fitting_parts(), **changes})
+    model = RecoveryModel(**fitting_parts())
+    for name, value in changes.items():  # assigned after construction, as `recover` may
+        setattr(model, name, value)
+    with pytest.raises(ValueError, match=match):
+        save_recovery_model(model, tmp_path / "model.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_model_holds_its_threshold_as_a_float():
+    model = RecoveryModel(**{**fitting_parts(), "threshold": 1})
+    assert type(model.threshold) is float and model.threshold == 1.0
 
 
 # --- training ----------------------------------------------------------------
@@ -166,7 +242,7 @@ def test_hand_built_detector_matches_hand_computed_probabilities():
         2: sigmoid(1 * 10 - 1 * 10 - 15),   # P, N
         3: sigmoid(-1 * 10 + 0 * 10 - 15),  # N, pad
     }
-    probs = dpi_gap_probability(model.dpi, table, rows)
+    probs = dpi_gap_probability(model, rows)
     for gap, want in expected.items():
         assert probs[gap] == pytest.approx(want, abs=1e-12)
     assert predict_dpi(model, rows).tolist() == [False, True, False, False]
@@ -182,7 +258,7 @@ def test_predict_dpi_probabilities_sum_to_one():
     table = deterministic_fallback_table(["a", "b"], 4, seed=1)
     model = stub_recovery_model(table)
     sent = AnnotatedSentence(("a", "b"))
-    p1 = dpi_gap_probability(model.dpi, table, context_rows((sent,), 1, table))[1]
+    p1 = dpi_gap_probability(model, context_rows((sent,), 1, table))[1]
     _, probs = mlp.predict(model.dpi, context_embedding((sent,), 1, table))
     assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)
     assert 0.0 <= p1 <= 1.0
@@ -238,7 +314,7 @@ def test_scorers_match_mlp_predict_on_gathered_features(layer_count):
     features = context_embedding(test.sentences, 2, table)
     eps = np.finfo(float).eps
     want = mlp.predict(model.dpi, features)[1][:, 1]
-    got = dpi_gap_probability(model.dpi, table, rows)
+    got = dpi_gap_probability(model, rows)
     assert np.max(np.abs(got - want)) <= 4 * eps
     assert np.array_equal(predict_dpi(model, rows), want >= model.threshold)
     assert 0 < np.count_nonzero(want >= model.threshold) < len(want)
@@ -290,8 +366,10 @@ def test_tune_threshold_caches_only_the_rows_of_the_dev_words(tmp_path):
     table = load_embeddings(path)
     assert len(table) == table.unread == len(words)
     hp = Hyperparams(embed_dim=4, window=2, hidden_dim=8, seed=1)
-    dpi = mlp.build_model(hp.input_dim, 2, hp)
-    tune_threshold(dpi, dev, table)
+    model = RecoveryModel(mlp.build_model(hp.input_dim, 2, hp),
+                          mlp.build_model(hp.input_dim, len(dev.label_set), hp),
+                          dev.label_set, 0.5, table)
+    tune_threshold(model, dev)
     (cache,) = table._projections.values()
     assert set(table.rows) == dev_words and cache.count <= len(dev_words) + 1
 
@@ -312,8 +390,8 @@ def test_recovery_model_round_trip(tmp_path):
     sent = train.sentences[0]
     rows = context_rows((sent,), model.window, model.table)
     again_rows = context_rows((sent,), again.window, again.table)
-    assert np.array_equal(dpi_gap_probability(again.dpi, again.table, again_rows),
-                          dpi_gap_probability(model.dpi, model.table, rows))
+    assert np.array_equal(dpi_gap_probability(again, again_rows),
+                          dpi_gap_probability(model, rows))
     for a, b in zip(predict_dpg(again, again_rows), predict_dpg(model, rows)):
         assert np.array_equal(a, b)
 
@@ -489,7 +567,7 @@ def test_tune_threshold_prefers_half_on_ties():
     table = deterministic_fallback_table(["a"], 2, seed=0)
     model = stub_recovery_model(table, dpi_bias=(50.0, -50.0))
     dev = Corpus(FULL14, (AnnotatedSentence(("a", "a")),))
-    threshold, acc = tune_threshold(model.dpi, dev, table)
+    threshold, acc = tune_threshold(model, dev)
     assert threshold == 0.5
     assert acc == 1.0
 
