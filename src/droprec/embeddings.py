@@ -89,6 +89,7 @@ class EmbeddingTable:
         self.duplicates_skipped = duplicates_skipped
         self.unread = 0
         self._path: Path | None = None
+        self._file = None  # the word2vec file, open while a lookup reads words
         self._hashes = np.zeros(0, dtype=np.int64)
         self._starts = self._lengths = self._checks = np.zeros(0, dtype=np.int64)
         self._waiting = np.zeros(0, dtype=bool)
@@ -136,6 +137,13 @@ class EmbeddingTable:
         cannot give one word another's row.  A word not found is
         remembered, and is not searched for again.
         """
+        try:
+            return self._row(word)
+        finally:
+            self._close()
+
+    def _row(self, word: str) -> int:
+        """`row`, leaving the file open for the next read; the caller closes it."""
         row = self.rows.get(word)
         if row is not None:
             return row
@@ -150,10 +158,12 @@ class EmbeddingTable:
 
     def _read(self, k: int) -> str:
         """Parse and check the line of unread index entry `k`, give its
-        word the next row, and return the word."""
-        with open(self._path, "rb") as fh:
-            line = _reread(fh, int(self._starts[k]), int(self._lengths[k]), int(self._checks[k]),
-                           self.source["path"])
+        word the next row, and return the word.  The file stays open for
+        the next read, until `_close`."""
+        if self._file is None:
+            self._file = open(self._path, "rb")
+        line = _reread(self._file, int(self._starts[k]), int(self._lengths[k]),
+                       int(self._checks[k]), self.source["path"])
         try:
             word, vec = _parse_row(line, self.dim)
         except (EmbeddingError, UnicodeDecodeError) as exc:
@@ -163,6 +173,12 @@ class EmbeddingTable:
         self._waiting[k] = False
         self.unread -= 1
         return word
+
+    def _close(self) -> None:
+        """Close the file if a read opened it."""
+        if self._file is not None:
+            self._file.close()
+            self._file = None
 
 
 def _parse_header(line: bytes, path: Path, expected_dim: int | None) -> tuple[int, int]:
@@ -448,19 +464,22 @@ def context_rows(
     token last), then the `window` tokens right of it (nearest first).
     Positions past either end of a sentence read row 0, so the result has
     shape (gaps, 2 * window).  Words of a lazily read table that these
-    rows need are read first.
+    rows need are read first, all through one open of its file.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     # Row ids of `window` pads, then of each sentence's tokens followed by
     # `window` pads.  Gap g of a sentence whose first token sits at
     # position p reads positions p - window + g .. p + window + g - 1.
-    get, row = table.rows.get, table.row  # a row read before is one dict lookup
+    get, row = table.rows.get, table._row  # a row read before is one dict lookup
     ids = [0] * window
     first: list[int] = []
-    for sent in sentences:
-        first.extend(range(len(ids) - window, len(ids) - window + len(sent.tokens) + 1))
-        ids.extend([get(tok) or row(tok) for tok in sent.tokens] + [0] * window)
+    try:
+        for sent in sentences:
+            first.extend(range(len(ids) - window, len(ids) - window + len(sent.tokens) + 1))
+            ids.extend([get(tok) or row(tok) for tok in sent.tokens] + [0] * window)
+    finally:
+        table._close()
     return np.array(ids, dtype=np.intp)[np.array(first, dtype=np.intp)[:, None]
                                         + np.arange(2 * window)]
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import base64
 import math
+import sys
 from dataclasses import asdict, dataclass, fields as dataclass_fields
 
 import numpy as np
@@ -79,7 +80,9 @@ class Hyperparams:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        # Compared, not passed to math.isfinite, which raises OverflowError
+        # for an int beyond float range.
+        if not 0 < self.learning_rate <= sys.float_info.max:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.hidden_dim < 1:
             raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
@@ -238,15 +241,19 @@ def _forward_into(weights: list[np.ndarray], biases: list[np.ndarray], x: np.nda
     p = cache.probs
     weights[-1].dot(h, out=p)
     p += biases[-1]
-    p -= p.max()  # softmax() in place
+    # softmax() in place; the ufuncs that ndarray.max and .sum call, without their wrappers
+    p -= np.maximum.reduce(p)
     np.exp(p, out=p)
-    p /= p.sum()
+    p /= np.add.reduce(p)
     return p
 
 
-def _backward_into(weights_t: list[np.ndarray], cache: ForwardCache, grads: list[LayerGrads]):
+def _backward_into(weights_t: list[np.ndarray], cache: ForwardCache, grads: list[LayerGrads],
+                   cols: list[np.ndarray], rows: list[np.ndarray]):
     """Fill `grads` from the transposed weights, `cache`'s masks and the
-    output delta (probs - y) in `grads[-1].db`.
+    output delta (probs - y) in `grads[-1].db`.  Layer i's dW is the outer
+    product of `cols[i]`, a (k, 1) view of its `db`, and `rows[i]`, a
+    (1, m) view of its input.
 
     dW goes through BLAS, ~2x faster than np.multiply.outer, with equal
     values except that -0.0 products come out +0.0.  That moves no
@@ -258,8 +265,8 @@ def _backward_into(weights_t: list[np.ndarray], cache: ForwardCache, grads: list
         if cache.dropout_masks[i - 1] is not None:
             d *= cache.dropout_masks[i - 1]
         d *= cache.relu_masks[i - 1]
-    for g, x in zip(grads, cache.inputs):
-        g.db[:, None].dot(x[None, :], out=g.dW)
+    for g, col, row in zip(grads, cols, rows):
+        col.dot(row, out=g.dW)
 
 
 def _gradient_error(i: int, g: LayerGrads) -> NumericError:
@@ -311,7 +318,8 @@ def backward(model: MlpModel, cache: ForwardCache, y_true: np.ndarray) -> list[L
     grads = [LayerGrads(np.empty_like(layer.weights), np.empty_like(layer.bias))
              for layer in model.layers]
     np.subtract(cache.probs, y_true, out=grads[-1].db)
-    _backward_into([layer.weights.T for layer in model.layers], cache, grads)
+    _backward_into([layer.weights.T for layer in model.layers], cache, grads,
+                   [g.db[:, None] for g in grads], [x[None, :] for x in cache.inputs])
     return grads
 
 
@@ -376,29 +384,44 @@ def train(model: MlpModel, instances: list[tuple[np.ndarray, int]]) -> list[Epoc
     seed, step after step and hidden layer after hidden layer, taken
     from the stream a block of steps at a time.  Returns per-epoch mean
     loss and accuracy measured on the training passes themselves.  The
-    feature arrays are used as given, not copied, when they are float64.
+    features are copied into one float64 matrix, and the steps read its
+    rows through views made once per call.
 
     Each step runs the kernels of `forward` and `backward` on views of two
     flat buffers made once per call, laid out W0, b0, W1, b1, ...: a copy of
-    the parameters, and their gradients.  Once every layer's gradient is
-    checked finite, the update is `grads *= lr` and `params -= grads`.  That
-    gives sgd_step's bytes, and a failed check raises the NumericError that
-    sgd_step would, with the layers before the failing one updated.  The
-    copy goes back into each layer's own `weights` and `bias` arrays when
-    `train` returns or raises; a read-only one (scoring makes first-layer
-    weights read-only) is a ValueError before the first step.
+    the parameters, and their gradients.  A non-finite loss is a
+    NumericError before the step's backward pass.  Then each hidden layer's
+    gradient is checked finite, and the update is `grads *= lr` and
+    `params -= grads`.  The output layer needs no check: a finite loss rules
+    out a NaN or +inf logit, and with them a non-finite input h to that
+    layer, which would make every logit NaN or +-inf.  As |p - y| <= 1, its
+    dW = outer(p - y, h) and db = p - y are then finite.  The first layer's
+    check takes each instance's x @ x from one vectorized pass over the
+    features; that term only lets the check skip its exact second clause
+    (see the loop), so the order of its sum moves no decision.  So train
+    gives sgd_step's bytes, and a failed check raises the NumericError
+    that sgd_step would, with the layers before the failing one updated.
+    The copy goes back into each layer's own `weights` and `bias` arrays
+    when `train` returns or raises; a read-only one (scoring makes
+    first-layer weights read-only) is a ValueError before the first step.
     """
     if not instances:
         raise ValueError("cannot train on an empty instance list")
-    feats = [np.asarray(f, dtype=np.float64) for f, _ in instances]
-    labels = [int(lab) for _, lab in instances]
-    shape, num_classes = (model.input_dim,), model.num_classes
-    for i, f in enumerate(feats):
-        if f.shape != shape:
-            raise ValueError(f"instance {i} has dim {f.shape}, model expects {shape}")
-    for i, lab in enumerate(labels):
-        if not 0 <= lab < num_classes:
-            raise ValueError(f"instance {i} label {lab} outside [0, {num_classes})")
+    n, shape, num_classes = len(instances), (model.input_dim,), model.num_classes
+    given, labels = zip(*instances)
+    labels = list(map(int, labels))
+    try:
+        features = np.array(given, dtype=np.float64)
+    except ValueError:  # ragged: the loop below names the first odd instance
+        features = None
+    if features is None or features.shape != (n, *shape):
+        for i, f in enumerate(given):
+            f = np.asarray(f, dtype=np.float64)
+            if f.shape != shape:
+                raise ValueError(f"instance {i} has dim {f.shape}, model expects {shape}")
+    if min(labels) < 0 or max(labels) >= num_classes:
+        i = next(i for i, lab in enumerate(labels) if not 0 <= lab < num_classes)
+        raise ValueError(f"instance {i} label {labels[i]} outside [0, {num_classes})")
 
     layers = model.layers
     # Checked up front: the steps run on a copy, so a read-only array would
@@ -407,15 +430,19 @@ def train(model: MlpModel, instances: list[tuple[np.ndarray, int]]) -> list[Epoc
         if not (layer.weights.flags.writeable and layer.bias.flags.writeable):
             raise ValueError(f"layer {i} parameters are read-only")
 
-    n = len(instances)
     params = np.concatenate([a.ravel() for layer in layers for a in (layer.weights, layer.bias)])
     flat_grads = np.empty_like(params)
     weights, biases = _flat_views(params, layers)
     grads = [LayerGrads(*g) for g in zip(*_flat_views(flat_grads, layers))]
     weights_t = [w.T for w in weights]
+    feats, feat_rows = list(features), list(features[:, None])  # instance i as (m,) and (1, m)
     cache = _new_cache(model, feats[0], "train")
     cache.probs = grads[-1].db  # p[label] -= 1 turns the probabilities into the output delta
     inputs = cache.inputs
+    # The outer products' operands; rows[0] is set to each step's instance.
+    cols = [g.db[:, None] for g in grads]
+    rows = [feat_rows[0]] + [h[None, :] for h in inputs[1:]]
+    hidden = len(layers) - 1
     hp = model.hyperparams
     rate = hp.dropout_rate
     width = sum(map(len, cache.relu_masks))
@@ -429,12 +456,13 @@ def train(model: MlpModel, instances: list[tuple[np.ndarray, int]]) -> list[Epoc
     try:
         # Every non-finite value in the loop ends in a NumericError.
         with np.errstate(over="ignore", invalid="ignore"):
-            # A layer's dW = outer(d, x) or db = d has a non-finite element
-            # exactly when max|d| * max|x| is not finite, max|x| being 0 for an
-            # empty x: rounding is monotone, NaN and inf propagate through max,
-            # and 0 * inf is NaN.  (d @ d) * (x @ x) is finite only when that
-            # product is, so it is tried first.
-            sq0 = [float(f.dot(f)) for f in feats]
+            # A hidden layer's dW = outer(d, x) or db = d has a non-finite
+            # element exactly when max|d| * max|x| is not finite, max|x| being
+            # 0 for an empty x: rounding is monotone, NaN and inf propagate
+            # through max, and 0 * inf is NaN.  (d @ d) * (x @ x) is finite
+            # only when that product is, whatever order either sum of squares
+            # is taken in, so it is tried first.
+            sq0 = np.einsum("ij,ij->i", features, features).tolist()
             for epoch in range(hp.epochs):
                 order = list(range(n))
                 SplitMix64(hp.seed + epoch).shuffle(order)
@@ -456,9 +484,10 @@ def train(model: MlpModel, instances: list[tuple[np.ndarray, int]]) -> list[Epoc
                     total_loss += loss
                     correct += int(p.argmax()) == label
                     p[label] -= 1.0
-                    _backward_into(weights_t, cache, grads)
-                    for i, g in enumerate(grads):
-                        d, x = g.db, inputs[i]
+                    rows[0] = feat_rows[idx]
+                    _backward_into(weights_t, cache, grads, cols, rows)
+                    for i in range(hidden):
+                        d, x = grads[i].db, inputs[i]
                         x_sq = sq0[idx] if i == 0 else float(x.dot(x))
                         if not math.isfinite(float(d.dot(d)) * x_sq) and not math.isfinite(
                             float(np.max(np.abs(d))) * float(np.max(np.abs(x), initial=0.0))
@@ -467,7 +496,7 @@ def train(model: MlpModel, instances: list[tuple[np.ndarray, int]]) -> list[Epoc
                             k = sum(w.size + b.size for w, b in zip(weights[:i], biases[:i]))
                             flat_grads[:k] *= lr
                             params[:k] -= flat_grads[:k]
-                            raise _gradient_error(i, g)
+                            raise _gradient_error(i, grads[i])
                     flat_grads *= lr
                     params -= flat_grads
                 log.append(EpochStats(epoch, total_loss / n, correct / n))

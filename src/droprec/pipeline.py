@@ -244,7 +244,7 @@ def recovery_from_dict(obj: dict, model_dir: str | Path = ".") -> RecoveryModel:
         dpg = mlp.model_from_dict(obj.pop("dpg"), len(label_set), "dpg")
     except ModelFormatError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"corrupt recovery model: {exc}") from None
     if dpi.hyperparams.embed_dim != table_ref["dim"]:
         raise ModelFormatError(f"detection embed_dim {dpi.hyperparams.embed_dim} differs "

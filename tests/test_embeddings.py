@@ -199,6 +199,31 @@ def test_lazy_table_serves_no_row_edited_after_the_hash(tmp_path, edit):
         assert np.array_equal(table.lookup("a"), [1.0, 2.0])  # read before the edit
 
 
+def test_a_context_rows_call_opens_the_file_once(tmp_path, monkeypatch):
+    p = tmp_path / "vec.txt"
+    p.write_text("4 2\na 1 2\nb 3 4\nc 5 6\nd 7 8\n", encoding="utf-8")
+    table = load_embeddings(p, sha256=sha256_of(p))
+    handles = []
+    monkeypatch.setattr(embeddings, "open", lambda *a: handles.append(open(*a)) or handles[-1],
+                        raising=False)
+
+    def opens(words):
+        before = len(handles)
+        context_rows((AnnotatedSentence(tuple(words)),), 1, table)
+        assert all(fh.closed for fh in handles)  # no handle outlives the call
+        return len(handles) - before
+
+    assert opens(["a", "x", "b", "c"]) == 1  # three new words, one missing
+    assert table.rows == {"a": 1, "b": 2, "c": 3}
+    assert opens(["c", "a", "x"]) == 0  # nothing left to read
+    assert opens(["d", "b"]) == 1
+    assert table.unread == 0
+    fresh = load_embeddings(p, sha256=sha256_of(p))
+    handles.clear()
+    assert np.array_equal(fresh.lookup("b"), [3.0, 4.0]) and len(handles) == 1
+    assert handles[0].closed
+
+
 @pytest.mark.parametrize(
     "row, message",
     [("b 3", "line 3: expected 2 components, got 1"), ("b 3 x", "line 3: non-numeric"),

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from _blocks import decode_block, encode_block
 from _gradcheck import finite_difference_grads, max_relative_error
@@ -325,6 +325,20 @@ def test_train_rejects_empty_and_bad_dims():
         train(model, [(np.zeros(4), 5)])
 
 
+@pytest.mark.parametrize("instances, message", [
+    ([(np.zeros(4), 0), (np.zeros(3), 0), (np.zeros(5), 0)],
+     r"instance 1 has dim \(3,\), model expects \(4,\)"),
+    ([(np.zeros(3), 0), (np.zeros(3), 1)], r"instance 0 has dim \(3,\), model expects \(4,\)"),
+    ([(np.zeros(4), 0), ([0.0] * 4, 1), (np.zeros((1, 4)), 0)],
+     r"instance 2 has dim \(1, 4\), model expects \(4,\)"),
+    ([(np.zeros(4), 1), (np.zeros(4), -1), (np.zeros(4), 2)], r"instance 1 label -1 outside \[0, 2\)"),
+    ([(np.zeros(4), 1.0), (np.zeros(4), 0), (np.zeros(4), 2)], r"instance 2 label 2 outside \[0, 2\)"),
+], ids=["ragged", "all-one-wrong-dim", "2d-row", "negative-label", "label-past-the-classes"])
+def test_train_names_the_first_bad_instance(instances, message):
+    with pytest.raises(ValueError, match=message):
+        train(build_model(4, 2, tiny_hp()), instances)
+
+
 def test_train_aborts_on_non_finite_loss():
     hp = tiny_hp(embed_dim=2, epochs=1)
     model = build_model(4, 2, hp)
@@ -333,21 +347,20 @@ def test_train_aborts_on_non_finite_loss():
         train(model, bad)
 
 
-def hand_written_sgd(hp, data, num_classes):
-    """train(), spelled out with forward and backward."""
-    model = build_model(hp.input_dim, num_classes, hp)
+def reference_train(model, data):
+    """train(), one step at a time through forward, backward and sgd_step."""
+    hp = model.hyperparams
     drop_rng = SplitMix64.for_stream(hp.seed, 1)
     for epoch in range(hp.epochs):
         order = list(range(len(data)))
         SplitMix64(hp.seed + epoch).shuffle(order)
-        for idx in order:
+        for step, idx in enumerate(order):
             x, label = data[idx]
-            _, cache = forward(model, x, mode="train", rng=drop_rng)
-            grads = backward(model, cache, one_hot(num_classes, label))
-            for layer, g in zip(model.layers, grads):
-                layer.weights -= hp.learning_rate * g.dW
-                layer.bias -= hp.learning_rate * g.db
-    return model
+            probs, cache = forward(model, x, mode="train", rng=drop_rng)
+            y = one_hot(model.num_classes, label)
+            if not math.isfinite(cross_entropy(y, probs)):
+                raise NumericError(f"non-finite loss at epoch {epoch}, step {step}")
+            sgd_step(model, backward(model, cache, y), hp.learning_rate)
 
 
 def layer_arrays(model):
@@ -377,7 +390,9 @@ def assert_trains_like_the_hand_written_loop(hp, n, num_classes):
     arrays = layer_arrays(got)
     train(got, data)
     assert_updated_in_place(got, arrays)
-    assert_same_parameters(got, hand_written_sgd(hp, data, num_classes))
+    want = build_model(hp.input_dim, num_classes, hp)
+    reference_train(want, data)
+    assert_same_parameters(got, want)
 
 
 @pytest.mark.parametrize("dropout_rate", [0.0, 0.3], ids=lambda r: f"dropout{r}")
@@ -468,6 +483,78 @@ def test_train_takes_a_finite_gradient_whose_sum_overflows():
     assert np.array_equal(model.layers[0].bias, [0.25, -0.25])
 
 
+def assert_trains_like_the_reference(model, data):
+    """train() and reference_train() on copies of `model`: the same error,
+    if any, and the same parameter bytes, partial updates included."""
+    want = copy.deepcopy(model)
+    outcomes = []
+    with np.errstate(all="ignore"):
+        for run, net in ((train, model), (reference_train, want)):
+            try:
+                run(net, data)
+                outcomes.append(None)
+            except NumericError as exc:
+                outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    for a, b in zip(model.layers, want.layers, strict=True):
+        assert a.weights.tobytes() == b.weights.tobytes() and a.bias.tobytes() == b.bias.tobytes()
+    return outcomes[0]
+
+
+# Finite values from 0 up to the float64 maximum, both signs.
+EXTREME = st.one_of(
+    st.floats(-1e308, 1e308),
+    st.sampled_from([0.0, 1e-300, 1e-3, 1.0, 1e100, 1e200, 1e300, 1e308]).flatmap(
+        lambda v: st.sampled_from([v, -v])),
+)
+
+
+@st.composite
+def extreme_training_runs(draw):
+    """A 1-3 layer network of 2 inputs, its parameters and up to 3 instances
+    drawn from EXTREME."""
+    hp = Hyperparams(embed_dim=1, window=1, layer_count=draw(st.integers(1, 3)),
+                     hidden_dim=draw(st.integers(1, 3)), epochs=draw(st.integers(1, 2)),
+                     dropout_rate=draw(st.sampled_from([0.0, 0.5])),
+                     learning_rate=draw(st.sampled_from([0.1, 1.0, 1e10])),
+                     seed=draw(st.integers(0, 3)))
+    model = build_model(hp.input_dim, draw(st.integers(2, 3)), hp)
+
+    def values(shape):
+        size = math.prod(shape)
+        return np.reshape(draw(st.lists(EXTREME, min_size=size, max_size=size)), shape)
+
+    for layer in model.layers:
+        layer.weights[...] = values(layer.weights.shape)
+        layer.bias[...] = values(layer.bias.shape)
+    labels = st.integers(0, model.num_classes - 1)
+    data = [(values((hp.input_dim,)), draw(labels)) for _ in range(draw(st.integers(1, 3)))]
+    return model, data
+
+
+@settings(max_examples=300, deadline=None)
+@given(extreme_training_runs())
+def test_train_matches_the_reference_step_on_extreme_finite_values(run):
+    # train checks no output-layer gradient; sgd_step checks every layer
+    assert_trains_like_the_reference(*run)
+
+
+def test_a_finite_loss_step_trains_with_an_output_layer_input_near_the_float_maximum():
+    # layer 0 puts out 1e308 per unit and W1 = +-1e-300 maps that to logits
+    # +-3e8: p = [1, 0], and label 1 clamps the loss at -log(1e-12).  The
+    # output layer's dW = outer(p - y, h) is +-1e308, finite, though
+    # (d @ d) * (h @ h) overflows; layer 0's delta is 2e-300.
+    hp = tiny_hp(embed_dim=1, hidden_dim=3, epochs=1, learning_rate=0.5)
+    model = build_model(2, 2, hp)
+    model.layers[0].weights[:] = 0.0
+    model.layers[0].bias[:] = 1e308
+    model.layers[1].weights[:] = [[1e-300] * 3, [-1e-300] * 3]
+    before = copy.deepcopy(model)
+    assert assert_trains_like_the_reference(model, [(np.ones(2), 1)]) is None
+    assert np.array_equal(model.layers[1].weights, [[-5e307] * 3, [5e307] * 3])
+    assert np.array_equal(model.layers[0].bias, before.layers[0].bias)  # 1e308 absorbs 1e-300
+
+
 def test_single_layer_model_is_multinomial_logistic_regression():
     hp = tiny_hp(embed_dim=3, layer_count=1)
     model = build_model(6, 4, hp)
@@ -510,10 +597,12 @@ def test_load_rejects_wrong_version():
     "hyperparams",
     [{"momentum": 0.9}, [["embed_dim", 1]], {"hidden_dim": 2.5}, {"epochs": True},
      {"seed": 1.5}, {"layer_count": 2.0}, {"embed_dim": True}, {"window": 1.0},
-     {"learning_rate": True}, {"dropout_rate": False}, {"learning_rate": "0.1"}],
+     {"learning_rate": True}, {"dropout_rate": False}, {"learning_rate": "0.1"},
+     {"learning_rate": 10**400}],
     ids=["unknown-key", "not-an-object", "float-hidden-dim", "bool-epochs", "float-seed",
          "integral-float-layer-count", "bool-embed-dim", "integral-float-window",
-         "bool-learning-rate", "bool-dropout-rate", "string-learning-rate"],
+         "bool-learning-rate", "bool-dropout-rate", "string-learning-rate",
+         "int-learning-rate-beyond-float-range"],
 )
 def test_load_rejects_malformed_hyperparams(hyperparams):
     obj = json.loads(json.dumps(mlp.model_to_dict(build_model(2, 2, tiny_hp(embed_dim=1)))))
