@@ -51,8 +51,9 @@ _CHECKED_LEAD[[b for b in range(128) if chr(b).isspace()] + [0xC2, 0xE1, 0xE2, 0
 # hash(), which differs between processes, so no key is saved or reported.
 _word_key = hash
 
-# Gaps whose first-layer products context_projection sums at a time.
-_SUM_BLOCK = 256
+# Gaps whose first-layer products context_projection sums at a time: a
+# (2 * window, _SUM_BLOCK, H) block of them stays in cache.
+_SUM_BLOCK = 64
 
 # Bytes of per-word first-layer products cached for one weight matrix.
 _CACHE_BYTES = 16 << 20
@@ -504,9 +505,17 @@ class _Projections:
 
     def __init__(self, slots: int, hidden: int):
         self.capacity = max(slots * _SUM_BLOCK, _CACHE_BYTES // (8 * slots * hidden))
-        self.products = np.empty((slots, min(16, self.capacity), hidden))
+        self._hold(np.empty((slots, min(16, self.capacity), hidden)))
         self.where = np.empty(0, dtype=np.intp)
         self.count = 0
+
+    def _hold(self, products: np.ndarray) -> None:
+        """Keep `products`, with its (slots * length, H) view `flat`, in
+        which slot k's product at position p is row `offsets[k] + p`."""
+        slots, length, hidden = products.shape
+        self.products = products
+        self.flat = products.reshape(slots * length, hidden)
+        self.offsets = np.arange(0, slots * length, length)[:, None]
 
     def positions(self, rows: np.ndarray, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """`where[rows]`, once the products of every row in `rows` are held.
@@ -527,7 +536,7 @@ class _Projections:
                 new = _distinct(rows)
             start, stop = self.count, self.count + len(new)
             if stop > self.products.shape[1]:
-                self.products = _grown(self.products, stop, axis=1, cap=self.capacity)
+                self._hold(_grown(self.products, stop, axis=1, cap=self.capacity))
             slots, _, hidden = self.products.shape
             self.products[:, start:stop] = np.einsum(
                 "hkd,rd->krh", weights.reshape(hidden, slots, -1), matrix[new])
@@ -571,8 +580,11 @@ def context_projection(rows: np.ndarray, table: EmbeddingTable, weights: np.ndar
     made read-only so the cache cannot go stale.  A word costs one
     product the first time it is scored (more if the cache has started
     over since), so the speed-up over a dense product grows with how
-    often words repeat.  Sums run a block of gaps at a time, so no
-    (gaps, 2 * window, H) array is built.
+    often words repeat.  Sums run a block of _SUM_BLOCK gaps at a time:
+    one `take` gathers the block's (2 * window, _SUM_BLOCK, H) products,
+    and elementwise adds sum them in slot order (not np.add.reduce, which
+    for one gap at H = 1 runs as numpy's inner loop and may change the
+    order and the sign of a zero).
     """
     hidden, width = weights.shape
     slots = rows.shape[1]
@@ -585,8 +597,9 @@ def context_projection(rows: np.ndarray, table: EmbeddingTable, weights: np.ndar
         weakref.finalize(weights, table._projections.pop, id(weights), None)
     out = np.empty((len(rows), hidden))
     for lo in range(0, len(rows), _SUM_BLOCK):
-        at = cache.positions(rows[lo : lo + _SUM_BLOCK], table.matrix, weights)
-        part = cache.products[0].take(at[:, 0], axis=0, out=out[lo : lo + _SUM_BLOCK])
-        for k in range(1, slots):
-            part += cache.products[k][at[:, k]]
+        at = cache.positions(rows[lo : lo + _SUM_BLOCK].T, table.matrix, weights)
+        terms = cache.flat.take(at + cache.offsets, axis=0)  # (slots, gaps, H)
+        part = np.add(terms[0], terms[1], out=out[lo : lo + _SUM_BLOCK])
+        for term in terms[2:]:
+            part += term
     return out

@@ -168,10 +168,12 @@ def layer_dims(input_dim: int, num_classes: int, hp: Hyperparams) -> list[int]:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis via max subtraction."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exps = np.exp(shifted, out=shifted)
-    return exps / exps.sum(axis=-1, keepdims=True)
+    """Numerically stable softmax over the last axis via max subtraction.
+    It calls the ufuncs behind ndarray.max and .sum without their wrappers."""
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(shifted, out=shifted)
+    shifted /= np.add.reduce(shifted, axis=-1, keepdims=True)
+    return shifted
 
 
 def one_hot(num_classes: int, index: int) -> np.ndarray:
@@ -353,12 +355,13 @@ def predict(model: MlpModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarr
     h = np.asarray(features, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != model.input_dim:
         raise ValueError(f"input has shape {h.shape}, model expects (m, {model.input_dim})")
-    return predict_from_first_layer(model, h @ model.layers[0].weights.T)
+    probs = predict_from_first_layer(model, h @ model.layers[0].weights.T)
+    return probs.argmax(axis=1), probs
 
 
-def predict_from_first_layer(model: MlpModel, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`predict` given `z`, the (m, out_dim) product of the rows with the
-    first layer's weights, before its bias; `z` is overwritten.
+def predict_from_first_layer(model: MlpModel, z: np.ndarray) -> np.ndarray:
+    """`predict`'s probabilities given `z`, the (m, out_dim) product of the
+    rows with the first layer's weights, before its bias; `z` is overwritten.
 
     The later layers are one matrix product each.  With one layer, the
     first layer is the softmax layer.  Raises NumericError when finite
@@ -370,9 +373,9 @@ def predict_from_first_layer(model: MlpModel, z: np.ndarray) -> tuple[np.ndarray
         z = z @ layer.weights.T
         z += layer.bias
     probs = softmax(z)
-    if not math.isfinite(probs.sum()):  # each probability is NaN or in [0, 1]
+    if not math.isfinite(np.add.reduce(probs, axis=None)):  # each is NaN or in [0, 1]
         raise NumericError("non-finite class probability in eval mode")
-    return np.argmax(probs, axis=1), probs
+    return probs
 
 
 def train(model: MlpModel, instances: list[tuple[np.ndarray, int]]) -> list[EpochStats]:

@@ -88,7 +88,7 @@ def dpi_gap_probability(model: RecoveryModel, rows: np.ndarray) -> np.ndarray:
     """Eval-mode probability that a pronoun is dropped, per gap of a
     `context_rows` matrix of the model's table."""
     z = context_projection(rows, model.table, model.dpi.layers[0].weights)
-    return mlp.predict_from_first_layer(model.dpi, z)[1][:, DROPPED]
+    return mlp.predict_from_first_layer(model.dpi, z)[:, DROPPED]
 
 
 def tune_threshold(model: RecoveryModel, dev: Corpus) -> tuple[float, float]:
@@ -162,16 +162,16 @@ def predict_dpi(model: RecoveryModel, rows: np.ndarray) -> np.ndarray:
 
 def predict_dpg(model: RecoveryModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Most likely pronoun class per gap of a `context_rows` matrix of the
-    model's table, with its softmax confidence."""
+    model's table, with its softmax confidence: the largest probability."""
     z = context_projection(rows, model.table, model.dpg.layers[0].weights)
-    classes, probs = mlp.predict_from_first_layer(model.dpg, z)
-    return classes, probs[np.arange(len(classes)), classes]
+    probs = mlp.predict_from_first_layer(model.dpg, z)
+    return probs.argmax(axis=1), np.maximum.reduce(probs, axis=1)
 
 
 def recover(model: RecoveryModel, sentence: AnnotatedSentence) -> RecoveredSentence:
     """Run the two-stage pipeline over every candidate gap of a sentence."""
     rows = context_rows((sentence,), model.window, model.table)
-    gaps = np.flatnonzero(predict_dpi(model, rows))
+    gaps = predict_dpi(model, rows).nonzero()[0]
     if not gaps.size:
         return RecoveredSentence(sentence.tokens, ())
     classes, confidences = predict_dpg(model, rows[gaps])

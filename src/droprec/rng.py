@@ -12,6 +12,8 @@ and 0x94D049BB133111EB).  Derived conventions used throughout:
 * uniform double in [0, 1): take the top 53 bits, ``(u64 >> 11) * 2**-53``
 * bounded int in [0, n):    ``next_u64() % n``
 * Fisher-Yates shuffle:     for i = len-1 .. 1, swap i with randbelow(i+1)
+* batches (`floats`, `shuffle`) compute their draws vectorized, with the
+  values and end state of the same number of next_u64() calls
 * independent substream k of seed s: state seeded with
   ``mix64(s XOR (k + 1) * 0x9E3779B97F4A7C15)``
 """
@@ -70,26 +72,26 @@ class SplitMix64:
         return self.next_u64() % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle, high index down to 1."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
+        """In-place Fisher-Yates shuffle, high index down to 1: item i swaps
+        with randbelow(i + 1), all drawn in one vectorized batch."""
+        sizes = np.arange(len(items), 1, -1, dtype=np.uint64)  # i + 1 for i = len-1 .. 1
+        picks = (self._next_u64s(len(sizes)) % sizes).tolist()
+        for i, j in zip(range(len(items) - 1, 0, -1), picks):
             items[i], items[j] = items[j], items[i]
 
     def floats(self, n: int) -> np.ndarray:
-        """Vectorized batch of `n` uniform doubles in [0, 1).
+        """Vectorized batch of `n` uniform doubles in [0, 1): exactly the
+        values of `n` calls to next_float()."""
+        return (self._next_u64s(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-        Produces exactly the same values as `n` calls to next_float():
-        output i mixes state + (i+1) * golden.
-        """
-        if n == 0:
-            return np.zeros(0)
-        offsets = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-        z = np.uint64(self._state) + offsets
+    def _next_u64s(self, n: int) -> np.ndarray:
+        """The next `n` next_u64() values, as uint64: output i mixes
+        state + (i+1) * golden."""
+        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
         self._state = (self._state + n * _GOLDEN) & _MASK64
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return z ^ (z >> np.uint64(31))
 
     def uniform_array(self, n: int, lo: float, hi: float) -> np.ndarray:
         """Vectorized uniform doubles in [lo, hi)."""

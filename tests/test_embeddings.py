@@ -780,3 +780,36 @@ def test_a_rows_products_do_not_depend_on_its_batch(hidden, slots, dim):
             for row, position in zip(batch.tolist(), at.tolist()):
                 want = np.einsum("hkd,d->kh", by_slot, matrix[row])
                 assert np.array_equal(cache.products[:, position], want), (size, row)
+
+
+@pytest.mark.parametrize("start_over", [False, True], ids=["kept", "start-over"])
+@pytest.mark.parametrize("gaps", [1, 63, 64, 65, 300])
+@pytest.mark.parametrize("hidden", [1, 3, 200])
+@pytest.mark.parametrize("window", [1, 2, 3, 4])
+def test_projection_bytes_are_the_slot_order_sum_of_row_products(window, hidden, gaps, start_over,
+                                                                 monkeypatch):
+    # Each gap must get the bytes of adding its per-row einsum products left
+    # to right, whatever block it falls in and whatever else it is scored
+    # with; a pairwise or reordered sum differs in the last bits (at H = 1
+    # and window 4, np.add.reduce over the slots does).  With no cache
+    # budget, 700 words start the cache over many times.
+    if start_over:
+        monkeypatch.setattr(embeddings, "_CACHE_BYTES", 0)
+    rng = np.random.default_rng([window, hidden, gaps])
+    table = deterministic_fallback_table([f"w{i}" for i in range(700)], 3, seed=window)
+    weights = rng.uniform(-1, 1, (hidden, 2 * window * 3))
+    rows = rng.integers(0, len(table.matrix), (gaps, 2 * window))
+    rows[0, 0] = 0  # the zero row: products that are zeros of either sign
+    by_slot = weights.reshape(hidden, 2 * window, 3)
+    products = {r: np.einsum("hkd,d->kh", by_slot, table.matrix[r]) for r in set(rows.flat)}
+    want = np.empty((gaps, hidden))
+    for g, gap in enumerate(rows.tolist()):
+        total = products[gap[0]][0]
+        for k, r in enumerate(gap[1:], start=1):
+            total = total + products[r][k]
+        want[g] = total
+    got = context_projection(rows, table, weights)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for g in range(gaps):
+        alone = context_projection(rows[g : g + 1], table, weights)
+        assert np.array_equal(alone.view(np.int64), got[g : g + 1].view(np.int64)), g

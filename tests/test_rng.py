@@ -64,3 +64,17 @@ def test_mix64_is_deterministic_and_bounded():
 def test_fnv1a64_known_value():
     # FNV-1a published test vector: hash of "a"
     assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=600))
+def test_shuffle_matches_a_scalar_fisher_yates(seed, n):
+    # The vectorized draws must give the order, and leave the stream in the
+    # state, of one randbelow(i + 1) per swap, i from n - 1 down to 1.
+    ours, ref = SplitMix64(seed), SplitMix64(seed)
+    got, want = list(range(n)), list(range(n))
+    ours.shuffle(got)
+    for i in range(n - 1, 0, -1):
+        j = ref.randbelow(i + 1)
+        want[i], want[j] = want[j], want[i]
+    assert got == want
+    assert ours.next_u64() == ref.next_u64()
