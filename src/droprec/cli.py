@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from .corpus import (
 )
 from .embeddings import deterministic_fallback_table, load_embeddings
 from .hypotheses import build_dpg_instances
-from .mlp import Hyperparams, NumericError
+from .mlp import HYPERPARAM_RANGES, Hyperparams, NumericError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,10 +59,8 @@ def _number(kind: type, ok, rule: str):
 
 
 _positive_int = _number(int, lambda v: v >= 1, ">= 1")
-_rate = _number(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 _unit_interval = _number(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _open_unit_interval = _number(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
-_positive_float = _number(float, lambda v: math.isfinite(v) and v > 0.0, "positive and finite")
 
 
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
@@ -72,15 +69,20 @@ def _add_train_flags(sub: argparse.ArgumentParser) -> None:
     src = sub.add_mutually_exclusive_group(required=True)
     src.add_argument("--embeddings", help="word2vec text file with pretrained vectors")
     src.add_argument(
-        "--fallback-dim", type=_positive_int,
+        "--fallback-dim", type=_number(int, *HYPERPARAM_RANGES["embed_dim"]),
         help="build seeded fallback embeddings of this dimension instead",
     )
-    sub.add_argument("--window", type=_positive_int, default=1, help="context window per side")
-    sub.add_argument("--layers", type=_positive_int, default=2, help="MLP layer count")
-    sub.add_argument("--dropout", type=_rate, default=0.0, help="dropout rate in [0, 1)")
-    sub.add_argument("--epochs", type=_positive_int, default=10)
-    sub.add_argument("--lr", type=_positive_float, default=0.01, help="SGD learning rate")
-    sub.add_argument("--hidden", type=_positive_int, default=200, help="hidden layer width")
+    sub.add_argument("--window", type=_number(int, *HYPERPARAM_RANGES["window"]), default=1,
+                     help="context window per side")
+    sub.add_argument("--layers", type=_number(int, *HYPERPARAM_RANGES["layer_count"]), default=2,
+                     help="MLP layer count")
+    sub.add_argument("--dropout", type=_number(float, *HYPERPARAM_RANGES["dropout_rate"]),
+                     default=0.0, help="dropout rate in [0, 1)")
+    sub.add_argument("--epochs", type=_number(int, *HYPERPARAM_RANGES["epochs"]), default=10)
+    sub.add_argument("--lr", type=_number(float, *HYPERPARAM_RANGES["learning_rate"]), default=0.01,
+                     help="SGD learning rate")
+    sub.add_argument("--hidden", type=_number(int, *HYPERPARAM_RANGES["hidden_dim"]), default=200,
+                     help="hidden layer width")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument(
         "--label-set", choices=["full14", "actual10"],
@@ -295,6 +297,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"droprec: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except (MemoryError, OverflowError) as exc:
+        # A size too large to allocate or to index, as a size flag can ask for.
+        print(f"droprec: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -47,6 +47,17 @@ class NumericError(RuntimeError):
     probability in eval mode (finite parameters that overflow on a text)."""
 
 
+# Each range (test, text) that Hyperparams and the CLI's flags check; seed has none.
+_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+HYPERPARAM_RANGES = {
+    "embed_dim": _AT_LEAST_ONE, "window": _AT_LEAST_ONE, "layer_count": _AT_LEAST_ONE,
+    "dropout_rate": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"), "epochs": _AT_LEAST_ONE,
+    # Compared, not passed to math.isfinite: it raises OverflowError for an int past float range.
+    "learning_rate": (lambda v: 0 < v <= sys.float_info.max, "finite and > 0"),
+    "hidden_dim": _AT_LEAST_ONE,
+}
+
+
 @dataclass
 class Hyperparams:
     """Training configuration.
@@ -70,22 +81,9 @@ class Hyperparams:
             value = getattr(self, field.name)
             if type(value) is not int and (field.type == "int" or type(value) is not float):
                 raise TypeError(f"hyperparams {field.name} must be {field.type}, got {value!r}")
-        if self.embed_dim < 1:
-            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.layer_count < 1:
-            raise ValueError(f"layer_count must be >= 1, got {self.layer_count}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        # Compared, not passed to math.isfinite, which raises OverflowError
-        # for an int beyond float range.
-        if not 0 < self.learning_rate <= sys.float_info.max:
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.hidden_dim < 1:
-            raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        for name, (ok, rule) in HYPERPARAM_RANGES.items():
+            if not ok(getattr(self, name)):
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
     @property
     def input_dim(self) -> int:

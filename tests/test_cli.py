@@ -8,13 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import droprec
 from _blocks import decode_block, encode_block, with_value
 from droprec.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from droprec.corpus import FULL14, AnnotatedSentence, Corpus, load_corpus, save_corpus
 from droprec.embeddings import context_rows
+from droprec.mlp import Hyperparams
 from droprec.pipeline import dpi_gap_probability, load_recovery_model, predict_dpi, recover
+from droprec.synth import builtin_grammar, generate_corpus
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +357,40 @@ def test_non_finite_learning_rate_is_usage_error(tmp_path, capsys, lr):
     assert "--lr" in capsys.readouterr().err
 
 
+# Each hyperparameter flag and the Hyperparams field it sets.
+HYPERPARAM_FLAGS = {"--fallback-dim": "embed_dim", "--window": "window", "--layers": "layer_count",
+                    "--dropout": "dropout_rate", "--epochs": "epochs", "--lr": "learning_rate",
+                    "--hidden": "hidden_dim"}
+
+
+def refused_by_hyperparams(field: str, text: str) -> bool:
+    """Whether Hyperparams refuses `text` read as an int where it is one,
+    else as a float."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = float(text)
+    try:
+        Hyperparams(**{"embed_dim": 1, field: value})
+    except (TypeError, ValueError):
+        return True
+    return False
+
+
+@pytest.mark.parametrize("text", ["-1", "0", "1", "0.5", "0.999", "1.0", "nan", "inf", "1e309"])
+@pytest.mark.parametrize("flag", HYPERPARAM_FLAGS)
+def test_a_hyperparameter_flag_refuses_what_hyperparams_refuses(tmp_path, capsys, flag, text):
+    # the corpora do not exist: a value the flag accepts exits 2 at loading
+    absent = str(tmp_path / "absent.jsonl")
+    args = ["train", "--train", absent, "--dev", absent, "--fallback-dim", "4",
+            "--out-model", str(tmp_path / "m.json"), flag, text]
+    refused = refused_by_hyperparams(HYPERPARAM_FLAGS[flag], text)
+    assert main(args) == (EXIT_USAGE if refused else EXIT_DATA)
+    err = capsys.readouterr().err
+    assert (f"argument {flag}: " in err) == refused
+    assert "Traceback" not in err
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["gen", "--profile", "separable"]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err
@@ -622,6 +659,66 @@ def test_training_that_diverges_exits_3_with_one_line_and_no_model(tmp_path, cap
     assert capsys.readouterr().err == \
         "droprec: numeric failure: non-finite loss at epoch 0, step 1\n"
     assert not model.exists()
+
+
+@pytest.mark.parametrize("flag, size, message", [
+    ("--hidden", 10**15, "droprec: Unable to allocate "),
+    ("--fallback-dim", 10**15, "droprec: Unable to allocate "),
+    ("--layers", 10**15, "droprec: out of memory\n"),
+    ("--layers", 10**30, "droprec: cannot fit 'int' into an index-sized integer\n"),
+])
+def test_a_size_the_machine_cannot_allocate_exits_1_with_one_line_and_no_model(
+        workspace, tmp_path, capsys, flag, size, message):
+    # More than 2**47 bytes: no allocator can grant it, whatever the overcommit policy.
+    model = tmp_path / "model.json"
+    capsys.readouterr()
+    assert main(train_args(workspace, model, extra=(flag, str(size)))) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not model.exists()
+
+
+# A size flag's value: small, or so large (>= 10**15 elements, more than
+# 2**47 bytes) that allocating it fails at once.  No size in between,
+# which could fit in memory or take long to fill.
+SIZE_FLAGS = ("--fallback-dim", "--window", "--layers", "--hidden")
+SMALL_SIZES, HUGE_SIZES = st.integers(1, 3), st.integers(10**15, 10**40)
+# Each float flag's values in its range; at most one flag per example takes any float.
+IN_RANGE = {"--dropout": st.floats(0, 1, exclude_max=True),
+            "--lr": st.floats(0, exclude_min=True, allow_infinity=False),
+            "--alpha": st.floats(0, 1, exclude_min=True, exclude_max=True)}
+ANY_FLOAT = st.floats() | st.sampled_from([1e309, -1e309, 0, 1, -0.0])
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_no_numeric_flag_value_ends_in_a_traceback(tmp_path, capsys, data):
+    corpus = tmp_path / "corpus.jsonl"
+    if not corpus.exists():
+        save_corpus(generate_corpus(builtin_grammar("separable"), 12, 3), corpus)
+    model = tmp_path / "model.json"
+    model.unlink(missing_ok=True)
+    command = data.draw(st.sampled_from(["train", "compare"]))
+    args = [command, "--train", str(corpus), "--dev", str(corpus),
+            "--epochs", str(data.draw(st.sampled_from([1, 2]))),
+            "--seed", str(data.draw(st.integers(-(2**80), 2**80)))]
+    huge = data.draw(st.sets(st.sampled_from(SIZE_FLAGS), max_size=2))
+    for flag in SIZE_FLAGS:
+        args.append(f"{flag}={data.draw(HUGE_SIZES if flag in huge else SMALL_SIZES)}")
+    float_flags = ["--dropout", "--lr"] + (["--alpha"] if command == "compare" else [])
+    wild = data.draw(st.sampled_from([None, *float_flags]))
+    for flag in float_flags:
+        args.append(f"{flag}={data.draw(ANY_FLOAT if flag == wild else IN_RANGE[flag])!r}")
+    if command == "train":
+        args.append(f"--out-model={model}")
+    capsys.readouterr()
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code in {EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC}
+    assert "Traceback" not in err
+    event(f"exit {code}")
+    assert model.exists() == (command == "train" and code == EXIT_OK)
 
 
 @pytest.mark.parametrize("table, net, field", [("fallback", "dpi", "bias"),
