@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import AnnotatedSentence
-from .mlp import ModelFormatError
+from .mlp import DenseLayer, ModelFormatError
 from .rng import SplitMix64, fnv1a64
 
 log = logging.getLogger(__name__)
@@ -471,7 +471,7 @@ def context_rows(
         raise ValueError(f"window must be >= 1, got {window}")
     # Row ids of `window` pads, then of each sentence's tokens followed by
     # `window` pads.  Gap g of a sentence whose first token sits at
-    # position p reads positions p - window + g .. p + window + g - 1.
+    # position p reads the 2 * window positions from p - window + g.
     get, row = table.rows.get, table._row  # a row read before is one dict lookup
     ids = [0] * window
     first: list[int] = []
@@ -481,8 +481,12 @@ def context_rows(
             ids.extend([get(tok) or row(tok) for tok in sent.tokens] + [0] * window)
     finally:
         table._close()
-    return np.array(ids, dtype=np.intp)[np.array(first, dtype=np.intp)[:, None]
-                                        + np.arange(2 * window)]
+    ids = np.array(ids, dtype=np.intp)
+    # Row s of this view is ids[s : s + 2 * window]; an empty corpus has none.
+    step = ids.itemsize
+    windows = np.ndarray((max(len(ids) - 2 * window + 1, 0), 2 * window), np.intp, ids, 0,
+                         (step, step))
+    return windows.take(np.array(first, dtype=np.intp), axis=0)
 
 
 def context_embedding(
@@ -501,13 +505,26 @@ class _Projections:
     `where[r]` is -1 for a row not held.  The first `count` products are
     held, at most `capacity` of them: the cache of a (2 * window * D)-wide
     matrix of H rows holds up to _CACHE_BYTES of products, and at least
-    the rows one block of _SUM_BLOCK gaps can read."""
+    the rows one block of _SUM_BLOCK gaps can read.  `tile` holds
+    _SUM_BLOCK copies of `bias`, the bias last scored with the matrix."""
 
     def __init__(self, slots: int, hidden: int):
         self.capacity = max(slots * _SUM_BLOCK, _CACHE_BYTES // (8 * slots * hidden))
         self._hold(np.empty((slots, min(16, self.capacity), hidden)))
         self.where = np.empty(0, dtype=np.intp)
         self.count = 0
+        self.bias = self.tile = None
+
+    def bias_tile(self, bias: np.ndarray) -> np.ndarray:
+        """`tile` for `bias`, rebuilt when `bias` is another array than
+        the last one; `bias` is made read-only so the tile cannot go stale."""
+        if bias is not self.bias:
+            hidden = self.products.shape[2]
+            if bias.shape != (hidden,):
+                raise ValueError(f"bias of shape {bias.shape} does not fit {hidden} outputs")
+            bias.flags.writeable = False
+            self.bias, self.tile = bias, np.tile(bias, (_SUM_BLOCK, 1))
+        return self.tile
 
     def _hold(self, products: np.ndarray) -> None:
         """Keep `products`, with its (slots * length, H) view `flat`, in
@@ -518,7 +535,8 @@ class _Projections:
         self.offsets = np.arange(0, slots * length, length)[:, None]
 
     def positions(self, rows: np.ndarray, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """`where[rows]`, once the products of every row in `rows` are held.
+        """`where[rows]`, as a new array, once the products of every row in
+        `rows` are held.
 
         Rows not held are computed by one np.einsum call, whose loops are
         numpy's own, not BLAS: a row's bytes depend on neither the other rows
@@ -528,7 +546,7 @@ class _Projections:
         if len(self.where) < len(matrix):  # the table has read more words
             self.where = _grown(self.where, len(matrix), fill=-1)
         at = self.where[rows]
-        if at.size and at.min() < 0:
+        if np.minimum.reduce(at, axis=None, initial=0) < 0:
             new = _distinct(rows[at < 0])
             if self.count + len(new) > self.capacity:
                 self.where.fill(-1)
@@ -565,27 +583,29 @@ def _distinct(ids: np.ndarray) -> np.ndarray:
     return ids[keep]
 
 
-def context_projection(rows: np.ndarray, table: EmbeddingTable, weights: np.ndarray) -> np.ndarray:
-    """First-layer products of the gaps whose context rows are `rows`.
+def context_projection(rows: np.ndarray, table: EmbeddingTable, layer: DenseLayer) -> np.ndarray:
+    """First-layer affine output of the gaps whose context rows are `rows`.
 
-    `rows` is a `context_rows` matrix and `weights` an (H, 2 * window * dim)
-    first-layer matrix.  Gap g gets the sum, in slot order, of the
-    products `W[:, k*D:(k+1)*D] @ matrix[rows[g, k]]`: the same value as
-    `context_embedding(...)[g] @ weights.T` up to rounding.  A gap's bytes
-    do not depend on the other gaps scored with it or on the BLAS thread
-    count.
+    `rows` is a `context_rows` matrix and `layer` a first layer: (H,
+    2 * window * dim) weights W and H biases b.  Gap g gets the sum, in
+    slot order, of the products `W[:, k*D:(k+1)*D] @ matrix[rows[g, k]]`,
+    then b: the same value as `context_embedding(...)[g] @ W.T + b` up to
+    rounding.  A gap's bytes do not depend on the other gaps scored with
+    it or on the BLAS thread count.
 
     The products are cached per table and weight matrix, for table rows
-    that scored gaps have read, up to a bounded size, and `weights` is
-    made read-only so the cache cannot go stale.  A word costs one
-    product the first time it is scored (more if the cache has started
-    over since), so the speed-up over a dense product grows with how
-    often words repeat.  Sums run a block of _SUM_BLOCK gaps at a time:
-    one `take` gathers the block's (2 * window, _SUM_BLOCK, H) products,
-    and elementwise adds sum them in slot order (not np.add.reduce, which
-    for one gap at H = 1 runs as numpy's inner loop and may change the
-    order and the sign of a zero).
+    that scored gaps have read, up to a bounded size, and W and b are made
+    read-only so the cache cannot go stale.  A word costs one product the
+    first time it is scored (more if the cache has started over since),
+    so the speed-up over a dense product grows with how often words
+    repeat.  Sums run a block of _SUM_BLOCK gaps at a time: one `take`
+    gathers the block's (2 * window, _SUM_BLOCK, H) products, and
+    elementwise adds sum them in slot order, with b, from a tile of
+    _SUM_BLOCK copies, as the last term (not np.add.reduce, which for one
+    gap at H = 1 runs as numpy's inner loop and may change the order and
+    the sign of a zero).
     """
+    weights = layer.weights
     hidden, width = weights.shape
     slots = rows.shape[1]
     if width != slots * table.dim:
@@ -595,11 +615,15 @@ def context_projection(rows: np.ndarray, table: EmbeddingTable, weights: np.ndar
         weights.flags.writeable = False
         cache = table._projections[id(weights)] = _Projections(slots, hidden)
         weakref.finalize(weights, table._projections.pop, id(weights), None)
+    tile = cache.bias_tile(layer.bias)
     out = np.empty((len(rows), hidden))
+    by_slot = rows.T
     for lo in range(0, len(rows), _SUM_BLOCK):
-        at = cache.positions(rows[lo : lo + _SUM_BLOCK].T, table.matrix, weights)
-        terms = cache.flat.take(at + cache.offsets, axis=0)  # (slots, gaps, H)
+        at = cache.positions(by_slot[:, lo : lo + _SUM_BLOCK], table.matrix, weights)
+        at += cache.offsets
+        terms = cache.flat.take(at, axis=0)  # (slots, gaps, H)
         part = np.add(terms[0], terms[1], out=out[lo : lo + _SUM_BLOCK])
-        for term in terms[2:]:
-            part += term
+        for k in range(2, slots):
+            part += terms[k]
+        part += tile[: len(part)]
     return out

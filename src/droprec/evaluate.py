@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -59,23 +60,31 @@ class SignificanceResult:
 
 
 def report_from_pairs(
-    gold: list[int], pred: list[int], class_names: tuple[str, ...], scoring: str = ""
+    gold: Sequence[int] | np.ndarray, pred: Sequence[int] | np.ndarray,
+    class_names: tuple[str, ...], scoring: str = ""
 ) -> EvalReport:
-    """Build a report from parallel gold/predicted class-index lists."""
+    """Build a report from parallel gold/predicted class indices, given as
+    lists or as integer or boolean arrays."""
     if len(gold) != len(pred):
         raise ValueError(f"gold has {len(gold)} items, predictions {len(pred)}")
-    if not gold:
+    if not len(gold):
         raise ValueError("cannot evaluate zero instances")
     k = len(class_names)
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (np.asarray(gold, dtype=np.intp), np.asarray(pred, dtype=np.intp)), 1)
+    gold, pred = np.asarray(gold, dtype=np.intp), np.asarray(pred, dtype=np.intp)
+    if min(np.minimum.reduce(gold), np.minimum.reduce(pred)) < 0 or \
+            max(np.maximum.reduce(gold), np.maximum.reduce(pred)) >= k:
+        raise ValueError(f"class indices must be in [0, {k})")
+    cells = gold * k
+    cells += pred
+    confusion = np.bincount(cells, minlength=k * k).reshape(k, k)
     n = len(gold)
-    accuracy = float(np.trace(confusion)) / n
+    hits = confusion.diagonal().tolist()
+    accuracy = float(sum(hits)) / n
+    golds = np.add.reduce(confusion, axis=1).tolist()
+    preds = np.add.reduce(confusion, axis=0).tolist()
     per_class = {}
-    for c, name in enumerate(class_names):
-        tp = float(confusion[c, c])
-        col = float(confusion[:, c].sum())
-        row = float(confusion[c, :].sum())
+    for name, tp, row, col in zip(class_names, hits, golds, preds):
+        tp, row, col = float(tp), float(row), float(col)
         precision = tp / col if col > 0 else 0.0
         recall = tp / row if row > 0 else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
@@ -117,7 +126,9 @@ def _gaps(
     """The model scoring with `table` (callers pass the model's own), the
     context rows of every gap of the corpus in it, and the gaps' labels."""
     rows = context_rows(corpus.sentences, model.window, table)
-    return replace(model, table=table), rows, gap_labels(corpus)
+    if table is not model.table:
+        model = replace(model, table=table)
+    return model, rows, gap_labels(corpus)
 
 
 def _check_dpg(model: RecoveryModel, corpus: Corpus, positions: str) -> None:
@@ -132,7 +143,7 @@ def _check_dpg(model: RecoveryModel, corpus: Corpus, positions: str) -> None:
 
 def _dpi_report(model: RecoveryModel, gold: np.ndarray, detected: np.ndarray) -> EvalReport:
     return report_from_pairs(
-        (gold >= 0).tolist(), detected.tolist(), DPI_CLASS_NAMES,
+        gold >= 0, detected, DPI_CLASS_NAMES,
         scoring=f"one instance per candidate gap; threshold {model.threshold}",
     )
 
@@ -150,7 +161,7 @@ def _dpg_report(
     pred[detected] = predict_dpg(model, rows[detected])[0]
     gold = np.where(annotated, gold, none_idx)
     scored = annotated | detected
-    gold, pred = gold[scored].tolist(), pred[scored].tolist()
+    gold, pred = gold[scored], pred[scored]
     if positions == "gold":
         return report_from_pairs(gold, pred, labels, scoring=GOLD_SCORING)
     return report_from_pairs(gold, pred, labels + (NONE_CLASS,), scoring=PREDICTED_SCORING)

@@ -19,9 +19,11 @@ their arguments and run them on fresh buffers.
 from __future__ import annotations
 
 import base64
+import itertools
 import math
 import sys
 from dataclasses import asdict, dataclass, fields as dataclass_fields
+from typing import Sequence
 
 import numpy as np
 
@@ -146,11 +148,16 @@ def build_model(input_dim: int, num_classes: int, hp: Hyperparams) -> MlpModel:
     """Create an L-layer MLP with Glorot-uniform weights and zero biases.
 
     L = 1 is a bare affine + softmax, i.e. multinomial logistic regression.
-    Initialization draws from SplitMix64 substream 0 of hp.seed.
+    Initialization draws from SplitMix64 substream 0 of hp.seed.  A weight
+    matrix of more bytes than numpy can index is an OverflowError.
     """
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
     dims = layer_dims(input_dim, num_classes, hp)
+    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        if 8 * fan_in * fan_out > np.iinfo(np.intp).max:
+            raise OverflowError(f"layer {i} weights of {fan_out} x {fan_in} float64 values "
+                                f"are more bytes than numpy can index")
     rng = SplitMix64.for_stream(hp.seed, _INIT_STREAM)
     layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -198,8 +205,7 @@ def dropout_mask(dim: int, rate: float, rng: SplitMix64) -> np.ndarray:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return np.ones(dim)
-    survived = rng.floats(dim) >= rate
-    return survived / (1.0 - rate)
+    return rng.floats_at_least(dim, rate) / (1.0 - rate)
 
 
 def _new_cache(model: MlpModel, x: np.ndarray, mode: str) -> ForwardCache:
@@ -222,22 +228,20 @@ def _flat_views(flat: np.ndarray, layers: list[DenseLayer]):
 
 
 def _forward_into(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray,
-                  cache: ForwardCache, mask: np.ndarray | None) -> np.ndarray:
+                  cache: ForwardCache, masks: Sequence[np.ndarray] | None) -> np.ndarray:
     """One forward pass of `x` into `cache`'s buffers; returns `cache.probs`.
-    `mask` holds every hidden layer's dropout mask end to end, or is None."""
+    `masks` holds each hidden layer's dropout mask, or is None."""
     inputs, relu, drops = cache.inputs, cache.relu_masks, cache.dropout_masks
     inputs[0] = h = x
-    start = 0
     for i in range(len(relu)):
         z = inputs[i + 1]
         weights[i].dot(h, out=z)
         z += biases[i]
         np.greater(z, 0.0, out=relu[i])
         h = np.maximum(z, 0.0, out=z)
-        if mask is not None:
-            drops[i] = mask[start : start + len(z)]
+        if masks is not None:
+            drops[i] = masks[i]
             z *= drops[i]
-            start += len(z)
     p = cache.probs
     weights[-1].dot(h, out=p)
     p += biases[-1]
@@ -246,6 +250,16 @@ def _forward_into(weights: list[np.ndarray], biases: list[np.ndarray], x: np.nda
     np.exp(p, out=p)
     p /= np.add.reduce(p)
     return p
+
+
+def _dropout_steps(widths: list[int], rate: float, rng: SplitMix64):
+    """Endless per-step dropout masks of hidden layers `widths` wide, one
+    tuple of views per step: the masks `forward` would draw step after step,
+    drawn _DROPOUT_BLOCK_STEPS steps at a time."""
+    bounds = np.cumsum(widths)[:-1]
+    while True:
+        block = dropout_mask(_DROPOUT_BLOCK_STEPS * sum(widths), rate, rng)
+        yield from zip(*np.split(block.reshape(_DROPOUT_BLOCK_STEPS, -1), bounds, axis=1))
 
 
 def _backward_into(weights_t: list[np.ndarray], cache: ForwardCache, grads: list[LayerGrads],
@@ -296,10 +310,11 @@ def forward(
     if drop and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng")
     cache = _new_cache(model, x, mode)
-    mask = dropout_mask(sum(map(len, cache.relu_masks)), rate, rng) if drop else None
+    widths = list(map(len, cache.relu_masks))
+    masks = np.split(dropout_mask(sum(widths), rate, rng), np.cumsum(widths)[:-1]) if drop else None
     layers = model.layers
     probs = _forward_into([layer.weights for layer in layers], [layer.bias for layer in layers],
-                          x, cache, mask)
+                          x, cache, masks)
     return probs, cache
 
 
@@ -353,27 +368,35 @@ def predict(model: MlpModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarr
     h = np.asarray(features, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != model.input_dim:
         raise ValueError(f"input has shape {h.shape}, model expects (m, {model.input_dim})")
-    probs = predict_from_first_layer(model, h @ model.layers[0].weights.T)
+    z = h @ model.layers[0].weights.T
+    z += model.layers[0].bias
+    probs = predict_from_first_layer(model, z)
     return probs.argmax(axis=1), probs
 
 
 def predict_from_first_layer(model: MlpModel, z: np.ndarray) -> np.ndarray:
-    """`predict`'s probabilities given `z`, the (m, out_dim) product of the
-    rows with the first layer's weights, before its bias; `z` is overwritten.
+    """`predict`'s probabilities given `z`, the (m, out_dim) affine output
+    of the first layer (its bias added); `z` is overwritten.
 
-    The later layers are one matrix product each.  With one layer, the
-    first layer is the softmax layer.  Raises NumericError when finite
-    parameters overflow to a NaN probability.
+    The later layers are one matrix product each, and softmax runs in
+    place.  With one layer, the first layer is the softmax layer.  Raises
+    NumericError when finite parameters overflow to a NaN probability.
     """
-    z += model.layers[0].bias
     for layer in model.layers[1:]:
         np.maximum(z, 0.0, out=z)
         z = z @ layer.weights.T
         z += layer.bias
-    probs = softmax(z)
-    if not math.isfinite(np.add.reduce(probs, axis=None)):  # each is NaN or in [0, 1]
+    # softmax() in place
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    np.exp(z, out=z)
+    sums = np.add.reduce(z, axis=1, keepdims=True)
+    # With its max taken off, a row's exps sum to a value in [1, C], or to
+    # NaN exactly when one of its probabilities would be NaN; so the sum of
+    # the row sums is finite unless some probability is NaN.
+    if not math.isfinite(np.add.reduce(sums, axis=None)):
         raise NumericError("non-finite class probability in eval mode")
-    return probs
+    z /= sums
+    return z
 
 
 def train(model: MlpModel, instances: list[tuple[np.ndarray, int]]) -> list[EpochStats]:
@@ -446,12 +469,11 @@ def train(model: MlpModel, instances: list[tuple[np.ndarray, int]]) -> list[Epoc
     hidden = len(layers) - 1
     hp = model.hyperparams
     rate = hp.dropout_rate
-    width = sum(map(len, cache.relu_masks))
-    drop = rate > 0.0 and width > 0
-    if drop:
-        drop_rng = SplitMix64.for_stream(hp.seed, _DROPOUT_STREAM)
-    drawn = _DROPOUT_BLOCK_STEPS  # steps served from the current block of masks
-    mask = None
+    widths = list(map(len, cache.relu_masks))
+    if rate > 0.0 and sum(widths) > 0:
+        masks = _dropout_steps(widths, rate, SplitMix64.for_stream(hp.seed, _DROPOUT_STREAM))
+    else:
+        masks = itertools.repeat(None)
     lr = hp.learning_rate
     log: list[EpochStats] = []
     try:
@@ -470,15 +492,8 @@ def train(model: MlpModel, instances: list[tuple[np.ndarray, int]]) -> list[Epoc
                 total_loss = 0.0
                 correct = 0
                 for step, idx in enumerate(order):
-                    if drop:
-                        if drawn == _DROPOUT_BLOCK_STEPS:
-                            masks = dropout_mask(_DROPOUT_BLOCK_STEPS * width, rate, drop_rng)
-                            masks = masks.reshape(_DROPOUT_BLOCK_STEPS, width)
-                            drawn = 0
-                        mask = masks[drawn]
-                        drawn += 1
                     label = labels[idx]
-                    p = _forward_into(weights, biases, feats[idx], cache, mask)
+                    p = _forward_into(weights, biases, feats[idx], cache, next(masks))
                     loss = -math.log(max(p.item(label), PROB_EPS))
                     if not math.isfinite(loss):
                         raise NumericError(f"non-finite loss at epoch {epoch}, step {step}")

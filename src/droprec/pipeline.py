@@ -87,7 +87,7 @@ class RecoveredSentence:
 def dpi_gap_probability(model: RecoveryModel, rows: np.ndarray) -> np.ndarray:
     """Eval-mode probability that a pronoun is dropped, per gap of a
     `context_rows` matrix of the model's table."""
-    z = context_projection(rows, model.table, model.dpi.layers[0].weights)
+    z = context_projection(rows, model.table, model.dpi.layers[0])
     return mlp.predict_from_first_layer(model.dpi, z)[:, DROPPED]
 
 
@@ -163,7 +163,7 @@ def predict_dpi(model: RecoveryModel, rows: np.ndarray) -> np.ndarray:
 def predict_dpg(model: RecoveryModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Most likely pronoun class per gap of a `context_rows` matrix of the
     model's table, with its softmax confidence: the largest probability."""
-    z = context_projection(rows, model.table, model.dpg.layers[0].weights)
+    z = context_projection(rows, model.table, model.dpg.layers[0])
     probs = mlp.predict_from_first_layer(model.dpg, z)
     return probs.argmax(axis=1), np.maximum.reduce(probs, axis=1)
 

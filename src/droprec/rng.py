@@ -20,12 +20,15 @@ and 0x94D049BB133111EB).  Derived conventions used throughout:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_U64_GOLDEN, _U64_MIX1, _U64_MIX2 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
 
 
 def mix64(z: int) -> int:
@@ -84,14 +87,27 @@ class SplitMix64:
         values of `n` calls to next_float()."""
         return (self._next_u64s(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
+    def floats_at_least(self, n: int, p: float) -> np.ndarray:
+        """`floats(n) >= p` for a `p` in [0, 1), with the same end state,
+        without making the floats: (u >> 11) * 2**-53 is exact, so it is at
+        least p exactly when u >> 11 >= ceil(p * 2**53), that is, when u >=
+        ceil(p * 2**53) << 11 (p * 2**53 is exact too)."""
+        return self._next_u64s(n) >= np.uint64(math.ceil(p * 2**53) << 11)
+
     def _next_u64s(self, n: int) -> np.ndarray:
-        """The next `n` next_u64() values, as uint64: output i mixes
-        state + (i+1) * golden."""
-        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        """The next `n` next_u64() values, as a new uint64 array: output i
+        mixes state + (i+1) * golden."""
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= _U64_GOLDEN
+        z += np.uint64(self._state)
+        shifted = np.empty_like(z)
+        z ^= np.right_shift(z, np.uint64(30), out=shifted)
+        z *= _U64_MIX1
+        z ^= np.right_shift(z, np.uint64(27), out=shifted)
+        z *= _U64_MIX2
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
         self._state = (self._state + n * _GOLDEN) & _MASK64
-        return z ^ (z >> np.uint64(31))
+        return z
 
     def uniform_array(self, n: int, lo: float, hi: float) -> np.ndarray:
         """Vectorized uniform doubles in [lo, hi)."""

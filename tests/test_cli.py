@@ -666,13 +666,19 @@ def test_training_that_diverges_exits_3_with_one_line_and_no_model(tmp_path, cap
     ("--fallback-dim", 10**15, "droprec: Unable to allocate "),
     ("--layers", 10**15, "droprec: out of memory\n"),
     ("--layers", 10**30, "droprec: cannot fit 'int' into an index-sized integer\n"),
+    # Weight matrices of more bytes than numpy can index, which it refuses
+    # before allocating.
+    ("--hidden", 10**20, "droprec: layer 0 weights of 100000000000000000000 x 16 float64 "),
+    ("--fallback-dim=3 --window", 3 * 10**15,
+     "droprec: layer 0 weights of 200 x 18000000000000000 float64 "),
 ])
 def test_a_size_the_machine_cannot_allocate_exits_1_with_one_line_and_no_model(
         workspace, tmp_path, capsys, flag, size, message):
     # More than 2**47 bytes: no allocator can grant it, whatever the overcommit policy.
+    # `flag` may hold more than one argument.
     model = tmp_path / "model.json"
     capsys.readouterr()
-    assert main(train_args(workspace, model, extra=(flag, str(size)))) == EXIT_USAGE
+    assert main(train_args(workspace, model, extra=(*flag.split(), str(size)))) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
     assert not model.exists()

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from droprec import embeddings
 from droprec.corpus import AnnotatedSentence
-from droprec.mlp import ModelFormatError
+from droprec.mlp import DenseLayer, ModelFormatError
 from droprec.embeddings import (
     EmbeddingError,
     EmbeddingTable,
@@ -695,6 +695,24 @@ def test_no_sentences_give_no_rows(window):
     assert context_embedding((), window, table).shape == (0, 2 * window * table.dim)
 
 
+@settings(max_examples=60)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "oov"]), min_size=1, max_size=4),
+                max_size=4),
+       st.integers(min_value=1, max_value=6))
+def test_context_rows_read_each_gaps_window_of_its_sentence(token_lists, window):
+    # Sentences shorter than the window, and no sentence at all, included.
+    table = basis_table(["a", "b"])
+    sents = [AnnotatedSentence(tuple(tokens)) for tokens in token_lists]
+    want = []
+    for sent in sents:
+        ids = [table.row(tok) for tok in sent.tokens]
+        for g in range(len(ids) + 1):
+            want.append([ids[i] if 0 <= i < len(ids) else 0 for i in range(g - window, g + window)])
+    got = context_rows(sents, window, table)
+    assert got.shape == (len(want), 2 * window) and got.dtype == np.intp
+    assert got.tolist() == want
+
+
 # --- first-layer projections ----------------------------------------------------
 
 
@@ -708,12 +726,13 @@ def test_projection_is_the_feature_product_and_ignores_grouping(token_lists, win
     sents = [AnnotatedSentence(tuple(tokens)) for tokens in token_lists]
     weights = np.random.default_rng(window).uniform(-1, 1, (7, 2 * window * 5))
     whole = deterministic_fallback_table(["a", "b", "c"], 5, seed=4)
-    got = context_projection(context_rows(sents, window, whole), whole, weights)
-    want = context_embedding(sents, window, whole) @ weights.T
+    layer = DenseLayer(weights, np.linspace(-1, 1, 7))
+    got = context_projection(context_rows(sents, window, whole), whole, layer)
+    want = context_embedding(sents, window, whole) @ weights.T + layer.bias
     assert np.allclose(got, want, rtol=0, atol=1e-15)
     # A second table scores the sentences one at a time, last first.
     alone = deterministic_fallback_table(["a", "b", "c"], 5, seed=4)
-    parts = [context_projection(context_rows((sent,), window, alone), alone, weights)
+    parts = [context_projection(context_rows((sent,), window, alone), alone, layer)
              for sent in reversed(sents)]
     assert np.array_equal(got, np.concatenate(parts[::-1]))
 
@@ -723,7 +742,7 @@ def test_projection_caches_only_the_rows_scored():
     weights = np.arange(16.0).reshape(2, 8)
     rows = context_rows((AnnotatedSentence(("a", "oov", "a")),), 1, table)
     assert rows.tolist() == [[0, 1], [1, 0], [0, 1], [1, 0]]
-    context_projection(rows, table, weights)
+    context_projection(rows, table, DenseLayer(weights, np.zeros(2)))
     (cache,) = table._projections.values()
     assert cache.count == 2  # rows 0 and 1
     assert not weights.flags.writeable
@@ -733,13 +752,33 @@ def test_projection_of_no_gaps_is_empty():
     table = basis_table(["a"])
     rows = context_rows((), 2, table)
     assert rows.shape == (0, 4)
-    assert context_projection(rows, table, np.ones((3, 4))).shape == (0, 3)
+    assert context_projection(rows, table, DenseLayer(np.ones((3, 4)), np.ones(3))).shape == (0, 3)
+
+
+def test_scoring_makes_the_bias_read_only_and_a_new_bias_gets_a_new_tile():
+    table = basis_table(["a", "b"])
+    rows = context_rows((AnnotatedSentence(("a", "b")),), 1, table)
+    layer = DenseLayer(np.arange(12.0).reshape(3, 4), np.array([1.0, 2.0, 3.0]))
+    first = context_projection(rows, table, layer)
+    assert not layer.bias.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        layer.bias[0] = 5.0
+    (cache,) = table._projections.values()
+    tile = cache.tile
+    assert tile.shape == (embeddings._SUM_BLOCK, 3) and (tile == layer.bias).all()
+    context_projection(rows, table, layer)
+    assert cache.tile is tile  # the same bias keeps its tile
+    layer.bias = np.array([-1.0, 0.0, 1.0])
+    second = context_projection(rows, table, layer)
+    assert cache.tile is not tile and (cache.tile == layer.bias).all()
+    assert not layer.bias.flags.writeable
+    assert np.array_equal(second, first - [2.0, 2.0, 2.0])
 
 
 def test_projection_cache_dies_with_its_weights():
     table = basis_table(["a", "b"])
     rows = context_rows((AnnotatedSentence(("a", "b")),), 1, table)
-    context_projection(rows, table, np.ones((3, 4)))
+    context_projection(rows, table, DenseLayer(np.ones((3, 4)), np.zeros(3)))
     assert not table._projections  # the weight matrix was a temporary
 
 
@@ -750,13 +789,13 @@ def test_projection_cache_is_bounded_and_starting_over_moves_no_byte(monkeypatch
     words = [f"w{i}" for i in range(40)]
     sents = [AnnotatedSentence(tuple(words[i : i + 5])) for i in range(0, 40, 3)]
     sents += sents[::-1]
-    weights = np.random.default_rng(0).uniform(-1, 1, (5, 2 * 3))
+    layer = DenseLayer(np.random.default_rng(0).uniform(-1, 1, (5, 2 * 3)), np.ones(5))
     unbounded = deterministic_fallback_table(words, 3, seed=1)
-    want = context_projection(context_rows(sents, 1, unbounded), unbounded, weights)
+    want = context_projection(context_rows(sents, 1, unbounded), unbounded, layer)
     monkeypatch.setattr(embeddings, "_CACHE_BYTES", 0)
     monkeypatch.setattr(embeddings, "_SUM_BLOCK", 3)
     bounded = deterministic_fallback_table(words, 3, seed=1)
-    got = context_projection(context_rows(sents, 1, bounded), bounded, weights)
+    got = context_projection(context_rows(sents, 1, bounded), bounded, layer)
     assert np.array_equal(got, want)
     (cache,) = bounded._projections.values()
     assert cache.capacity == 6
@@ -789,10 +828,10 @@ def test_a_rows_products_do_not_depend_on_its_batch(hidden, slots, dim):
 def test_projection_bytes_are_the_slot_order_sum_of_row_products(window, hidden, gaps, start_over,
                                                                  monkeypatch):
     # Each gap must get the bytes of adding its per-row einsum products left
-    # to right, whatever block it falls in and whatever else it is scored
-    # with; a pairwise or reordered sum differs in the last bits (at H = 1
-    # and window 4, np.add.reduce over the slots does).  With no cache
-    # budget, 700 words start the cache over many times.
+    # to right, then the bias, whatever block it falls in and whatever else
+    # it is scored with; a pairwise or reordered sum differs in the last bits
+    # (at H = 1 and window 4, np.add.reduce over the slots does).  With no
+    # cache budget, 700 words start the cache over many times.
     if start_over:
         monkeypatch.setattr(embeddings, "_CACHE_BYTES", 0)
     rng = np.random.default_rng([window, hidden, gaps])
@@ -800,16 +839,22 @@ def test_projection_bytes_are_the_slot_order_sum_of_row_products(window, hidden,
     weights = rng.uniform(-1, 1, (hidden, 2 * window * 3))
     rows = rng.integers(0, len(table.matrix), (gaps, 2 * window))
     rows[0, 0] = 0  # the zero row: products that are zeros of either sign
+    rows[-1] = 0  # a gap of zero rows, whose sums are zeros
     by_slot = weights.reshape(hidden, 2 * window, 3)
     products = {r: np.einsum("hkd,d->kh", by_slot, table.matrix[r]) for r in set(rows.flat)}
-    want = np.empty((gaps, hidden))
+    sums = np.empty((gaps, hidden))
     for g, gap in enumerate(rows.tolist()):
         total = products[gap[0]][0]
         for k, r in enumerate(gap[1:], start=1):
             total = total + products[r][k]
-        want[g] = total
-    got = context_projection(rows, table, weights)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    for g in range(gaps):
-        alone = context_projection(rows[g : g + 1], table, weights)
-        assert np.array_equal(alone.view(np.int64), got[g : g + 1].view(np.int64)), g
+        sums[g] = total
+    # The bias is the last term: +0.0 turns a -0.0 sum into +0.0, -0.0 keeps
+    # a zero sum's sign, and minus gap 0's sums cancels them to zeros.
+    for bias in (np.zeros(hidden), np.full(hidden, -0.0), rng.uniform(-1, 1, hidden), -sums[0]):
+        layer = DenseLayer(weights, bias)
+        want = sums + bias
+        got = context_projection(rows, table, layer)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for g in range(gaps):
+            alone = context_projection(rows[g : g + 1], table, layer)
+            assert np.array_equal(alone.view(np.int64), got[g : g + 1].view(np.int64)), g

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -65,6 +66,53 @@ def test_report_rejects_bad_input():
         report_from_pairs([], [], ("a",))
 
 
+def counted_report(gold, pred, class_names, scoring):
+    """A report counted cell by cell, each figure from its row and column."""
+    k = len(class_names)
+    confusion = np.zeros((k, k), dtype=np.int64)
+    for g, p in zip(gold, pred):
+        confusion[g, p] += 1
+    per_class = {}
+    for c, name in enumerate(class_names):
+        tp, col, row = (float(confusion[c, c]), float(confusion[:, c].sum()),
+                        float(confusion[c, :].sum()))
+        precision = tp / col if col > 0 else 0.0
+        recall = tp / row if row > 0 else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+        per_class[name] = evaluate.ClassMetrics(precision, recall, f1)
+    return evaluate.EvalReport(float(np.trace(confusion)) / len(gold), per_class, confusion,
+                               len(gold), class_names, scoring)
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=1, max_value=6).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), min_size=1,
+                         max_size=80))),
+       st.booleans())
+def test_reports_from_lists_and_from_arrays_are_byte_equal(case, predict_one_class):
+    # Classes that are never predicted (or never gold) score 0.0, whatever
+    # the input's type.
+    k, pairs = case
+    gold, pred = map(list, zip(*pairs))
+    if predict_one_class:
+        pred = [0] * len(pred)
+    names = tuple(f"c{i}" for i in range(k))
+    want = json.dumps(report_to_dict(counted_report(gold, pred, names, "s")))
+    assert json.dumps(report_to_dict(report_from_pairs(gold, pred, names, "s"))) == want
+    for make in (np.array, lambda v: np.array(v, dtype=np.int32)):
+        got = report_from_pairs(make(gold), make(pred), names, "s")
+        assert json.dumps(report_to_dict(got)) == want
+    if k == 2:  # a detection report's gold and predictions come as booleans
+        got = report_from_pairs(np.array(gold, dtype=bool), np.array(pred, dtype=bool), names, "s")
+        assert json.dumps(report_to_dict(got)) == want
+
+
+def test_report_rejects_a_class_index_outside_its_classes():
+    for gold, pred in (([0, 2], [0, 1]), ([0, 1], [0, -1])):
+        with pytest.raises(ValueError, match=r"class indices must be in \[0, 2\)"):
+            report_from_pairs(gold, pred, ("a", "b"))
+
+
 # --- detection evaluation ------------------------------------------------------
 
 
@@ -75,6 +123,15 @@ def ten_percent_corpus():
         for si in range(10)
     )
     return Corpus(FULL14, sents)
+
+
+def test_scoring_with_the_models_own_table_keeps_the_model():
+    table = deterministic_fallback_table(["x"], 4, seed=0)
+    model = stub_recovery_model(table)
+    assert evaluate._gaps(model, ten_percent_corpus(), table)[0] is model
+    other = deterministic_fallback_table(["x"], 4, seed=0)
+    scoring = evaluate._gaps(model, ten_percent_corpus(), other)[0]
+    assert scoring is not model and scoring.table is other
 
 
 def test_all_negative_detector_scores_ninety_percent():

@@ -272,6 +272,41 @@ def test_dropout_rejects_bad_rate():
         dropout_mask(8, 1.0, SplitMix64(0))
 
 
+@settings(max_examples=60)
+@given(st.sampled_from([0.5, 1 - 2**-53, 5e-324, 2**-53, 0.2])
+       | st.floats(0, 1, exclude_min=True, exclude_max=True),
+       st.integers(0, 2**64 - 1), st.integers(0, 200))
+def test_dropout_mask_drops_where_the_streams_float_is_below_the_rate(rate, seed, n):
+    got_rng, want_rng = SplitMix64(seed), SplitMix64(seed)
+    got = dropout_mask(n, rate, got_rng)
+    want = (want_rng.floats(n) >= rate) / (1.0 - rate)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got_rng.next_u64() == want_rng.next_u64()
+
+
+@pytest.mark.parametrize("widths", [[5], [3, 4], [2, 2, 2]])
+def test_train_hands_each_step_the_masks_forward_would_draw(widths):
+    # Over three blocks of steps, each step's masks are the next floats of
+    # the stream, hidden layer after hidden layer.
+    steps = mlp._dropout_steps(widths, 0.3, SplitMix64(9))
+    ref = SplitMix64(9)
+    for step in range(3 * mlp._DROPOUT_BLOCK_STEPS):
+        got = next(steps)
+        assert [len(m) for m in got] == widths
+        assert np.array_equal(np.concatenate(got), dropout_mask(sum(widths), 0.3, ref)), step
+
+
+def test_eval_mode_raises_exactly_for_a_row_with_a_nan_probability():
+    model = build_model(2, 3, tiny_hp(layer_count=1))
+    inf, nan = math.inf, math.nan
+    finite = [[1.0, -inf, 0.0], [-inf, -inf, 5.0], [700.0, 800.0, -900.0]]
+    probs = mlp.predict_from_first_layer(model, np.array(finite))
+    assert np.isfinite(probs).all() and np.allclose(probs.sum(axis=1), 1.0)
+    for bad in ([inf, 0.0, 0.0], [-inf, -inf, -inf], [0.0, nan, 0.0]):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="eval mode"):
+            mlp.predict_from_first_layer(model, np.array(finite + [bad]))
+
+
 # --- training ---------------------------------------------------------------------
 
 

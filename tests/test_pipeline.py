@@ -353,6 +353,25 @@ def test_training_a_scored_network_fails_before_its_first_step(monkeypatch):
         assert np.array_equal(layer.weights, weights) and np.array_equal(layer.bias, bias)
 
 
+def test_a_scored_networks_bias_is_read_only_and_training_it_fails_before_its_first_step(
+        monkeypatch):
+    table = deterministic_fallback_table(["a", "b"], 4, seed=1)
+    model = stub_recovery_model(table, threshold=0.0)
+    recover(model, AnnotatedSentence(("a", "b")))
+    net = model.dpg
+    bias = net.layers[0].bias
+    with pytest.raises(ValueError, match="read-only"):
+        bias[0] = 1.0
+    net.layers[0].weights.flags.writeable = True  # the bias alone is left read-only
+    before = bias.copy()
+    steps = []
+    forward_into = mlp._forward_into
+    monkeypatch.setattr(mlp, "_forward_into", lambda *a: steps.append(a) or forward_into(*a))
+    with pytest.raises(ValueError, match="layer 0 parameters are read-only"):
+        mlp.train(net, [(np.ones(net.input_dim), 1)])
+    assert steps == [] and np.array_equal(bias, before)
+
+
 def test_tune_threshold_caches_only_the_rows_of_the_dev_words(tmp_path):
     # A fully checked table of 600 words; dev uses a few of them.
     train, dev, _, _ = small_separable_setup(n=60)

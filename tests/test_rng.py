@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 from hypothesis import given, strategies as st
 
@@ -78,3 +80,39 @@ def test_shuffle_matches_a_scalar_fisher_yates(seed, n):
         want[i], want[j] = want[j], want[i]
     assert got == want
     assert ours.next_u64() == ref.next_u64()
+
+
+class _Outputs(SplitMix64):
+    """A stream whose next outputs are given, to put values at a threshold."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = np.array(values, dtype=np.uint64)
+
+    def _next_u64s(self, n):
+        return self.values[:n].copy()
+
+
+# 0.5, the largest float below 1, the smallest subnormal, and 2**-53, the
+# smallest nonzero float that floats() returns.
+THRESHOLD_RATES = [0.5, 1 - 2**-53, 5e-324, 2**-53, 0.2, 0.0]
+
+
+@given(st.sampled_from(THRESHOLD_RATES) | st.floats(0, 1, exclude_max=True),
+       st.lists(st.integers(-4096, 4096), min_size=1, max_size=40),
+       st.lists(st.integers(0, 2**64 - 1), max_size=40))
+def test_floats_at_least_is_the_float_comparison_at_and_around_its_threshold(p, steps, anywhere):
+    # Outputs on either side of the bound a float comparison with p puts on
+    # the raw 64-bit output, and anywhere else.
+    bound = math.ceil(p * 2**53) << 11
+    values = [min(max(bound + d, 0), 2**64 - 1) for d in steps] + anywhere
+    assert np.array_equal(_Outputs(values).floats_at_least(len(values), p),
+                          _Outputs(values).floats(len(values)) >= p)
+
+
+@given(st.sampled_from(THRESHOLD_RATES) | st.floats(0, 1, exclude_max=True),
+       st.integers(0, 2**64 - 1), st.integers(0, 300))
+def test_floats_at_least_draws_what_floats_draws(p, seed, n):
+    a, b = SplitMix64(seed), SplitMix64(seed)
+    assert np.array_equal(a.floats_at_least(n, p), b.floats(n) >= p)
+    assert a.next_u64() == b.next_u64()
