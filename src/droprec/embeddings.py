@@ -25,14 +25,13 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import AnnotatedSentence
-from .mlp import DenseLayer, ModelFormatError
+from .mlp import DenseLayer, ModelFormatError, check_fields
 from .rng import SplitMix64, fnv1a64
 
 log = logging.getLogger(__name__)
 
-# The fields of a table source besides its kind, which table_from_source
-# reads: a type marks a field of that type, a pattern a string field that
-# must match it in full.
+# The fields of each kind of table source besides its kind, as check_source holds them: a
+# type marks a field of that type, a pattern a string field that must match it in full.
 SOURCE_FIELDS = {"word2vec": {"path": str, "dim": int, "sha256": re.compile("[0-9a-f]{64}")},
                  "fallback": {"vocab": list, "dim": int, "seed": int}}
 
@@ -98,11 +97,9 @@ class EmbeddingTable:
         self._projections: dict[int, _Projections] = {}  # by id() of the weight matrix
 
     @classmethod
-    def from_vectors(
-        cls, dim: int, vectors: dict[str, np.ndarray], source: dict | None = None
-    ) -> EmbeddingTable:
+    def from_vectors(cls, dim: int, vectors: dict[str, np.ndarray]) -> EmbeddingTable:
         """Table over `vectors`, whose rows follow the dict's order."""
-        table = cls(dim, source)
+        table = cls(dim)
         table._buffer = np.zeros((len(vectors) + 1, dim))
         for word, vec in vectors.items():
             if np.shape(vec) != (dim,):
@@ -444,15 +441,35 @@ def deterministic_fallback_table(vocab: list[str], dim: int, seed: int) -> Embed
     return table
 
 
+def check_source(source, what: str = "table source") -> None:
+    """ValueError, naming the descriptor `what`, unless `source` is a JSON object of a kind
+    in SOURCE_FIELDS with exactly its fields, as typed there, and UTF-8 `vocab` words."""
+    kind = source.get("kind") if type(source) is dict else None
+    if type(kind) is not str or kind not in SOURCE_FIELDS:
+        raise EmbeddingError(f"{what} kind {kind!r} cannot be rebuilt")
+    fields = SOURCE_FIELDS[kind]
+    if missing := fields.keys() - source.keys():
+        raise EmbeddingError(f"{what} lacks fields {sorted(missing)}")
+    check_fields(source, {"kind", *fields}, what)
+    for key, rule in fields.items():
+        if isinstance(rule, re.Pattern):
+            if not (type(source[key]) is str and rule.fullmatch(source[key])):
+                raise EmbeddingError(f"{what} {key} must match {rule.pattern}, got {source[key]!r}")
+        elif type(source[key]) is not rule:
+            raise EmbeddingError(f"{what} {key} must be {rule.__name__}, got {source[key]!r}")
+    try:  # TypeError for a word that is no string, UnicodeEncodeError for a lone surrogate
+        "".join(source.get("vocab", ())).encode("utf-8")
+    except (TypeError, UnicodeEncodeError):
+        raise EmbeddingError(f"{what} vocab must be a list of UTF-8 words") from None
+
+
 def table_from_source(source: dict) -> EmbeddingTable:
-    """Rebuild a table from its `source` descriptor (used by model loading);
-    a word2vec file must have the descriptor's `sha256`."""
-    kind = source.get("kind")
-    if kind == "word2vec":
+    """Rebuild a table from a `source` that passes `check_source`; a word2vec file must
+    have its `sha256`."""
+    check_source(source)
+    if source["kind"] == "word2vec":
         return load_embeddings(source["path"], expected_dim=source["dim"], sha256=source["sha256"])
-    if kind == "fallback":
-        return deterministic_fallback_table(source["vocab"], source["dim"], source["seed"])
-    raise EmbeddingError(f"cannot rebuild embedding table from source kind {kind!r}")
+    return deterministic_fallback_table(source["vocab"], source["dim"], source["seed"])
 
 
 def context_rows(

@@ -569,12 +569,16 @@ def _array_from_base64(block: str, shape: tuple[int, ...], what: str) -> np.ndar
             f"{what}: parameter block has {len(raw)} bytes, expected 8 per value of shape {shape}"
         )
     # One copy into an owned, writeable, native array: no view of `raw`.
-    a = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-    # Elementwise: a sum first would be no faster here, and would warn on
-    # finite parameters whose sum overflows.
-    if not np.isfinite(a).all():
-        raise ModelFormatError(f"{what}: non-finite parameter in model file")
-    return a
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
+def check_finite(model: MlpModel, name: str) -> None:
+    """ValueError naming the network `name` and the layer unless every parameter
+    is finite, as in a model file.  Elementwise: a sum would warn when it overflows."""
+    for i, layer in enumerate(model.layers):
+        for part in ("weights", "bias"):
+            if not np.isfinite(getattr(layer, part)).all():
+                raise ValueError(f"{name} layer {i} {part}: non-finite parameter")
 
 
 def model_to_dict(model: MlpModel) -> dict:
@@ -594,7 +598,7 @@ def model_from_dict(obj: dict, num_classes: int, name: str) -> MlpModel:
     Its hyperparams must hold every field.  Its layers have the shapes that
     `build_model` gives a network of its hyperparams' `input_dim`:
     `hidden_dim` outputs for each hidden layer, `num_classes` for the last.
-    The object must hold `layer_count` layers.
+    The object must hold `layer_count` layers, of parameters `check_finite` passes.
     """
     try:
         check_fields(obj, _NETWORK_FIELDS, "network")
@@ -614,6 +618,8 @@ def model_from_dict(obj: dict, num_classes: int, name: str) -> MlpModel:
             layers.append(DenseLayer(
                 _array_from_base64(entry["weights"], (fan_out, fan_in), f"{where} weights"),
                 _array_from_base64(entry["bias"], (fan_out,), f"{where} bias")))
+        model = MlpModel(layers, hp)
+        check_finite(model, name)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"corrupt model file: {exc}") from None
-    return MlpModel(layers, hp)
+    return model

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -22,7 +21,7 @@ import numpy as np
 from . import mlp
 from .corpus import (Corpus, AnnotatedSentence, LabelSet, atomic_open, check_metadata,
                      label_set_by_name)
-from .embeddings import (SOURCE_FIELDS, EmbeddingTable, context_projection, context_rows,
+from .embeddings import (EmbeddingTable, check_source, context_projection, context_rows,
                          table_from_source)
 from .hypotheses import DROPPED, build_dpg_instances, build_dpi_instances, gap_labels
 from .mlp import EpochStats, Hyperparams, MlpModel, ModelFormatError, check_fields
@@ -91,14 +90,13 @@ def dpi_gap_probability(model: RecoveryModel, rows: np.ndarray) -> np.ndarray:
     return mlp.predict_from_first_layer(model.dpi, z)[:, DROPPED]
 
 
-def tune_threshold(model: RecoveryModel, dev: Corpus) -> tuple[float, float]:
-    """Grid-search the detection threshold maximizing dev gap accuracy.
-
-    Returns (threshold, accuracy).  Ties prefer the threshold nearest 0.5.
-    """
-    probs = dpi_gap_probability(model, context_rows(dev.sentences, model.window, model.table))
-    gold = gap_labels(dev) >= 0
-    correct = {t: int(np.count_nonzero((probs >= t) == gold)) for t in THRESHOLD_GRID}
+def tune_threshold(model: RecoveryModel, rows: np.ndarray,
+                   dropped: np.ndarray) -> tuple[float, float]:
+    """Grid-search the detection threshold maximizing the accuracy of the gaps of a
+    `context_rows` matrix of the model's table, `dropped` where a pronoun is dropped.
+    Returns (threshold, accuracy).  Ties prefer the threshold nearest 0.5."""
+    probs = dpi_gap_probability(model, rows)
+    correct = {t: int(np.count_nonzero((probs >= t) == dropped)) for t in THRESHOLD_GRID}
     best = min(THRESHOLD_GRID, key=lambda t: (-correct[t], abs(t - 0.5), t))
     return best, correct[best] / len(probs)
 
@@ -138,12 +136,12 @@ def train_recovery(
             for stats in log:
                 progress(name, stats)
 
-    model.threshold, dev_dpi_acc = tune_threshold(model, dev)
-    gold = gap_labels(dev)
+    rows, gold = context_rows(dev.sentences, model.window, table), gap_labels(dev)
     annotated = gold >= 0
+    model.threshold, dev_dpi_acc = tune_threshold(model, rows, annotated)
     dev_dpg_acc = None  # dev has no annotated gap to score
     if annotated.any():
-        classes = predict_dpg(model, context_rows(dev.sentences, model.window, table)[annotated])[0]
+        classes = predict_dpg(model, rows[annotated])[0]
         dev_dpg_acc = int(np.count_nonzero(classes == gold[annotated])) / len(classes)
     model.metadata = {
         "dev_dpi_accuracy": dev_dpi_acc,
@@ -198,59 +196,42 @@ def recovery_to_dict(model: RecoveryModel) -> dict:
     }
 
 
-def recovery_from_dict(obj: dict, model_dir: str | Path = ".") -> RecoveryModel:
-    """Build a recovery model from its JSON object.
+def _table_ref(ref, dpi: MlpModel, move: Callable[[str], str]) -> dict:
+    """`ref` with a word2vec path mapped by `move`; ValueError unless it passes
+    `check_source` and its `dim` is the `embed_dim` of the `dpi` network."""
+    check_source(ref, "table_ref")
+    if dpi.hyperparams.embed_dim != ref["dim"]:
+        raise ValueError(f"detection embed_dim {dpi.hyperparams.embed_dim} differs "
+                         f"from table_ref dim {ref['dim']}")
+    return {**ref, "path": move(ref["path"])} if ref["kind"] == "word2vec" else ref
 
-    Each field is stored once, and a field the format does not have is refused.
-    Each network's blocks decode at the shapes its hyperparams and class count
-    fix; how the parts fit is checked by `RecoveryModel`, whose ValueError
-    becomes ModelFormatError.  Only the detection `embed_dim` is compared with
-    the `table_ref` dim first, so that no table of a dim no network uses is
-    built.  A word2vec `table_ref` names its file relative to `model_dir`, the
-    directory of the model file, and carries the file's `sha256`.  The blocks
-    are popped from `obj` as they are decoded, freeing their base64 strings
-    before the table is built.
-    """
+
+def recovery_from_dict(obj: dict, model_dir: str | Path = ".") -> RecoveryModel:
+    """Build a recovery model from its JSON object, in which each field is
+    stored once; a field the format does not have is refused.  The networks
+    decode, and the `table_ref` passes `_table_ref` (its word2vec path relative
+    to `model_dir`, the model file's directory), before the table is built, so
+    no table of a dim no network uses is built.  `RecoveryModel` checks how the
+    parts fit.  Each ValueError becomes ModelFormatError.  The blocks are popped
+    from `obj` as they are decoded, freeing their base64 strings early."""
     if not isinstance(obj, dict) or obj.get("kind") != "recovery":
         raise ModelFormatError("not a recovery model object")
     if obj.get("format_version") != RECOVERY_FORMAT_VERSION:
         raise ModelFormatError(
             f"unsupported recovery format version {obj.get('format_version')!r}, expected "
-            f"{RECOVERY_FORMAT_VERSION}; retrain the model with `droprec train`"
-        )
+            f"{RECOVERY_FORMAT_VERSION}; retrain the model with `droprec train`")
     # CorpusError (an unknown label set) is a ValueError, so it lands here too.
     try:
         check_fields(obj, _RECOVERY_FIELDS, "recovery model")
         threshold, metadata = obj["threshold"], obj["metadata"]
         label_set = label_set_by_name(obj["label_set"])
-        table_ref = obj["table_ref"]
-        if table_ref["kind"] not in SOURCE_FIELDS:  # TypeError unless table_ref is an object
-            raise ValueError(f"table_ref kind {table_ref['kind']!r} cannot be rebuilt")
-        fields = SOURCE_FIELDS[table_ref["kind"]]
-        check_fields(table_ref, {"kind", *fields}, "table_ref")
-        for key, kind in fields.items():
-            if isinstance(kind, re.Pattern):
-                if not (type(table_ref[key]) is str and kind.fullmatch(table_ref[key])):
-                    raise ValueError(
-                        f"table_ref {key} must match {kind.pattern}, got {table_ref[key]!r}"
-                    )
-            elif type(table_ref[key]) is not kind:
-                raise TypeError(f"table_ref {key} must be {kind.__name__}, got {table_ref[key]!r}")
-        try:  # TypeError for a word that is no string, UnicodeEncodeError for a lone surrogate
-            "".join(table_ref.get("vocab", ())).encode("utf-8")
-        except (TypeError, UnicodeEncodeError):
-            raise TypeError("table_ref vocab must be a list of UTF-8 words") from None
         dpi = mlp.model_from_dict(obj.pop("dpi"), 2, "dpi")
         dpg = mlp.model_from_dict(obj.pop("dpg"), len(label_set), "dpg")
+        table_ref = _table_ref(obj["table_ref"], dpi, lambda p: str(Path(model_dir) / p))
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"corrupt recovery model: {exc}") from None
-    if dpi.hyperparams.embed_dim != table_ref["dim"]:
-        raise ModelFormatError(f"detection embed_dim {dpi.hyperparams.embed_dim} differs "
-                               f"from table_ref dim {table_ref['dim']}")
-    if table_ref["kind"] == "word2vec":
-        table_ref = {**table_ref, "path": str(Path(model_dir) / table_ref["path"])}
     table = table_from_source(table_ref)
     try:
         return RecoveryModel(dpi, dpg, label_set, threshold, table, metadata)
@@ -259,26 +240,22 @@ def recovery_from_dict(obj: dict, model_dir: str | Path = ".") -> RecoveryModel:
 
 
 def save_recovery_model(model: RecoveryModel, path: str | Path) -> None:
-    """Write the model as JSON.  A word2vec `table_ref` is stored
-    with its path relative to the model file's directory, so the bytes do
-    not depend on the working directory.  A table whose source kind model
-    loading cannot rebuild raises ValueError, and nothing is written; so
-    does a NaN or infinite number, which strict JSON cannot hold, and a model that
-    breaks a `RecoveryModel` rule (a threshold or metadata assigned after it was built)."""
+    """Write the model as JSON, its word2vec path relative to the model file's
+    directory, so the bytes do not depend on the working directory.  What loading
+    refuses raises ValueError and writes nothing: a break of a `RecoveryModel`
+    rule (as by a threshold or metadata assigned after building), of
+    `mlp.check_finite` or of `_table_ref`, or a NaN or infinity, which strict
+    JSON cannot hold.  Only a word2vec file edited since is left to loading."""
     model.check()
-    obj = recovery_to_dict(model)
-    ref = obj["table_ref"]
-    if ref.get("kind") not in SOURCE_FIELDS:
-        raise ValueError(f"embedding table source kind {ref.get('kind')!r} cannot be rebuilt")
-    if ref["kind"] == "word2vec":
-        obj["table_ref"] = {**ref, "path": os.path.relpath(ref["path"], Path(path).parent)}
+    for name in ("dpi", "dpg"):
+        mlp.check_finite(getattr(model, name), name)
+    ref = _table_ref(model.table.source, model.dpi, lambda p: os.path.relpath(p, Path(path).parent))
     with atomic_open(path) as fh:
-        fh.write(json.dumps(obj, allow_nan=False))
+        fh.write(json.dumps({**recovery_to_dict(model), "table_ref": ref}, allow_nan=False))
 
 
 def load_recovery_model(path: str | Path) -> RecoveryModel:
-    """Load a recovery model, rebuilding its embedding table from the
-    file's table_ref."""
+    """Load a recovery model, rebuilding its embedding table from its table_ref."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:

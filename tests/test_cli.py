@@ -439,8 +439,10 @@ def test_model_with_non_numeric_threshold_is_data_error(workspace, tmp_path, cap
     [("{broken", "not valid JSON"),
      ("[" * 100_000 + "]" * 100_000, "JSON nested too deeply to parse"),
      ({"label_set": "nope"}, "corrupt recovery model: unknown label set"),
-     ({"table_ref": {"kind": "fallback", "dim": 4}}, "corrupt recovery model: 'vocab'"),
-     ({"table_ref": {"kind": "word2vec"}}, "corrupt recovery model: 'path'"),
+     ({"table_ref": {"kind": "fallback", "dim": 4}},
+      "corrupt recovery model: table_ref lacks fields ['seed', 'vocab']"),
+     ({"table_ref": {"kind": "word2vec"}},
+      "corrupt recovery model: table_ref lacks fields ['dim', 'path', 'sha256']"),
      ({"table_ref": {"kind": "fallback", "dim": "4", "seed": 0, "vocab": ["a"]}},
       "corrupt recovery model: table_ref dim must be int"),
      ({"table_ref": {"kind": "fallback", "dim": 8, "seed": 0, "vocab": "abc"}},

@@ -19,7 +19,8 @@ from droprec import mlp, pipeline
 from droprec.corpus import (ACTUAL10, FULL14, AnnotatedSentence, Corpus, CorpusError,
                             load_corpus, split_corpus)
 from droprec.embeddings import (EmbeddingError, EmbeddingTable, context_embedding, context_rows,
-                                deterministic_fallback_table, load_embeddings)
+                                deterministic_fallback_table, load_embeddings, table_from_source)
+from droprec.hypotheses import gap_labels
 from droprec.mlp import Hyperparams, MlpModel, ModelFormatError
 from droprec.pipeline import (
     RecoveryModel,
@@ -388,7 +389,7 @@ def test_tune_threshold_caches_only_the_rows_of_the_dev_words(tmp_path):
     model = RecoveryModel(mlp.build_model(hp.input_dim, 2, hp),
                           mlp.build_model(hp.input_dim, len(dev.label_set), hp),
                           dev.label_set, 0.5, table)
-    tune_threshold(model, dev)
+    tune_threshold(model, context_rows(dev.sentences, model.window, table), gap_labels(dev) >= 0)
     (cache,) = table._projections.values()
     assert set(table.rows) == dev_words and cache.count <= len(dev_words) + 1
 
@@ -566,6 +567,83 @@ def test_saving_a_model_whose_table_cannot_be_rebuilt_writes_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("network, layer, part",
+                         [("dpi", 0, "weights"), ("dpg", 1, "bias")])
+def test_saving_a_non_finite_parameter_writes_nothing(tmp_path, network, layer, part, value):
+    model = RecoveryModel(**fitting_parts())
+    getattr(getattr(model, network).layers[layer], part).flat[-1] = value
+    with pytest.raises(ValueError, match=f"{network} layer {layer} {part}: non-finite parameter"):
+        save_recovery_model(model, tmp_path / "model.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+# Values of a descriptor's int and list fields, of which only a `dim` other
+# than the table's is refused, and JSON values of no field's type but those.
+REVALUED = {"dim": st.integers(-1, 3), "seed": st.integers(),
+            "vocab": st.lists(st.text(max_size=2))}
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.one_of(st.integers(-1, 1), st.text(max_size=2), st.just("\ud800")), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+@st.composite
+def table_descriptors(draw, source: dict) -> dict:
+    """`source` with one field given another value of its type, or removed,
+    retyped, mis-patterned or added."""
+    source = dict(source)
+    edit = draw(st.sampled_from(["revalue", "remove", "retype", "mispattern", "add"]))
+    if edit == "revalue":
+        key = draw(st.sampled_from(sorted(REVALUED.keys() & source.keys())))
+        source[key] = draw(REVALUED[key])
+    elif edit == "remove":
+        del source[draw(st.sampled_from(sorted(source)))]
+    elif edit == "retype":
+        source[draw(st.sampled_from(sorted(source)))] = draw(JSON_VALUES)
+    elif edit == "mispattern":
+        key = "sha256" if "sha256" in source else "kind"
+        source[key] = draw(st.one_of(st.text(max_size=66), st.just(source[key].upper()),
+                                     st.just(source[key][1:]), st.just(source[key] + "0"))
+                           .filter(lambda s: not re.fullmatch("[0-9a-f]{64}", s)))
+    elif edit == "add":
+        source[draw(st.text(max_size=6).filter(lambda k: k not in source))] = draw(JSON_VALUES)
+    return source
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["word2vec", "fallback", "inline"]), st.data())
+def test_save_refuses_exactly_the_table_descriptors_that_load_refuses(kind, data):
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        (d / "vec.txt").write_text("2 2\na 0.5 -1\nb 2 0.25\n", encoding="utf-8")
+        table = {"word2vec": lambda: load_embeddings(d / "vec.txt"),
+                 "fallback": lambda: deterministic_fallback_table(["a", "b"], 2, seed=0),
+                 "inline": lambda: EmbeddingTable.from_vectors(2, {"a": np.ones(2)})}[kind]()
+        table.source = source = data.draw(table_descriptors(table.source))
+        model = stub_recovery_model(table)
+        out = d / "out"
+        out.mkdir()
+        try:
+            save_recovery_model(model, out / "model.json")
+            saved = True
+        except ValueError:
+            saved = False
+            assert list(out.iterdir()) == []
+        try:
+            recovery_from_dict(recovery_to_dict(model), d)
+        except ModelFormatError:
+            assert not saved
+            try:  # a malformed descriptor is no KeyError or AttributeError
+                table_from_source(source)
+            except (ValueError, TypeError):
+                pass
+            return
+        assert saved
+        save_recovery_model(load_recovery_model(out / "model.json"), out / "again.json")
+        assert (out / "again.json").read_bytes() == (out / "model.json").read_bytes()
+
+
 def test_load_recovery_model_rejects_corrupt_json(tmp_path):
     path = tmp_path / "model.json"
     path.write_text("{broken", encoding="utf-8")
@@ -586,7 +664,8 @@ def test_tune_threshold_prefers_half_on_ties():
     table = deterministic_fallback_table(["a"], 2, seed=0)
     model = stub_recovery_model(table, dpi_bias=(50.0, -50.0))
     dev = Corpus(FULL14, (AnnotatedSentence(("a", "a")),))
-    threshold, acc = tune_threshold(model, dev)
+    rows = context_rows(dev.sentences, 1, table)
+    threshold, acc = tune_threshold(model, rows, gap_labels(dev) >= 0)
     assert threshold == 0.5
     assert acc == 1.0
 
