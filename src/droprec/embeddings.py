@@ -82,6 +82,9 @@ class EmbeddingTable:
     def __init__(self, dim: int, source: dict | None = None, duplicates_skipped: int = 0):
         if dim < 1:
             raise EmbeddingError(f"embedding dim must be >= 1, got {dim}")
+        if 8 * dim > np.iinfo(np.intp).max:  # as build_model refuses such weights
+            raise OverflowError(f"embedding rows of {dim} float64 values are more bytes "
+                                f"than numpy can index")
         self.matrix = self._buffer = np.zeros((1, dim))
         self.rows: dict[str, int] = {}
         self.dim = dim
@@ -179,7 +182,7 @@ class EmbeddingTable:
             self._file = None
 
 
-def _parse_header(line: bytes, path: Path, expected_dim: int | None) -> tuple[int, int]:
+def _parse_header(line: bytes, path: Path) -> tuple[int, int]:
     try:
         header = line.decode("utf-8").split()
     except UnicodeDecodeError as exc:
@@ -192,10 +195,6 @@ def _parse_header(line: bytes, path: Path, expected_dim: int | None) -> tuple[in
         raise EmbeddingError(f"{path}: non-integer header fields {header!r}") from None
     if dim < 1:
         raise EmbeddingError(f"{path}: dimension must be positive, got {dim}")
-    if expected_dim is not None and dim != expected_dim:
-        raise EmbeddingError(
-            f"{path}: file dimension {dim} conflicts with expected {expected_dim}"
-        )
     return vocab_size, dim
 
 
@@ -294,9 +293,7 @@ def _hashing(sha):
         raise failed[0]
 
 
-def load_embeddings(
-    path: str | Path, expected_dim: int | None = None, sha256: str | None = None
-) -> EmbeddingTable:
+def load_embeddings(path: str | Path, sha256: str | None = None) -> EmbeddingTable:
     """Load a word2vec text file; blank lines are skipped, and duplicates
     keep the first occurrence.
 
@@ -323,7 +320,7 @@ def load_embeddings(
             ends = np.cumsum(sizes)
             starts = ends - sizes
             if dim is None:
-                vocab_size, dim = _parse_header(lines[0], path, expected_dim)
+                vocab_size, dim = _parse_header(lines[0], path)
                 lines, starts, ends = lines[1:], starts[1:], ends[1:]
             words = list(map(_word, lines))
             keys = np.fromiter(map(_word_key, words), dtype=np.int64, count=len(words))
@@ -355,7 +352,7 @@ def load_embeddings(
             f"{path}: file SHA-256 {digest} differs from the {sha256} the model was trained with"
         )
     if dim is None:  # an empty file: its missing header raises
-        _parse_header(b"", path, expected_dim)
+        _parse_header(b"", path)
     source = {"kind": "word2vec", "path": str(path), "dim": dim, "sha256": digest}
     table = _lazy_table(path, source, *map(np.concatenate, zip(*index)))
     if table.duplicates_skipped:
@@ -468,7 +465,7 @@ def table_from_source(source: dict) -> EmbeddingTable:
     have its `sha256`."""
     check_source(source)
     if source["kind"] == "word2vec":
-        return load_embeddings(source["path"], expected_dim=source["dim"], sha256=source["sha256"])
+        return load_embeddings(source["path"], sha256=source["sha256"])
     return deterministic_fallback_table(source["vocab"], source["dim"], source["seed"])
 
 

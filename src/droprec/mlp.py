@@ -341,9 +341,8 @@ def backward(model: MlpModel, cache: ForwardCache, y_true: np.ndarray) -> list[L
 def sgd_step(model: MlpModel, grads: list[LayerGrads], learning_rate: float) -> None:
     """In-place p <- p - lr * grad; aborts on non-finite gradients.
 
-    The gradients are spent: each is scaled by lr in place.  Layers are
-    checked and updated in order, so a NumericError in layer i leaves
-    layers before i updated.
+    The gradients are spent: each is scaled by lr in place.  Every layer
+    is checked before any is updated, so an error changes no parameter.
     """
     if len(grads) != len(model.layers):
         raise ValueError(f"got {len(grads)} gradients for {len(model.layers)} layers")
@@ -352,6 +351,7 @@ def sgd_step(model: MlpModel, grads: list[LayerGrads], learning_rate: float) -> 
             raise ValueError(f"layer {i}: gradient shape mismatch")
         if not (np.isfinite(g.dW).all() and np.isfinite(g.db).all()):
             raise _gradient_error(i, g)
+    for layer, g in zip(model.layers, grads):
         g.dW *= learning_rate
         g.db *= learning_rate
         layer.weights -= g.dW
@@ -408,8 +408,9 @@ def train(model: MlpModel, instances: list[tuple[np.ndarray, int]]) -> list[Epoc
     seed, step after step and hidden layer after hidden layer, taken
     from the stream a block of steps at a time.  Returns per-epoch mean
     loss and accuracy measured on the training passes themselves.  The
-    features are copied into one float64 matrix, and the steps read its
-    rows through views made once per call.
+    features are copied into one float64 matrix, which must be n rows of
+    the model's input shape, and the steps read its rows through views
+    made once per call.
 
     Each step runs the kernels of `forward` and `backward` on views of two
     flat buffers made once per call, laid out W0, b0, W1, b1, ...: a copy of
@@ -424,25 +425,24 @@ def train(model: MlpModel, instances: list[tuple[np.ndarray, int]]) -> list[Epoc
     features; that term only lets the check skip its exact second clause
     (see the loop), so the order of its sum moves no decision.  So train
     gives sgd_step's bytes, and a failed check raises the NumericError
-    that sgd_step would, with the layers before the failing one updated.
-    The copy goes back into each layer's own `weights` and `bias` arrays
-    when `train` returns or raises; a read-only one (scoring makes
-    first-layer weights read-only) is a ValueError before the first step.
+    that sgd_step would.  The copy goes back into each layer's own
+    `weights` and `bias` arrays only after the last epoch, so a call that
+    raises leaves every parameter as it was; a read-only array (scoring
+    makes first-layer weights read-only) is a ValueError before the first
+    step.
     """
     if not instances:
         raise ValueError("cannot train on an empty instance list")
-    n, shape, num_classes = len(instances), (model.input_dim,), model.num_classes
+    n, num_classes = len(instances), model.num_classes
     given, labels = zip(*instances)
     labels = list(map(int, labels))
-    try:
+    try:  # ragged features are a ValueError
         features = np.array(given, dtype=np.float64)
-    except ValueError:  # ragged: the loop below names the first odd instance
+    except ValueError:
         features = None
-    if features is None or features.shape != (n, *shape):
-        for i, f in enumerate(given):
-            f = np.asarray(f, dtype=np.float64)
-            if f.shape != shape:
-                raise ValueError(f"instance {i} has dim {f.shape}, model expects {shape}")
+    if features is None or features.shape != (n, model.input_dim):
+        raise ValueError(f"instance features must be {n} rows of the model's input dim "
+                         f"{model.input_dim}")
     if min(labels) < 0 or max(labels) >= num_classes:
         i = next(i for i, lab in enumerate(labels) if not 0 <= lab < num_classes)
         raise ValueError(f"instance {i} label {labels[i]} outside [0, {num_classes})")
@@ -476,50 +476,44 @@ def train(model: MlpModel, instances: list[tuple[np.ndarray, int]]) -> list[Epoc
         masks = itertools.repeat(None)
     lr = hp.learning_rate
     log: list[EpochStats] = []
-    try:
-        # Every non-finite value in the loop ends in a NumericError.
-        with np.errstate(over="ignore", invalid="ignore"):
-            # A hidden layer's dW = outer(d, x) or db = d has a non-finite
-            # element exactly when max|d| * max|x| is not finite, max|x| being
-            # 0 for an empty x: rounding is monotone, NaN and inf propagate
-            # through max, and 0 * inf is NaN.  (d @ d) * (x @ x) is finite
-            # only when that product is, whatever order either sum of squares
-            # is taken in, so it is tried first.
-            sq0 = np.einsum("ij,ij->i", features, features).tolist()
-            for epoch in range(hp.epochs):
-                order = list(range(n))
-                SplitMix64(hp.seed + epoch).shuffle(order)
-                total_loss = 0.0
-                correct = 0
-                for step, idx in enumerate(order):
-                    label = labels[idx]
-                    p = _forward_into(weights, biases, feats[idx], cache, next(masks))
-                    loss = -math.log(max(p.item(label), PROB_EPS))
-                    if not math.isfinite(loss):
-                        raise NumericError(f"non-finite loss at epoch {epoch}, step {step}")
-                    total_loss += loss
-                    correct += int(p.argmax()) == label
-                    p[label] -= 1.0
-                    rows[0] = feat_rows[idx]
-                    _backward_into(weights_t, cache, grads, cols, rows)
-                    for i in range(hidden):
-                        d, x = grads[i].db, inputs[i]
-                        x_sq = sq0[idx] if i == 0 else float(x.dot(x))
-                        if not math.isfinite(float(d.dot(d)) * x_sq) and not math.isfinite(
-                            float(np.max(np.abs(d))) * float(np.max(np.abs(x), initial=0.0))
-                        ):
-                            # as in sgd_step, the layers before i are updated
-                            k = sum(w.size + b.size for w, b in zip(weights[:i], biases[:i]))
-                            flat_grads[:k] *= lr
-                            params[:k] -= flat_grads[:k]
-                            raise _gradient_error(i, grads[i])
-                    flat_grads *= lr
-                    params -= flat_grads
-                log.append(EpochStats(epoch, total_loss / n, correct / n))
-    finally:
-        for layer, w, b in zip(layers, weights, biases):
-            layer.weights[...] = w
-            layer.bias[...] = b
+    # Every non-finite value in the loop ends in a NumericError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A hidden layer's dW = outer(d, x) or db = d has a non-finite
+        # element exactly when max|d| * max|x| is not finite, max|x| being
+        # 0 for an empty x: rounding is monotone, NaN and inf propagate
+        # through max, and 0 * inf is NaN.  (d @ d) * (x @ x) is finite
+        # only when that product is, whatever order either sum of squares
+        # is taken in, so it is tried first.
+        sq0 = np.einsum("ij,ij->i", features, features).tolist()
+        for epoch in range(hp.epochs):
+            order = list(range(n))
+            SplitMix64(hp.seed + epoch).shuffle(order)
+            total_loss = 0.0
+            correct = 0
+            for step, idx in enumerate(order):
+                label = labels[idx]
+                p = _forward_into(weights, biases, feats[idx], cache, next(masks))
+                loss = -math.log(max(p.item(label), PROB_EPS))
+                if not math.isfinite(loss):
+                    raise NumericError(f"non-finite loss at epoch {epoch}, step {step}")
+                total_loss += loss
+                correct += int(p.argmax()) == label
+                p[label] -= 1.0
+                rows[0] = feat_rows[idx]
+                _backward_into(weights_t, cache, grads, cols, rows)
+                for i in range(hidden):
+                    d, x = grads[i].db, inputs[i]
+                    x_sq = sq0[idx] if i == 0 else float(x.dot(x))
+                    if not math.isfinite(float(d.dot(d)) * x_sq) and not math.isfinite(
+                        float(np.max(np.abs(d))) * float(np.max(np.abs(x), initial=0.0))
+                    ):
+                        raise _gradient_error(i, grads[i])
+                flat_grads *= lr
+                params -= flat_grads
+            log.append(EpochStats(epoch, total_loss / n, correct / n))
+    for layer, w, b in zip(layers, weights, biases):
+        layer.weights[...] = w
+        layer.bias[...] = b
     return log
 
 

@@ -668,8 +668,10 @@ def test_training_that_diverges_exits_3_with_one_line_and_no_model(tmp_path, cap
     ("--fallback-dim", 10**15, "droprec: Unable to allocate "),
     ("--layers", 10**15, "droprec: out of memory\n"),
     ("--layers", 10**30, "droprec: cannot fit 'int' into an index-sized integer\n"),
-    # Weight matrices of more bytes than numpy can index, which it refuses
-    # before allocating.
+    # An embedding row or weight matrices of more bytes than numpy can index,
+    # which it refuses before allocating.
+    ("--fallback-dim", 10**20, "droprec: embedding rows of 100000000000000000000 float64 "),
+    ("--fallback-dim", 2**62, "droprec: embedding rows of 4611686018427387904 float64 "),
     ("--hidden", 10**20, "droprec: layer 0 weights of 100000000000000000000 x 16 float64 "),
     ("--fallback-dim=3 --window", 3 * 10**15,
      "droprec: layer 0 weights of 200 x 18000000000000000 float64 "),
@@ -712,8 +714,8 @@ def test_no_numeric_flag_value_ends_in_a_traceback(tmp_path, capsys, data):
             "--epochs", str(data.draw(st.sampled_from([1, 2]))),
             "--seed", str(data.draw(st.integers(-(2**80), 2**80)))]
     huge = data.draw(st.sets(st.sampled_from(SIZE_FLAGS), max_size=2))
-    for flag in SIZE_FLAGS:
-        args.append(f"{flag}={data.draw(HUGE_SIZES if flag in huge else SMALL_SIZES)}")
+    sizes = {flag: data.draw(HUGE_SIZES if flag in huge else SMALL_SIZES) for flag in SIZE_FLAGS}
+    args += [f"{flag}={size}" for flag, size in sizes.items()]
     float_flags = ["--dropout", "--lr"] + (["--alpha"] if command == "compare" else [])
     wild = data.draw(st.sampled_from([None, *float_flags]))
     for flag in float_flags:
@@ -724,6 +726,14 @@ def test_no_numeric_flag_value_ends_in_a_traceback(tmp_path, capsys, data):
     code = main(args)
     err = capsys.readouterr().err
     assert code in {EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC}
+    # A huge size in use exits 1.  One layer has no hidden width, and compare
+    # reads --layers and --hidden only after its one-layer baseline has
+    # trained, which a large --lr can stop with exit 3.
+    used = huge - ({"--hidden"} if sizes["--layers"] == 1 else set())
+    if used - ({"--layers", "--hidden"} if command == "compare" else set()):
+        assert code == EXIT_USAGE, err
+    elif used:
+        assert code in {EXIT_USAGE, EXIT_NUMERIC}, err
     assert "Traceback" not in err
     event(f"exit {code}")
     assert model.exists() == (command == "train" and code == EXIT_OK)

@@ -44,7 +44,7 @@ def test_load_accepts_dim_300(tmp_path):
     p = tmp_path / "vec.txt"
     row = " ".join(["0.5"] * 300)
     p.write_text(f"2 300\nfoo {row}\nbar {row}\n", encoding="utf-8")
-    table = load_embeddings(p, expected_dim=300)
+    table = load_embeddings(p)
     assert table.dim == 300
     assert table.lookup("foo").shape == (300,)
 
@@ -75,7 +75,7 @@ def test_hashed_load_rejects_a_dim_no_line_can_hold(tmp_path):
     p = tmp_path / "vec.txt"
     p.write_text("1 100000000000\na 1\n", encoding="utf-8")
     with pytest.raises(EmbeddingError, match="no word line is long enough"):
-        load_embeddings(p, expected_dim=10**11, sha256=sha256_of(p))
+        load_embeddings(p, sha256=sha256_of(p))
 
 
 def test_load_rejects_non_numeric(tmp_path):
@@ -120,13 +120,6 @@ def test_header_word_count_may_be_off_either_way(tmp_path):
     p.write_text("1000000000 2\na 1 2\n", encoding="utf-8")
     table = load_embeddings(p)  # fewer: the header sizes nothing
     assert len(table) == 1 and np.array_equal(table.lookup("a"), [1.0, 2.0])
-
-
-def test_load_rejects_expected_dim_conflict(tmp_path):
-    p = tmp_path / "vec.txt"
-    p.write_text("1 3\na 1 0 0\n", encoding="utf-8")
-    with pytest.raises(EmbeddingError, match="conflicts with expected 5"):
-        load_embeddings(p, expected_dim=5)
 
 
 def test_load_rejects_bad_header(tmp_path):

@@ -230,8 +230,10 @@ def test_sgd_rejects_infinite_gradient_naming_its_layer():
     _, cache = forward(model, np.ones(3), mode="train")
     grads = backward(model, cache, one_hot(2, 0))
     grads[1].dW[0, 2] = np.inf
+    before = copy.deepcopy(model)
     with pytest.raises(NumericError, match="non-finite gradient in layer 1"):
         sgd_step(model, grads, 0.1)
+    assert_same_parameters(model, before)  # layer 0 waits for every layer's check
 
 
 def test_sgd_accepts_finite_gradient_whose_sum_overflows():
@@ -362,10 +364,10 @@ def test_train_rejects_empty_and_bad_dims():
 
 @pytest.mark.parametrize("instances, message", [
     ([(np.zeros(4), 0), (np.zeros(3), 0), (np.zeros(5), 0)],
-     r"instance 1 has dim \(3,\), model expects \(4,\)"),
-    ([(np.zeros(3), 0), (np.zeros(3), 1)], r"instance 0 has dim \(3,\), model expects \(4,\)"),
+     r"instance features must be 3 rows of the model's input dim 4$"),
+    ([(np.zeros(3), 0), (np.zeros(3), 1)], r"must be 2 rows of the model's input dim 4$"),
     ([(np.zeros(4), 0), ([0.0] * 4, 1), (np.zeros((1, 4)), 0)],
-     r"instance 2 has dim \(1, 4\), model expects \(4,\)"),
+     r"must be 3 rows of the model's input dim 4$"),
     ([(np.zeros(4), 1), (np.zeros(4), -1), (np.zeros(4), 2)], r"instance 1 label -1 outside \[0, 2\)"),
     ([(np.zeros(4), 1.0), (np.zeros(4), 0), (np.zeros(4), 2)], r"instance 2 label 2 outside \[0, 2\)"),
 ], ids=["ragged", "all-one-wrong-dim", "2d-row", "negative-label", "label-past-the-classes"])
@@ -383,19 +385,27 @@ def test_train_aborts_on_non_finite_loss():
 
 
 def reference_train(model, data):
-    """train(), one step at a time through forward, backward and sgd_step."""
+    """train(), one step at a time through forward, backward and sgd_step;
+    a NumericError puts every parameter back as it was at the call."""
     hp = model.hyperparams
     drop_rng = SplitMix64.for_stream(hp.seed, 1)
-    for epoch in range(hp.epochs):
-        order = list(range(len(data)))
-        SplitMix64(hp.seed + epoch).shuffle(order)
-        for step, idx in enumerate(order):
-            x, label = data[idx]
-            probs, cache = forward(model, x, mode="train", rng=drop_rng)
-            y = one_hot(model.num_classes, label)
-            if not math.isfinite(cross_entropy(y, probs)):
-                raise NumericError(f"non-finite loss at epoch {epoch}, step {step}")
-            sgd_step(model, backward(model, cache, y), hp.learning_rate)
+    before = copy.deepcopy(model.layers)
+    try:
+        for epoch in range(hp.epochs):
+            order = list(range(len(data)))
+            SplitMix64(hp.seed + epoch).shuffle(order)
+            for step, idx in enumerate(order):
+                x, label = data[idx]
+                probs, cache = forward(model, x, mode="train", rng=drop_rng)
+                y = one_hot(model.num_classes, label)
+                if not math.isfinite(cross_entropy(y, probs)):
+                    raise NumericError(f"non-finite loss at epoch {epoch}, step {step}")
+                sgd_step(model, backward(model, cache, y), hp.learning_rate)
+    except NumericError:
+        for layer, old in zip(model.layers, before):
+            layer.weights[...] = old.weights
+            layer.bias[...] = old.bias
+        raise
 
 
 def layer_arrays(model):
@@ -500,11 +510,9 @@ def test_train_rejects_a_second_layer_gradient_as_sgd_step_does():
             _, cache = forward(want, x, mode="train")
             sgd_step(want, backward(want, cache, one_hot(2, 1)), hp.learning_rate)
     assert_updated_in_place(got, arrays)
-    assert_same_parameters(got, want)
-    # layer 0 took its update (its bias 1e200 absorbs one); layers 1 and 2 did not
-    assert not np.array_equal(got.layers[0].weights, before.layers[0].weights)
-    for layer, old in zip(got.layers[1:], before.layers[1:], strict=True):
-        assert np.array_equal(layer.weights, old.weights) and np.array_equal(layer.bias, old.bias)
+    # no layer moved: layer 0's update waits for layer 1's check
+    assert_same_parameters(got, before)
+    assert_same_parameters(want, before)
 
 
 def test_train_takes_a_finite_gradient_whose_sum_overflows():
@@ -518,10 +526,15 @@ def test_train_takes_a_finite_gradient_whose_sum_overflows():
     assert np.array_equal(model.layers[0].bias, [0.25, -0.25])
 
 
+def layer_bytes(model):
+    return [(layer.weights.tobytes(), layer.bias.tobytes()) for layer in model.layers]
+
+
 def assert_trains_like_the_reference(model, data):
     """train() and reference_train() on copies of `model`: the same error,
-    if any, and the same parameter bytes, partial updates included."""
-    want = copy.deepcopy(model)
+    if any, and the same parameter bytes, which after an error are those
+    of `model` at the call, in its own arrays."""
+    want, before, arrays = copy.deepcopy(model), copy.deepcopy(model), layer_arrays(model)
     outcomes = []
     with np.errstate(all="ignore"):
         for run, net in ((train, model), (reference_train, want)):
@@ -531,8 +544,10 @@ def assert_trains_like_the_reference(model, data):
             except NumericError as exc:
                 outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
-    for a, b in zip(model.layers, want.layers, strict=True):
-        assert a.weights.tobytes() == b.weights.tobytes() and a.bias.tobytes() == b.bias.tobytes()
+    assert_updated_in_place(model, arrays)
+    assert layer_bytes(model) == layer_bytes(want)
+    if outcomes[0] is not None:
+        assert layer_bytes(model) == layer_bytes(before)
     return outcomes[0]
 
 
