@@ -25,8 +25,8 @@ from .corpus import (
     split_corpus,
     write_records,
 )
-from .embeddings import deterministic_fallback_table, load_embeddings
-from .hypotheses import build_dpg_instances
+from .embeddings import context_rows, deterministic_fallback_table, load_embeddings
+from .hypotheses import build_dpg_instances, gap_labels
 from .mlp import HYPERPARAM_RANGES, Hyperparams, NumericError
 
 EXIT_OK = 0
@@ -159,11 +159,11 @@ def _load_train_dev(args) -> tuple[Corpus, Corpus]:
     return train, dev
 
 
-def _hyperparams(args, embed_dim: int, layer_count: int | None = None) -> Hyperparams:
+def _hyperparams(args, embed_dim: int, layer_count: int) -> Hyperparams:
     return Hyperparams(
         embed_dim=embed_dim,
         window=args.window,
-        layer_count=layer_count if layer_count is not None else args.layers,
+        layer_count=layer_count,
         dropout_rate=args.dropout,
         epochs=args.epochs,
         learning_rate=args.lr,
@@ -202,7 +202,7 @@ def _print_progress(stage: str, stats) -> None:
 def cmd_train(args) -> int:
     train, dev = _load_train_dev(args)
     table = _load_table(args, [train, dev])
-    hp = _hyperparams(args, table.dim)
+    hp = _hyperparams(args, table.dim, args.layers)
     model = pipeline.train_recovery(train, dev, table, hp, hp, progress=_print_progress)
     pipeline.save_recovery_model(model, args.out_model)
     dpg_acc = model.metadata["dev_dpg_accuracy_gold"]
@@ -252,22 +252,26 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     train, dev = _load_train_dev(args)
-    table = _load_table(args, [train, dev])
-    train_inst = build_dpg_instances(train, table, args.window)
-    dev_inst = build_dpg_instances(dev, table, args.window)
-    if not train_inst or not dev_inst:
+    train.label_set.check_same(dev.label_set, "train", "dev")
+    if not (train.total_annotations() and dev.total_annotations()):
         raise CorpusError("compare needs dropped-pronoun annotations in train and dev")
-    dev_features = np.stack([inst.feature for inst in dev_inst])
-    dev_labels = np.array([inst.label for inst in dev_inst])
+    table = _load_table(args, [train, dev])
+    # Both networks are built before either trains, so a size the machine cannot hold fails first.
+    nets = {}
+    for name, layers in (("linear", 1), ("mlp", args.layers)):
+        hp = _hyperparams(args, table.dim, layers)
+        nets[name] = mlp.build_model(hp.input_dim, len(train.label_set), hp)
+    train_inst = build_dpg_instances(train, table, args.window)
+    gold = gap_labels(dev)
+    rows, gold = context_rows(dev.sentences, args.window, table)[gold >= 0], gold[gold >= 0]
 
     results = {}
-    for name, layers in (("linear", 1), ("mlp", args.layers)):
-        hp = _hyperparams(args, table.dim, layer_count=layers)
-        model = mlp.build_model(hp.input_dim, len(train.label_set), hp)
-        mlp.train(model, train_inst)
-        scores = (mlp.predict(model, dev_features)[0] == dev_labels).astype(float).tolist()
+    for name, net in nets.items():
+        mlp.train(net, train_inst)
+        classes = pipeline.class_probabilities(net, table, rows).argmax(axis=1)
+        scores = (classes == gold).astype(float).tolist()
         results[name] = scores
-        print(f"{name} (layers={layers}): dev generation acc "
+        print(f"{name} (layers={net.hyperparams.layer_count}): dev generation acc "
               f"{sum(scores) / len(scores):.4f} over {len(scores)} items")
 
     sig = ev.paired_significance(results["mlp"], results["linear"], alpha=args.alpha)

@@ -81,6 +81,11 @@ class LabelSet:
     def __contains__(self, tag: str) -> bool:
         return tag in self.labels
 
+    def check_same(self, other: LabelSet, this: str, that: str) -> None:
+        """ValueError naming both sets, as `this` and `that`, unless `other` is this set."""
+        if other.name != self.name:
+            raise ValueError(f"label set mismatch: {this}={self.name!r} {that}={other.name!r}")
+
     def check_tags(self, sentence: AnnotatedSentence) -> None:
         """Raise CorpusError for the first tag of `sentence` outside this set."""
         for _, tag in sentence.annotations:
@@ -212,28 +217,36 @@ def _parse_sentence(obj, line_no: int, label_set: LabelSet) -> AnnotatedSentence
     return sentence
 
 
+def decode_json(data: bytes, path: str | Path, line: int | None, error: type[ValueError]):
+    """The JSON value of UTF-8 `data`: line `line` of the file at `path`, or the whole
+    file if `line` is None.  `error`, naming both, if it is not UTF-8 or not JSON.
+    The one decoder, and wording, of a corpus line and of the model file."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        problem = f"not valid UTF-8: {exc.reason}"
+    except json.JSONDecodeError as exc:
+        problem = f"not valid JSON: {exc.msg}"
+    except RecursionError:
+        problem = "JSON nested too deeply to parse"
+    raise error(f"{path}: {problem}" if line is None else f"{path}: line {line}: {problem}")
+
+
 def load_corpus(path: str | Path) -> Corpus:
     """Read a JSONL corpus file; AnnotatedSentence and Corpus check its data.
 
     Raises CorpusError with the offending line number on malformed input.
+    A line of ASCII whitespace is skipped.
     """
     path = Path(path)
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: not valid UTF-8: {exc.reason}") from None
-    if not text:
+    data = path.read_bytes()
+    if not data:
         raise CorpusError(f"{path}: empty file (missing header line)")
     # Only "\n" ends a record: write_records (ensure_ascii=False) leaves
-    # U+2028 and the other str.splitlines() breaks raw inside strings.
-    lines = text.split("\n")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"line 1: malformed JSON header: {exc.msg}") from None
-    except RecursionError:
-        raise CorpusError("line 1: JSON header nested too deeply to parse") from None
+    # U+2028 and the other str.splitlines() breaks raw inside strings, and
+    # JSON reads the "\r" of a "\r\n" as whitespace.
+    lines = data.split(b"\n")
+    header = decode_json(lines[0], path, 1, CorpusError)
     if not isinstance(header, dict) or "label_set" not in header:
         raise CorpusError("line 1: header must be an object with a 'label_set' key")
     label_set = label_set_by_name(header["label_set"])
@@ -247,15 +260,9 @@ def load_corpus(path: str | Path) -> Corpus:
 
     sentences = []
     for offset, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"line {offset}: malformed JSON: {exc.msg}") from None
-        except RecursionError:
-            raise CorpusError(f"line {offset}: JSON nested too deeply to parse") from None
-        sentences.append(_parse_sentence(obj, offset, label_set))
+        if line.strip():
+            obj = decode_json(line, path, offset, CorpusError)
+            sentences.append(_parse_sentence(obj, offset, label_set))
     return Corpus(label_set, tuple(sentences), metadata)
 
 

@@ -134,11 +134,7 @@ def _gaps(
 def _check_dpg(model: RecoveryModel, corpus: Corpus, positions: str) -> None:
     if positions not in ("gold", "predicted"):
         raise ValueError(f"positions must be 'gold' or 'predicted', got {positions!r}")
-    if corpus.label_set.name != model.label_set.name:
-        raise ValueError(
-            f"label set mismatch: corpus={corpus.label_set.name!r} "
-            f"model={model.label_set.name!r}"
-        )
+    corpus.label_set.check_same(model.label_set, "corpus", "model")
 
 
 def _dpi_report(model: RecoveryModel, gold: np.ndarray, detected: np.ndarray) -> EvalReport:

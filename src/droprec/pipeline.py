@@ -20,7 +20,7 @@ import numpy as np
 
 from . import mlp
 from .corpus import (Corpus, AnnotatedSentence, LabelSet, atomic_open, check_metadata,
-                     label_set_by_name)
+                     decode_json, label_set_by_name)
 from .embeddings import (EmbeddingTable, check_source, context_projection, context_rows,
                          table_from_source)
 from .hypotheses import DROPPED, build_dpg_instances, build_dpi_instances, gap_labels
@@ -83,11 +83,17 @@ class RecoveredSentence:
     recovered: tuple[tuple[int, str, float], ...]  # (gap_index, tag, confidence)
 
 
+def class_probabilities(net: MlpModel, table: EmbeddingTable, rows: np.ndarray) -> np.ndarray:
+    """Eval-mode class probabilities of `net`, one row per gap of a `context_rows`
+    matrix of `table`: the first layer from the table's cached per-word
+    projections (`context_projection`), the rest by `mlp.predict_from_first_layer`."""
+    return mlp.predict_from_first_layer(net, context_projection(rows, table, net.layers[0]))
+
+
 def dpi_gap_probability(model: RecoveryModel, rows: np.ndarray) -> np.ndarray:
     """Eval-mode probability that a pronoun is dropped, per gap of a
     `context_rows` matrix of the model's table."""
-    z = context_projection(rows, model.table, model.dpi.layers[0])
-    return mlp.predict_from_first_layer(model.dpi, z)[:, DROPPED]
+    return class_probabilities(model.dpi, model.table, rows)[:, DROPPED]
 
 
 def tune_threshold(model: RecoveryModel, rows: np.ndarray,
@@ -116,10 +122,7 @@ def train_recovery(
     Dev accuracy of both stages lands in the returned model's metadata;
     generation's is scored at the annotated dev gaps, and is None without any.
     """
-    if train.label_set.name != dev.label_set.name:
-        raise ValueError(
-            f"label set mismatch: train={train.label_set.name!r} dev={dev.label_set.name!r}"
-        )
+    train.label_set.check_same(dev.label_set, "train", "dev")
     if not train.sentences:
         raise ValueError("training corpus is empty")
     if not dev.sentences:
@@ -161,8 +164,7 @@ def predict_dpi(model: RecoveryModel, rows: np.ndarray) -> np.ndarray:
 def predict_dpg(model: RecoveryModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Most likely pronoun class per gap of a `context_rows` matrix of the
     model's table, with its softmax confidence: the largest probability."""
-    z = context_projection(rows, model.table, model.dpg.layers[0])
-    probs = mlp.predict_from_first_layer(model.dpg, z)
+    probs = class_probabilities(model.dpg, model.table, rows)
     return probs.argmax(axis=1), np.maximum.reduce(probs, axis=1)
 
 
@@ -256,12 +258,5 @@ def save_recovery_model(model: RecoveryModel, path: str | Path) -> None:
 
 def load_recovery_model(path: str | Path) -> RecoveryModel:
     """Load a recovery model, rebuilding its embedding table from its table_ref."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: not valid JSON: {exc.msg}") from None
-    except RecursionError:
-        raise ModelFormatError(f"{path}: JSON nested too deeply to parse") from None
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"{path}: not valid UTF-8: {exc.reason}") from None
+    obj = decode_json(Path(path).read_bytes(), path, None, ModelFormatError)
     return recovery_from_dict(obj, Path(path).parent)

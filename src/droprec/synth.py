@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, TypeVar
 
 from .corpus import (
     ACTUAL10,
@@ -36,6 +37,8 @@ from .rng import SplitMix64
 _SLOT = "{slot}"
 _SLOT_PREFIX = "{slot:"
 _WORD = "{w}"
+
+T = TypeVar("T")
 
 
 class GrammarError(ValueError):
@@ -134,39 +137,30 @@ class TemplateGrammar:
         return ACTUAL10
 
 
-def _sample_label(dist: dict[str, float], rng: SplitMix64) -> str:
-    u = rng.next_float()
-    cum = 0.0
-    last = None
-    for tag, prob in dist.items():
-        cum += prob
-        last = tag
-        if u < cum:
-            return tag
-    return last  # floating-point slack lands on the final tag
-
-
-def _pick_template(grammar: TemplateGrammar, rng: SplitMix64) -> Template:
-    total = sum(t.weight for t in grammar.templates)
+def _draw(weighted: Iterable[tuple[T, float]], total: float, rng: SplitMix64) -> T:
+    """The first item whose running weight sum exceeds the next float of `rng`
+    times `total`; floating-point slack lands on the last item."""
     u = rng.next_float() * total
     cum = 0.0
-    for tmpl in grammar.templates:
-        cum += tmpl.weight
+    for item, weight in weighted:
+        cum += weight
         if u < cum:
-            return tmpl
-    return grammar.templates[-1]
+            return item
+    return item
 
 
 def generate_sentence(grammar: TemplateGrammar, rng: SplitMix64) -> AnnotatedSentence:
     """Expand one weighted-random template into a sentence."""
-    tmpl = _pick_template(grammar, rng)
+    templates = grammar.templates
+    tmpl = _draw(((t, t.weight) for t in templates), sum(t.weight for t in templates), rng)
     tokens: list[str] = []
     annotations: list[tuple[int, str]] = []
     for atom in tmpl.pattern:
         if atom == _WORD:
             tokens.append(grammar.vocab[rng.randbelow(len(grammar.vocab))])
         elif _is_slot(atom):
-            tag = _pinned_tag(atom) or _sample_label(grammar.slot_label_dist, rng)
+            # The distribution sums to 1 within 1e-9; slack lands on its last tag.
+            tag = _pinned_tag(atom) or _draw(grammar.slot_label_dist.items(), 1.0, rng)
             if rng.next_float() < grammar.drop_rate:
                 annotations.append((len(tokens), tag))
             else:

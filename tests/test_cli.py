@@ -334,6 +334,47 @@ def test_compare_runs_significance(workspace, capsys):
     assert "paired t-test" in out
 
 
+# One set of training flags for train and compare.
+SHARED_FLAGS = ("--fallback-dim", "8", "--window", "1", "--layers", "2", "--epochs", "3",
+                "--lr", "0.01", "--seed", "5")
+
+
+def shared_args(command, train, dev, *extra):
+    return [command, "--train", str(train), "--dev", str(dev), *SHARED_FLAGS, *extra]
+
+
+def test_compare_scores_the_mlp_as_train_scores_dev_generation(workspace, tmp_path,
+                                                              monkeypatch):
+    # The same flags train the same generator, and both commands score it at
+    # the annotated dev gaps by one path: the per-item hits give train's accuracy.
+    train, dev = workspace / "splits" / "train.jsonl", workspace / "splits" / "dev.jsonl"
+    real, scores = droprec.evaluate.paired_significance, {}
+
+    def record(mlp_scores, linear_scores, alpha):
+        scores["mlp"] = mlp_scores
+        return real(mlp_scores, linear_scores, alpha=alpha)
+
+    monkeypatch.setattr(droprec.evaluate, "paired_significance", record)
+    assert main(shared_args("compare", train, dev)) == EXIT_OK
+    model = tmp_path / "m.json"
+    assert main(shared_args("train", train, dev, "--out-model", str(model))) == EXIT_OK
+    hits = scores["mlp"]
+    assert set(hits) <= {0.0, 1.0}
+    assert sum(hits) / len(hits) == load_recovery_model(model).metadata["dev_dpg_accuracy_gold"]
+
+
+def test_compare_refuses_the_label_set_mismatch_train_refuses(tmp_path, capsys):
+    actual10, full14 = tmp_path / "actual10.jsonl", tmp_path / "full14.jsonl"
+    save_corpus(generate_corpus(builtin_grammar("zhidao-like"), 30, 1), actual10)
+    save_corpus(generate_corpus(builtin_grammar("separable"), 30, 2), full14)
+    model = tmp_path / "m.json"
+    assert main(shared_args("train", actual10, full14, "--out-model", str(model))) == EXIT_DATA
+    refused = capsys.readouterr().err
+    assert refused == "droprec: label set mismatch: train='actual10' dev='full14'\n"
+    assert main(shared_args("compare", actual10, full14)) == EXIT_DATA
+    assert capsys.readouterr() == ("", refused)
+
+
 # --- exit codes -----------------------------------------------------------------
 
 
@@ -688,6 +729,16 @@ def test_a_size_the_machine_cannot_allocate_exits_1_with_one_line_and_no_model(
     assert not model.exists()
 
 
+def test_compare_builds_both_networks_before_it_trains_either(tmp_path, capsys):
+    # A baseline trained first diverges at this rate, which would exit 3.
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(generate_corpus(builtin_grammar("separable"), 12, 3), corpus)
+    capsys.readouterr()
+    assert main(["compare", "--train", str(corpus), "--dev", str(corpus), "--fallback-dim=1",
+                 "--layers=1000000000000000", "--lr=1.7e308", "--epochs=2"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "droprec: out of memory\n")
+
+
 # A size flag's value: small, or so large (>= 10**15 elements, more than
 # 2**47 bytes) that allocating it fails at once.  No size in between,
 # which could fit in memory or take long to fill.
@@ -726,14 +777,9 @@ def test_no_numeric_flag_value_ends_in_a_traceback(tmp_path, capsys, data):
     code = main(args)
     err = capsys.readouterr().err
     assert code in {EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC}
-    # A huge size in use exits 1.  One layer has no hidden width, and compare
-    # reads --layers and --hidden only after its one-layer baseline has
-    # trained, which a large --lr can stop with exit 3.
-    used = huge - ({"--hidden"} if sizes["--layers"] == 1 else set())
-    if used - ({"--layers", "--hidden"} if command == "compare" else set()):
+    # A huge size in use exits 1, before anything trains.  One layer has no hidden width.
+    if huge - ({"--hidden"} if sizes["--layers"] == 1 else set()):
         assert code == EXIT_USAGE, err
-    elif used:
-        assert code in {EXIT_USAGE, EXIT_NUMERIC}, err
     assert "Traceback" not in err
     event(f"exit {code}")
     assert model.exists() == (command == "train" and code == EXIT_OK)
