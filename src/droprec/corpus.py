@@ -20,10 +20,16 @@ import os
 import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from json.scanner import make_scanner
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .rng import SplitMix64
+
+# json's scanner and an encoder as json.dumps(..., ensure_ascii=False) makes,
+# each made once and shared, as json shares its default decoder and encoder.
+_scan = make_scanner(json.JSONDecoder())
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
 class CorpusError(ValueError):
@@ -201,28 +207,34 @@ class Corpus:
         return sum(len(s.annotations) for s in self.sentences)
 
 
-def _parse_sentence(obj, line_no: int, label_set: LabelSet) -> AnnotatedSentence:
+def _parse_sentence(obj) -> AnnotatedSentence:
+    """The sentence of a decoded corpus line; CorpusError, naming no place, if none."""
     if not isinstance(obj, dict) or "tokens" not in obj:
-        raise CorpusError(f"line {line_no}: expected an object with a 'tokens' key")
+        raise CorpusError("expected an object with a 'tokens' key")
     tokens, annos = obj["tokens"], obj.get("annotations", [])
     if not isinstance(tokens, list) or not isinstance(annos, list):
-        raise CorpusError(f"line {line_no}: 'tokens' and 'annotations' must be lists")
-    try:
-        sentence = AnnotatedSentence(
-            tuple(tokens), tuple(tuple(a) if isinstance(a, list) else a for a in annos)
-        )
-        label_set.check_tags(sentence)
-    except CorpusError as exc:
-        raise CorpusError(f"line {line_no}: {exc}") from None
-    return sentence
+        raise CorpusError("'tokens' and 'annotations' must be lists")
+    return AnnotatedSentence(
+        tuple(tokens), tuple([tuple(a) if isinstance(a, list) else a for a in annos])
+    )
 
 
 def decode_json(data: bytes, path: str | Path, line: int | None, error: type[ValueError]):
     """The JSON value of UTF-8 `data`: line `line` of the file at `path`, or the whole
     file if `line` is None.  `error`, naming both, if it is not UTF-8 or not JSON.
-    The one decoder, and wording, of a corpus line and of the model file."""
+    The one decoder, and wording, of a corpus line and of the model file.
+
+    One scan of json's C scanner decodes a text that is one JSON value from its
+    first character to its last, as json.loads would.  Any other text, such as
+    one with whitespace around its value, a BOM or extra data, goes to json.loads,
+    which gives its value or its error."""
     try:
-        return json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        try:
+            value, end = _scan(text, 0)
+        except (StopIteration, ValueError, RecursionError):  # json.loads words the error
+            end = None
+        return value if end == len(text) else json.loads(text)
     except UnicodeDecodeError as exc:
         problem = f"not valid UTF-8: {exc.reason}"
     except json.JSONDecodeError as exc:
@@ -235,8 +247,8 @@ def decode_json(data: bytes, path: str | Path, line: int | None, error: type[Val
 def load_corpus(path: str | Path) -> Corpus:
     """Read a JSONL corpus file; AnnotatedSentence and Corpus check its data.
 
-    Raises CorpusError with the offending line number on malformed input.
-    A line of ASCII whitespace is skipped.
+    Raises CorpusError naming the file, and the offending line if there is
+    one, on malformed input.  A line of ASCII whitespace is skipped.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -247,23 +259,35 @@ def load_corpus(path: str | Path) -> Corpus:
     # JSON reads the "\r" of a "\r\n" as whitespace.
     lines = data.split(b"\n")
     header = decode_json(lines[0], path, 1, CorpusError)
-    if not isinstance(header, dict) or "label_set" not in header:
-        raise CorpusError("line 1: header must be an object with a 'label_set' key")
-    label_set = label_set_by_name(header["label_set"])
-    metadata = header.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise CorpusError("line 1: 'metadata' must be an object")
     try:
+        if not isinstance(header, dict) or "label_set" not in header:
+            raise CorpusError("header must be an object with a 'label_set' key")
+        label_set = label_set_by_name(header["label_set"])
+        metadata = header.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise CorpusError("'metadata' must be an object")
         Corpus(label_set, (), metadata)  # the header's metadata, before any sentence
     except CorpusError as exc:
-        raise CorpusError(f"line 1: {exc}") from None
+        raise CorpusError(f"{path}: line 1: {exc}") from None
 
     sentences = []
-    for offset, line in enumerate(lines[1:], start=2):
+    for line_no, line in enumerate(lines[1:], start=2):
         if line.strip():
-            obj = decode_json(line, path, offset, CorpusError)
-            sentences.append(_parse_sentence(obj, offset, label_set))
-    return Corpus(label_set, tuple(sentences), metadata)
+            obj = decode_json(line, path, line_no, CorpusError)
+            try:
+                sentences.append(_parse_sentence(obj))
+            except CorpusError as exc:
+                raise CorpusError(f"{path}: line {line_no}: {exc}") from None
+    try:
+        return Corpus(label_set, tuple(sentences), metadata)
+    except CorpusError as exc:  # a tag outside the label set: name the first such line
+        line_nos = (n for n, line in enumerate(lines[1:], start=2) if line.strip())
+        for line_no, sentence in zip(line_nos, sentences):
+            try:
+                label_set.check_tags(sentence)
+            except CorpusError as tag_exc:
+                raise CorpusError(f"{path}: line {line_no}: {tag_exc}") from None
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 @contextmanager
@@ -305,10 +329,10 @@ def write_records(
     """
     with atomic_open(path) as fh:
         header = {"label_set": label_set_name, "metadata": dict(metadata)}
-        fh.write(json.dumps(header, ensure_ascii=False) + "\n")
+        fh.write(_encode(header) + "\n")
         for tokens, annotations in rows:
             obj = {"tokens": list(tokens), "annotations": [list(a) for a in annotations]}
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            fh.write(_encode(obj) + "\n")
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .corpus import AnnotatedSentence
 from .mlp import DenseLayer, ModelFormatError, check_fields
-from .rng import SplitMix64, fnv1a64
+from .rng import fnv1a64, stream_floats
 
 log = logging.getLogger(__name__)
 
@@ -56,6 +56,10 @@ _SUM_BLOCK = 64
 
 # Bytes of per-word first-layer products cached for one weight matrix.
 _CACHE_BYTES = 16 << 20
+
+# Values (words x dim) of the fallback vectors deterministic_fallback_table
+# computes at a time: one word's vector if it alone is larger.
+_FALLBACK_BLOCK = 1 << 16
 
 
 class EmbeddingError(ValueError):
@@ -421,20 +425,39 @@ def fallback_vector(word: str, dim: int, seed: int) -> np.ndarray:
     seed to key a SplitMix64 stream; components are uniform in
     [-0.5/dim, 0.5/dim].  A word with no UTF-8 form is an EmbeddingError.
     """
-    try:
-        stream = SplitMix64(fnv1a64(word.encode("utf-8")) ^ (seed & ((1 << 64) - 1)))
-    except UnicodeEncodeError as exc:  # a lone surrogate
-        raise EmbeddingError(f"word {word!r} has no UTF-8 form: {exc.reason}") from None
-    return (stream.floats(dim) - 0.5) / dim
+    return _fallback_vectors([word], dim, seed)[0]
+
+
+def _fallback_vectors(words: Sequence[str], dim: int, seed: int) -> np.ndarray:
+    """The `fallback_vector` of each of `words`, one row each, all from one
+    `stream_floats` pass; EmbeddingError for the first word with no UTF-8 form."""
+    seed &= (1 << 64) - 1
+    keys = np.empty(len(words), dtype=np.uint64)
+    for i, word in enumerate(words):
+        try:
+            keys[i] = fnv1a64(word.encode("utf-8")) ^ seed
+        except UnicodeEncodeError as exc:  # a lone surrogate
+            raise EmbeddingError(f"word {word!r} has no UTF-8 form: {exc.reason}") from None
+    rows = stream_floats(keys, dim)
+    rows -= 0.5
+    rows /= dim
+    return rows
 
 
 def deterministic_fallback_table(vocab: list[str], dim: int, seed: int) -> EmbeddingTable:
-    """Seeded random table over `vocab`; stands in for pretrained vectors."""
+    """Seeded random table over `vocab`; stands in for pretrained vectors.
+    Row i + 1 is the `fallback_vector` of the i-th distinct word, computed
+    as many words at a time as fit in _FALLBACK_BLOCK values."""
     table = EmbeddingTable(
         dim, {"kind": "fallback", "dim": dim, "seed": seed, "vocab": list(vocab)}
     )
-    for word in dict.fromkeys(vocab):
-        table._add(word, fallback_vector(word, dim, seed))
+    words = list(dict.fromkeys(vocab))
+    table._buffer = np.zeros((len(words) + 1, dim))
+    step = max(1, _FALLBACK_BLOCK // dim)
+    for lo in range(0, len(words), step):
+        block = words[lo : lo + step]
+        for word, vec in zip(block, _fallback_vectors(block, dim, seed)):
+            table._add(word, vec)
     return table
 
 
@@ -445,9 +468,10 @@ def check_source(source, what: str = "table source") -> None:
     if type(kind) is not str or kind not in SOURCE_FIELDS:
         raise EmbeddingError(f"{what} kind {kind!r} cannot be rebuilt")
     fields = SOURCE_FIELDS[kind]
-    if missing := fields.keys() - source.keys():
-        raise EmbeddingError(f"{what} lacks fields {sorted(missing)}")
-    check_fields(source, {"kind", *fields}, what)
+    try:
+        check_fields(source, {"kind", *fields}, what)
+    except ValueError as exc:
+        raise EmbeddingError(str(exc)) from None
     for key, rule in fields.items():
         if isinstance(rule, re.Pattern):
             if not (type(source[key]) is str and rule.fullmatch(source[key])):

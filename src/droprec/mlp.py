@@ -533,10 +533,13 @@ _HYPERPARAM_FIELDS = {field.name for field in dataclass_fields(Hyperparams)}
 
 
 def check_fields(obj, names: set[str], what: str) -> None:
-    """TypeError unless `obj` is a JSON object, ValueError if it holds a
-    field not in `names`; a missing field is left to the reader's KeyError."""
+    """TypeError unless `obj` is a JSON object, ValueError unless its fields
+    are `names`: one missing is named first, then any the format does not have."""
     if type(obj) is not dict:
         raise TypeError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    if missing := sorted(names - obj.keys()):
+        raise ValueError(f"{what} lacks field {missing[0]!r}" if len(missing) == 1
+                         else f"{what} lacks fields {missing}")
     if not obj.keys() <= names:
         raise ValueError(f"{what} holds fields the format does not have: "
                          f"{sorted(obj.keys() - names)}")

@@ -257,6 +257,11 @@ def save_recovery_model(model: RecoveryModel, path: str | Path) -> None:
 
 
 def load_recovery_model(path: str | Path) -> RecoveryModel:
-    """Load a recovery model, rebuilding its embedding table from its table_ref."""
-    obj = decode_json(Path(path).read_bytes(), path, None, ModelFormatError)
-    return recovery_from_dict(obj, Path(path).parent)
+    """Load a recovery model, rebuilding its embedding table from its table_ref.
+    A ModelFormatError names the file."""
+    path = Path(path)
+    obj = decode_json(path.read_bytes(), path, None, ModelFormatError)
+    try:
+        return recovery_from_dict(obj, path.parent)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None

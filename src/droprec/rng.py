@@ -13,7 +13,8 @@ and 0x94D049BB133111EB).  Derived conventions used throughout:
 * bounded int in [0, n):    ``next_u64() % n``
 * Fisher-Yates shuffle:     for i = len-1 .. 1, swap i with randbelow(i+1)
 * batches (`floats`, `shuffle`) compute their draws vectorized, with the
-  values and end state of the same number of next_u64() calls
+  values and end state of the same number of next_u64() calls, and
+  `stream_floats` the first floats of many streams in one pass
 * independent substream k of seed s: state seeded with
   ``mix64(s XOR (k + 1) * 0x9E3779B97F4A7C15)``
 """
@@ -85,7 +86,7 @@ class SplitMix64:
     def floats(self, n: int) -> np.ndarray:
         """Vectorized batch of `n` uniform doubles in [0, 1): exactly the
         values of `n` calls to next_float()."""
-        return (self._next_u64s(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return _unit_floats(self._next_u64s(n))
 
     def floats_at_least(self, n: int, p: float) -> np.ndarray:
         """`floats(n) >= p` for a `p` in [0, 1), with the same end state,
@@ -95,17 +96,8 @@ class SplitMix64:
         return self._next_u64s(n) >= np.uint64(math.ceil(p * 2**53) << 11)
 
     def _next_u64s(self, n: int) -> np.ndarray:
-        """The next `n` next_u64() values, as a new uint64 array: output i
-        mixes state + (i+1) * golden."""
-        z = np.arange(1, n + 1, dtype=np.uint64)
-        z *= _U64_GOLDEN
-        z += np.uint64(self._state)
-        shifted = np.empty_like(z)
-        z ^= np.right_shift(z, np.uint64(30), out=shifted)
-        z *= _U64_MIX1
-        z ^= np.right_shift(z, np.uint64(27), out=shifted)
-        z *= _U64_MIX2
-        z ^= np.right_shift(z, np.uint64(31), out=shifted)
+        """The next `n` next_u64() values, as a new uint64 array."""
+        z = _outputs(np.uint64(self._state), n)
         self._state = (self._state + n * _GOLDEN) & _MASK64
         return z
 
@@ -113,3 +105,29 @@ class SplitMix64:
         """Vectorized uniform doubles in [lo, hi)."""
         return lo + (hi - lo) * self.floats(n)
 
+
+def stream_floats(seeds: np.ndarray, n: int) -> np.ndarray:
+    """Row i is SplitMix64(seeds[i]).floats(n), for a 1-D uint64 array of
+    seeds: the first `n` uniform doubles of every stream, in one pass."""
+    return _unit_floats(_outputs(seeds, n))
+
+
+def _outputs(states, n: int) -> np.ndarray:
+    """The first `n` next_u64() values of the stream at each of `states` (a
+    uint64 scalar or 1-D array), as a new array of shape `states.shape + (n,)`:
+    output i mixes state + (i+1) * golden."""
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= _U64_GOLDEN
+    z = np.add.outer(states, z)
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= _U64_MIX1
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= _U64_MIX2
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
+
+
+def _unit_floats(u: np.ndarray) -> np.ndarray:
+    """The doubles in [0, 1) of the uint64 outputs `u`: their top 53 bits."""
+    return (u >> np.uint64(11)).astype(np.float64) * 2.0**-53

@@ -508,6 +508,26 @@ def test_unreadable_model_is_data_error(workspace, model_file, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, field", [((), "label_set"), ((), "threshold"), ((), "dpi"),
+                                         (("dpg",), "layers"), (("dpi", "layers", 0), "bias")])
+def test_a_model_file_lacking_a_field_is_data_error_naming_file_and_field(
+        workspace, model_file, tmp_path, capsys, path, field):
+    obj = json.loads(model_file.read_text(encoding="utf-8"))
+    block = obj
+    for key in path:
+        block = block[key]
+    del block[field]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--test", str(workspace / "splits" / "test.jsonl"),
+                 "--report", str(tmp_path / "report.json")]) == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    what = {0: "recovery model", 1: "network", 3: "layer"}[len(path)]
+    assert len(err) == 1 and err[0].startswith(f"droprec: {model}: corrupt ")
+    assert err[0].endswith(f"{what} lacks field {field!r}")
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [(("dpi", float("nan")), "non-finite parameter"),
@@ -573,8 +593,8 @@ def test_a_version_1_model_file_is_data_error_asking_to_retrain(workspace, model
                      "--report", str(tmp_path / "report.json")]) == EXIT_DATA
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and err[0] == err[1]
-        assert err[0] == "droprec: unsupported recovery format version 1, expected 2; " \
-                         "retrain the model with `droprec train`"
+        assert err[0] == f"droprec: {model}: unsupported recovery format version 1, " \
+                         "expected 2; retrain the model with `droprec train`"
         assert not (tmp_path / "out.jsonl").exists() and not (tmp_path / "report.json").exists()
 
 
@@ -682,7 +702,7 @@ def test_corpus_token_with_a_lone_surrogate_is_data_error_and_splits_nothing(tmp
     out = tmp_path / "s"
     assert main(["split", "--in", str(bad), "--seed", "1", "--out-dir", str(out)]) == EXIT_DATA
     err = capsys.readouterr().err
-    assert err == ("droprec: line 6: a token holds a character UTF-8 cannot encode "
+    assert err == (f"droprec: {bad}: line 6: a token holds a character UTF-8 cannot encode "
                    "(surrogates not allowed)\n")
     assert not out.exists() or not any(out.iterdir())
 

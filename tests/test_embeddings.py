@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from droprec import embeddings
 from droprec.corpus import AnnotatedSentence
 from droprec.mlp import DenseLayer, ModelFormatError
+from droprec.rng import SplitMix64, fnv1a64
 from droprec.embeddings import (
     EmbeddingError,
     EmbeddingTable,
@@ -545,6 +546,38 @@ def test_fallback_different_seeds_differ():
 def test_fallback_rejects_a_word_with_no_utf8_form():
     with pytest.raises(EmbeddingError, match=r"'a\\ud800'"):
         deterministic_fallback_table(["ok", "a\ud800"], 2, 0)
+
+
+def _stream_fallback_vector(word: str, dim: int, seed: int) -> np.ndarray:
+    """fallback_vector's documented derivation, one SplitMix64 stream per word."""
+    stream = SplitMix64(fnv1a64(word.encode("utf-8")) ^ (seed & (2**64 - 1)))
+    return (stream.floats(dim) - 0.5) / dim
+
+
+@pytest.mark.parametrize("dim, seed", [(5, 3), (1, -7), (16, 2**64 + 9), (100, 0)])
+def test_fallback_table_rows_are_fallback_vector_bit_for_bit(dim, seed, monkeypatch):
+    monkeypatch.setattr(embeddings, "_FALLBACK_BLOCK", 64)  # 64 // dim words a block, or one
+    words = [f"w{i}" for i in range(137)]
+    words += ["他们", "词", "é", "a b", "\u2028", "\U0001f600"]
+    vocab = words[::-1] + words[::5]  # every word, then duplicates of some
+    table = deterministic_fallback_table(vocab, dim, seed)
+    assert list(table.rows) == list(dict.fromkeys(vocab))
+    assert table.matrix.shape == (len(words) + 1, dim) and not table.matrix[0].any()
+    for word, row in table.rows.items():
+        expected = _stream_fallback_vector(word, dim, seed)
+        assert fallback_vector(word, dim, seed).tobytes() == expected.tobytes()
+        assert table.matrix[row].tobytes() == expected.tobytes()
+
+
+def test_fallback_table_names_its_first_word_with_no_utf8_form(monkeypatch):
+    monkeypatch.setattr(embeddings, "_FALLBACK_BLOCK", 4 * 8)  # 8 words a block
+    first, second = "x\udc80", "\ud800"
+    vocab = [f"w{i}" for i in range(11)] + [first, "ok", second]
+    with pytest.raises(EmbeddingError) as direct:
+        fallback_vector(first, 4, 0)
+    with pytest.raises(EmbeddingError) as error:
+        deterministic_fallback_table(vocab, 4, 0)
+    assert str(error.value) == str(direct.value) and repr(first) in str(error.value)
 
 
 def test_fallback_components_in_range():

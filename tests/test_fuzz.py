@@ -20,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 from _blocks import decode_block, encode_block, with_value
 from droprec import mlp
 from droprec.cli import EXIT_DATA, main
-from droprec.corpus import FULL14, CorpusError, load_corpus, save_corpus
+from droprec.corpus import FULL14, CorpusError, decode_json, load_corpus, save_corpus
 from droprec.embeddings import EmbeddingError, deterministic_fallback_table, load_embeddings
 from droprec.mlp import Hyperparams, ModelFormatError
 from droprec.pipeline import (RecoveryModel, load_recovery_model, recovery_to_dict,
@@ -160,7 +160,61 @@ CORPUS_BREAKS = [
     b'{"label_set": "full14"}\n{"tokens": [""]}\n',
     b'{"label_set": "full14"}\n{"tokens": ["a", "\\ud800"]}\n',
     b'{"label_set": "full14", "metadata": {"seed": "\\udfff"}}\n{"tokens": ["a"]}\n',
+    # Texts that json's scanner leaves to json.loads: whitespace, a BOM, extra data.
+    b' {"label_set": "full14"}\t\n\r\n\t{"tokens": ["a"]}\r\n{"tokens": ["b"]} \r',
+    '{"label_set": "full14"}\u3000\n{"tokens": ["a"]}\n'.encode("utf-8"),
+    '{"label_set": "full14"}\n\u0085{"tokens": ["a"]}\n'.encode("utf-8"),
+    b'\xef\xbb\xbf{"label_set": "full14"}\n{"tokens": ["a"]}\n',
+    b'{"label_set": "full14"}\n\xef\xbb\xbf{"tokens": ["a"]}\n',
+    b'{"label_set": "full14"}\n1, 2\n', b'{"label_set": "full14"}{}\n{"tokens": ["a"]}\n',
+    b'{"label_set": "full14"}\n{"tokens": ["a"]}{"tokens": ["b"]}\n',
+    b'{"label_set": "full14"}\nNaN\n', b'{"label_set": "full14", "metadata": {"x": Infinity}}\n',
+    b'{"label_set": "full14"}\n{"tokens": ["a"], "annotations": [[-Infinity, "ta_m"]]}\n',
+    b'{"label_set": "full14"}\n\x1c\n', b'{"label_set": "full14"}\n{"tokens": ["\\x"]}\n',
+    b'{"label_set": "\\ud800"}\n', b'{"label_set": "full14"}\n{"tokens": ["\\udc00a"]}\n',
+    b'{"label_set": "full14"}\n' + DEEP.encode() + b" ",
 ]
+
+
+WHITESPACE = ["", " ", "\t", "\n", "\r", "\r\n", "\ufeff", "\x0c", "\x85", "\xa0", "\u2028",
+              "\u3000"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=3),
+    max_leaves=8).map(json.dumps)
+JSON_TEXTS = st.one_of(
+    st.builds(lambda lead, text, trail: lead + text + trail, st.sampled_from(WHITESPACE),
+              JSON_VALUES | st.sampled_from(LITERALS + ["1, 2", "[1] [2]", "{} x", '"\\x"',
+                                                        '"\\u12"', '"\\udc00"', "[", "",
+                                                        "tru", "-", "01"]),
+              st.sampled_from(WHITESPACE)),
+    st.text(max_size=12))
+
+
+def decoded_as_json_loads(text: str):
+    """What decode_json should give for `text`: json.loads's value, or its error
+    in decode_json's wording."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        return CorpusError(f"p: line 1: not valid JSON: {exc.msg}")
+    except RecursionError:
+        return CorpusError("p: line 1: JSON nested too deeply to parse")
+
+
+@FUZZ
+@given(JSON_TEXTS)
+@example(DEEP)
+@example(DEEP + " ")
+@example('{"a": [1, 2]}\r')
+def test_decode_json_gives_the_value_or_error_of_json_loads(text):
+    try:
+        got = decode_json(text.encode("utf-8"), "p", 1, CorpusError)
+    except CorpusError as exc:
+        got = exc
+    expected = decoded_as_json_loads(text)
+    assert type(got) is type(expected) and repr(got) == repr(expected)
 
 
 @FUZZ
@@ -370,6 +424,7 @@ def test_any_finite_parameters_survive_the_model_file_bit_exactly(values):
 # --- through the CLI --------------------------------------------------------------
 
 LOADERS = {"corpus": (CORPUS_FILES, load_corpus, CorpusError),
+           "dev-corpus": (CORPUS_FILES, load_corpus, CorpusError),
            "embeddings": (EMBEDDING_FILES, load_embeddings, EmbeddingError),
            "model": (MODEL_FILES, load_recovery_model, ModelFormatError)}
 
@@ -387,10 +442,12 @@ def test_a_file_that_fails_to_load_is_a_data_error_through_the_cli(tmp_path, cap
     save_corpus(CORPUS, good)
     out = str(tmp_path / "out")
     args = {"corpus": ["split", "--in", str(bad), "--seed", "1", "--out-dir", out],
+            "dev-corpus": ["train", "--train", str(good), "--dev", str(bad),
+                           "--fallback-dim", "2", "--out-model", out],
             "embeddings": ["train", "--train", str(good), "--dev", str(good),
                            "--embeddings", str(bad), "--out-model", out],
             "model": ["recover", "--model", str(bad), "--in", str(good), "--out", out]}[kind]
     capsys.readouterr()
     assert main(args) == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith("droprec: ") and "Traceback" not in err
+    assert err.startswith(f"droprec: {bad}") and "Traceback" not in err

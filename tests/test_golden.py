@@ -17,6 +17,7 @@ MODEL_SHA256 = "628b3c5386c16f604e8bc7c195c7b34c2021877a54f9a663dbfea61dab2d4f43
 GOLD_REPORT_SHA256 = "4c4aca89314eaa06f303e1f5e4f258a3b5422426db6f34a24957fb548a23969c"
 PREDICTED_REPORT_SHA256 = "928ddcd6f20ad9be59fb7e802e7a059f275b729c6a6620eeedd788d2e25d75ba"
 RECOVER_SHA256 = "08b98c022d539c88b3450e1eba9fe9a6fb51c69c93deb7c19e23d5332ebf4417"
+TRAIN_SPLIT_SHA256 = "795b351b3807148710149cc6a2b64f0830bed8dde7359102cab6ca2a5215711e"
 
 
 def _sha256(path) -> str:
@@ -47,6 +48,7 @@ def test_criterion_7_chain_digests(tmp_path, monkeypatch, capsys):
     ):
         assert main(args) == EXIT_OK, args
     capsys.readouterr()
+    assert _sha256(tmp_path / "splits" / "train.jsonl") == TRAIN_SPLIT_SHA256
     assert _sha256(tmp_path / "model.json") == MODEL_SHA256
     assert _sha256(tmp_path / "gold.json") == GOLD_REPORT_SHA256
     assert _sha256(tmp_path / "predicted.json") == PREDICTED_REPORT_SHA256

@@ -3,7 +3,7 @@ import math
 import numpy as np
 from hypothesis import given, strategies as st
 
-from droprec.rng import SplitMix64, fnv1a64, mix64
+from droprec.rng import SplitMix64, fnv1a64, mix64, stream_floats
 
 
 def test_same_seed_same_stream():
@@ -116,3 +116,11 @@ def test_floats_at_least_draws_what_floats_draws(p, seed, n):
     a, b = SplitMix64(seed), SplitMix64(seed)
     assert np.array_equal(a.floats_at_least(n, p), b.floats(n) >= p)
     assert a.next_u64() == b.next_u64()
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=6), st.integers(1, 40))
+def test_stream_floats_rows_are_each_seeds_floats(seeds, n):
+    rows = stream_floats(np.array(seeds, dtype=np.uint64), n)
+    assert rows.shape == (len(seeds), n)
+    for seed, row in zip(seeds, rows):
+        assert row.tobytes() == SplitMix64(seed).floats(n).tobytes()
