@@ -127,7 +127,9 @@ def check_metadata(metadata: Mapping) -> None:
     tuple (JSON reads back a list) and a key that is no `str` (JSON reads
     back a `str`).
     """
-    try:  # dict(**m) takes only a mapping with str keys
+    if not isinstance(metadata, Mapping):
+        raise ValueError(f"metadata must be a JSON object, got {type(metadata).__name__}")
+    try:  # dict(**m) takes only str keys
         text = json.dumps(dict(**metadata), ensure_ascii=False, allow_nan=False)
         text.encode("utf-8")
     except (TypeError, ValueError, RecursionError) as exc:  # UnicodeEncodeError included
@@ -219,10 +221,10 @@ def _parse_sentence(obj) -> AnnotatedSentence:
     )
 
 
-def decode_json(data: bytes, path: str | Path, line: int | None, error: type[ValueError]):
-    """The JSON value of UTF-8 `data`: line `line` of the file at `path`, or the whole
-    file if `line` is None.  `error`, naming both, if it is not UTF-8 or not JSON.
-    The one decoder, and wording, of a corpus line and of the model file.
+def decode_json(data: bytes):
+    """The JSON value of UTF-8 `data`; ValueError, naming the problem alone, if it
+    is not UTF-8 or not JSON.  The one decoder of a corpus line and of the model
+    file, whose readers add the file, and the line, to the error.
 
     One scan of json's C scanner decodes a text that is one JSON value from its
     first character to its last, as json.loads would.  Any other text, such as
@@ -236,12 +238,11 @@ def decode_json(data: bytes, path: str | Path, line: int | None, error: type[Val
             end = None
         return value if end == len(text) else json.loads(text)
     except UnicodeDecodeError as exc:
-        problem = f"not valid UTF-8: {exc.reason}"
+        raise ValueError(f"not valid UTF-8: {exc.reason}") from None
     except json.JSONDecodeError as exc:
-        problem = f"not valid JSON: {exc.msg}"
+        raise ValueError(f"not valid JSON: {exc.msg}") from None
     except RecursionError:
-        problem = "JSON nested too deeply to parse"
-    raise error(f"{path}: {problem}" if line is None else f"{path}: line {line}: {problem}")
+        raise ValueError("JSON nested too deeply to parse") from None
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -258,26 +259,20 @@ def load_corpus(path: str | Path) -> Corpus:
     # U+2028 and the other str.splitlines() breaks raw inside strings, and
     # JSON reads the "\r" of a "\r\n" as whitespace.
     lines = data.split(b"\n")
-    header = decode_json(lines[0], path, 1, CorpusError)
+    line_no = 1
     try:
+        header = decode_json(lines[0])
         if not isinstance(header, dict) or "label_set" not in header:
             raise CorpusError("header must be an object with a 'label_set' key")
         label_set = label_set_by_name(header["label_set"])
         metadata = header.get("metadata", {})
-        if not isinstance(metadata, dict):
-            raise CorpusError("'metadata' must be an object")
         Corpus(label_set, (), metadata)  # the header's metadata, before any sentence
-    except CorpusError as exc:
-        raise CorpusError(f"{path}: line 1: {exc}") from None
-
-    sentences = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if line.strip():
-            obj = decode_json(line, path, line_no, CorpusError)
-            try:
-                sentences.append(_parse_sentence(obj))
-            except CorpusError as exc:
-                raise CorpusError(f"{path}: line {line_no}: {exc}") from None
+        sentences = []
+        for line_no, line in enumerate(lines[1:], start=2):
+            if line.strip():
+                sentences.append(_parse_sentence(decode_json(line)))
+    except ValueError as exc:  # decode_json's, or a CorpusError
+        raise CorpusError(f"{path}: line {line_no}: {exc}") from None
     try:
         return Corpus(label_set, tuple(sentences), metadata)
     except CorpusError as exc:  # a tag outside the label set: name the first such line

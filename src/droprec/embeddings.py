@@ -172,8 +172,7 @@ class EmbeddingTable:
         try:
             word, vec = _parse_row(line, self.dim)
         except (EmbeddingError, UnicodeDecodeError) as exc:
-            line_no = _line_number(self._path, int(self._starts[k]))
-            raise EmbeddingError(f"{self.source['path']} line {line_no}: {exc}") from None
+            raise _line_error(self._file, int(self._starts[k]), self.source["path"], exc) from None
         self._add(word, vec)
         self._waiting[k] = False
         self.unread -= 1
@@ -190,7 +189,7 @@ def _parse_header(line: bytes, path: Path) -> tuple[int, int]:
     try:
         header = line.decode("utf-8").split()
     except UnicodeDecodeError as exc:
-        raise EmbeddingError(f"{path} line 1: {exc}") from None
+        raise EmbeddingError(f"{path}: line 1: {exc}") from None
     if len(header) != 2:
         raise EmbeddingError(f"{path}: header must be 'vocab_size dim'")
     try:
@@ -218,12 +217,14 @@ def _parse_row(line: bytes, dim: int) -> tuple[str, list[float]]:
     return word, vec
 
 
-def _line_number(path: Path, offset: int) -> int:
-    """Number of the line that starts at byte `offset` of a file, counted
-    as text-mode reading counts lines."""
-    with open(path, "rb") as fh:
-        head = fh.read(offset)
-    return 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+def _line_error(fh, offset: int, path: str | Path, exc: Exception) -> EmbeddingError:
+    """`exc` of the line that starts at byte `offset` of the open word2vec file
+    `fh`, as the EmbeddingError "<path>: line N: <exc>"; N counts lines as
+    text-mode reading does."""
+    fh.seek(0)
+    head = fh.read(offset)
+    line_no = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+    return EmbeddingError(f"{path}: line {line_no}: {exc}")
 
 
 def _word(line: bytes) -> bytes:
@@ -343,8 +344,7 @@ def load_embeddings(path: str | Path, sha256: str | None = None) -> EmbeddingTab
                     if sha256 is None:
                         _parse_row(lines[i], dim)
                 except (EmbeddingError, UnicodeDecodeError) as exc:
-                    line_no = _line_number(path, offset + int(starts[i]))
-                    raise EmbeddingError(f"{path} line {line_no}: {exc}") from None
+                    raise _line_error(fh, offset + int(starts[i]), path, exc) from None
                 word_line[i] = True
             starts, ends = starts[word_line], ends[word_line]
             checks = map(hash, compress(lines, word_line.tolist()))

@@ -592,7 +592,7 @@ def model_to_dict(model: MlpModel) -> dict:
 
 def model_from_dict(obj: dict, num_classes: int, name: str) -> MlpModel:
     """The network of a `model_to_dict` object with `num_classes` outputs;
-    errors name it `name` and name its layer.
+    ModelFormatError, naming it `name` and its layer, if the object breaks a rule.
 
     Its hyperparams must hold every field.  Its layers have the shapes that
     `build_model` gives a network of its hyperparams' `input_dim`:
@@ -600,25 +600,25 @@ def model_from_dict(obj: dict, num_classes: int, name: str) -> MlpModel:
     The object must hold `layer_count` layers, of parameters `check_finite` passes.
     """
     try:
-        check_fields(obj, _NETWORK_FIELDS, "network")
-        fields = obj["hyperparams"]
-        if type(fields) is dict and (missing := _HYPERPARAM_FIELDS - fields.keys()):
-            raise ValueError(f"{name} hyperparams lack fields {sorted(missing)}")
-        hp = Hyperparams(**fields)  # TypeError unless a mapping of its fields
+        check_fields(obj, _NETWORK_FIELDS, name)
+        check_fields(obj["hyperparams"], _HYPERPARAM_FIELDS, f"{name} hyperparams")
+        hp = Hyperparams(**obj["hyperparams"])
         entries = obj["layers"]
+        if type(entries) is not list:
+            raise TypeError(f"{name} layers must be a JSON array, got {type(entries).__name__}")
         if len(entries) != hp.layer_count:
             raise ValueError(f"{name} has {len(entries)} layers, its layer_count is "
                              f"{hp.layer_count}")
         dims = layer_dims(hp.input_dim, num_classes, hp)
         layers = []
         for i, (entry, fan_in, fan_out) in enumerate(zip(entries, dims[:-1], dims[1:])):
-            check_fields(entry, _LAYER_FIELDS, "layer")
             where = f"{name} layer {i}"
+            check_fields(entry, _LAYER_FIELDS, where)
             layers.append(DenseLayer(
                 _array_from_base64(entry["weights"], (fan_out, fan_in), f"{where} weights"),
                 _array_from_base64(entry["bias"], (fan_out,), f"{where} bias")))
         model = MlpModel(layers, hp)
         check_finite(model, name)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"corrupt model file: {exc}") from None
+    except (TypeError, ValueError) as exc:  # the model file's reader words it
+        raise ModelFormatError(str(exc)) from None
     return model

@@ -21,8 +21,8 @@ import numpy as np
 from . import mlp
 from .corpus import (Corpus, AnnotatedSentence, LabelSet, atomic_open, check_metadata,
                      decode_json, label_set_by_name)
-from .embeddings import (EmbeddingTable, check_source, context_projection, context_rows,
-                         table_from_source)
+from .embeddings import (EmbeddingError, EmbeddingTable, check_source, context_projection,
+                         context_rows, table_from_source)
 from .hypotheses import DROPPED, build_dpg_instances, build_dpi_instances, gap_labels
 from .mlp import EpochStats, Hyperparams, MlpModel, ModelFormatError, check_fields
 
@@ -214,15 +214,17 @@ def recovery_from_dict(obj: dict, model_dir: str | Path = ".") -> RecoveryModel:
     decode, and the `table_ref` passes `_table_ref` (its word2vec path relative
     to `model_dir`, the model file's directory), before the table is built, so
     no table of a dim no network uses is built.  `RecoveryModel` checks how the
-    parts fit.  Each ValueError becomes ModelFormatError.  The blocks are popped
-    from `obj` as they are decoded, freeing their base64 strings early."""
+    parts fit.  An error of a field, or of how the parts fit, is a ModelFormatError
+    "corrupt recovery model: …"; one of the table's word2vec file keeps its type.
+    The blocks are popped from `obj` as they are decoded, freeing their base64
+    strings early."""
     if not isinstance(obj, dict) or obj.get("kind") != "recovery":
         raise ModelFormatError("not a recovery model object")
     if obj.get("format_version") != RECOVERY_FORMAT_VERSION:
         raise ModelFormatError(
             f"unsupported recovery format version {obj.get('format_version')!r}, expected "
             f"{RECOVERY_FORMAT_VERSION}; retrain the model with `droprec train`")
-    # CorpusError (an unknown label set) is a ValueError, so it lands here too.
+    # CorpusError (an unknown label set) and ModelFormatError are ValueErrors too.
     try:
         check_fields(obj, _RECOVERY_FIELDS, "recovery model")
         threshold, metadata = obj["threshold"], obj["metadata"]
@@ -230,9 +232,7 @@ def recovery_from_dict(obj: dict, model_dir: str | Path = ".") -> RecoveryModel:
         dpi = mlp.model_from_dict(obj.pop("dpi"), 2, "dpi")
         dpg = mlp.model_from_dict(obj.pop("dpg"), len(label_set), "dpg")
         table_ref = _table_ref(obj["table_ref"], dpi, lambda p: str(Path(model_dir) / p))
-    except ModelFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"corrupt recovery model: {exc}") from None
     table = table_from_source(table_ref)
     try:
@@ -258,10 +258,11 @@ def save_recovery_model(model: RecoveryModel, path: str | Path) -> None:
 
 def load_recovery_model(path: str | Path) -> RecoveryModel:
     """Load a recovery model, rebuilding its embedding table from its table_ref.
-    A ModelFormatError names the file."""
+    Every error of the file is a ModelFormatError naming it; an error of the
+    word2vec file the table is rebuilt from keeps its type, and names both files."""
     path = Path(path)
-    obj = decode_json(path.read_bytes(), path, None, ModelFormatError)
     try:
-        return recovery_from_dict(obj, path.parent)
-    except ModelFormatError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from None
+        return recovery_from_dict(decode_json(path.read_bytes()), path.parent)
+    except ValueError as exc:  # decode_json's, or a ModelFormatError or EmbeddingError
+        error = EmbeddingError if isinstance(exc, EmbeddingError) else ModelFormatError
+        raise error(f"{path}: {exc}") from None

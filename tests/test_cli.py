@@ -203,6 +203,21 @@ def test_edited_word2vec_file_is_data_error(workspace, w2v_model, tmp_path, caps
     assert not (tmp_path / "recovered.jsonl").exists() and not (tmp_path / "report.json").exists()
 
 
+def test_a_bad_word2vec_file_of_a_model_is_data_error_naming_model_and_table(
+        workspace, w2v_model, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(w2v_model.parent, run)
+    table, model = run / "vec.txt", run / "model.json"
+    table.write_bytes(b"x 8\n" + table.read_bytes().partition(b"\n")[2])
+    obj = json.loads(model.read_text(encoding="utf-8"))
+    obj["table_ref"]["sha256"] = hashlib.sha256(table.read_bytes()).hexdigest()
+    model.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert recover_and_eval(workspace, model, tmp_path) == (EXIT_DATA, EXIT_DATA)
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"droprec: {model}: {table}: non-integer header fields ['x', '8']"] * 2
+
+
 def test_train_on_a_word2vec_file_bad_mid_scan_exits_with_no_thread_left(workspace, tmp_path):
     # Over 1 MB, so the scan stops with chunks of the file still to hash;
     # a hashing thread left running would keep the interpreter from exiting.
@@ -523,7 +538,7 @@ def test_a_model_file_lacking_a_field_is_data_error_naming_file_and_field(
     assert main(["eval", "--model", str(model), "--test", str(workspace / "splits" / "test.jsonl"),
                  "--report", str(tmp_path / "report.json")]) == EXIT_DATA
     err = capsys.readouterr().err.splitlines()
-    what = {0: "recovery model", 1: "network", 3: "layer"}[len(path)]
+    what = {0: "recovery model", 1: "dpg", 3: "dpi layer 0"}[len(path)]
     assert len(err) == 1 and err[0].startswith(f"droprec: {model}: corrupt ")
     assert err[0].endswith(f"{what} lacks field {field!r}")
 

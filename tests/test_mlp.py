@@ -644,23 +644,31 @@ def test_load_rejects_wrong_version():
 
 
 @pytest.mark.parametrize(
-    "hyperparams",
-    [{"momentum": 0.9}, [["embed_dim", 1]], {"hidden_dim": 2.5}, {"epochs": True},
-     {"seed": 1.5}, {"layer_count": 2.0}, {"embed_dim": True}, {"window": 1.0},
-     {"learning_rate": True}, {"dropout_rate": False}, {"learning_rate": "0.1"},
-     {"learning_rate": 10**400}],
+    "hyperparams, message",
+    [({"momentum": 0.9}, r"dpi hyperparams holds fields the format does not have: \['momentum'\]"),
+     ([["embed_dim", 1]], "dpi hyperparams must be a JSON object, got list"),
+     ({"hidden_dim": 2.5}, "hyperparams hidden_dim must be int, got 2.5"),
+     ({"epochs": True}, "hyperparams epochs must be int, got True"),
+     ({"seed": 1.5}, "hyperparams seed must be int, got 1.5"),
+     ({"layer_count": 2.0}, "hyperparams layer_count must be int, got 2.0"),
+     ({"embed_dim": True}, "hyperparams embed_dim must be int, got True"),
+     ({"window": 1.0}, "hyperparams window must be int, got 1.0"),
+     ({"learning_rate": True}, "hyperparams learning_rate must be float, got True"),
+     ({"dropout_rate": False}, "hyperparams dropout_rate must be float, got False"),
+     ({"learning_rate": "0.1"}, "hyperparams learning_rate must be float, got '0.1'"),
+     ({"learning_rate": 10**400}, f"learning_rate must be finite and > 0, got {10**400}")],
     ids=["unknown-key", "not-an-object", "float-hidden-dim", "bool-epochs", "float-seed",
          "integral-float-layer-count", "bool-embed-dim", "integral-float-window",
          "bool-learning-rate", "bool-dropout-rate", "string-learning-rate",
          "int-learning-rate-beyond-float-range"],
 )
-def test_load_rejects_malformed_hyperparams(hyperparams):
+def test_load_rejects_malformed_hyperparams(hyperparams, message):
     obj = json.loads(json.dumps(mlp.model_to_dict(build_model(2, 2, tiny_hp(embed_dim=1)))))
     if isinstance(hyperparams, dict):
         obj["hyperparams"].update(hyperparams)
     else:
         obj["hyperparams"] = hyperparams
-    with pytest.raises(ModelFormatError, match="corrupt model file"):
+    with pytest.raises(ModelFormatError, match=f"^{message}"):  # in no words of its own
         mlp.model_from_dict(obj, 2, "dpi")
 
 
@@ -670,7 +678,7 @@ def test_load_rejects_hyperparams_without_a_field(field):
     # A default in its place would load, and save back other bytes.
     obj = tiny_network_object()
     del obj["hyperparams"][field]
-    with pytest.raises(ModelFormatError, match=rf"dpg hyperparams lack fields \['{field}'\]"):
+    with pytest.raises(ModelFormatError, match=rf"^dpg hyperparams lacks field '{field}'$"):
         mlp.model_from_dict(obj, 2, "dpg")
 
 

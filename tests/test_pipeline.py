@@ -456,7 +456,8 @@ def test_batch_size_in_hyperparams_is_refused_and_negative_rate_in_metadata_load
     assert load_recovery_model(path).metadata == {"negative_rate": 1.0}
     obj["dpg"]["hyperparams"]["batch_size"] = 1
     path.write_text(json.dumps(obj), encoding="utf-8")
-    with pytest.raises(ModelFormatError, match="unexpected keyword argument 'batch_size'"):
+    with pytest.raises(ModelFormatError, match=r"dpg hyperparams holds fields the format does "
+                                               r"not have: \['batch_size'\]"):
         load_recovery_model(path)
 
 
@@ -494,21 +495,21 @@ ZERO_DIM = {("table_ref", "dim"): 0, **{(net, *key): value for net in ("dpi", "d
      (("dpi", "hyperparams", "window"), 1.7, "hyperparams window must be int"),
      (("dpg", "hyperparams", "window"), True, "hyperparams window must be int"),
      ("threshold", True, "could not convert"), ("threshold", "0.5", "could not convert"),
-     (("dpi", "input_dim"), 8.7, r"network holds fields the format does not have: \['input_dim'\]"),
+     (("dpi", "input_dim"), 8.7, r"dpi holds fields the format does not have: \['input_dim'\]"),
      (("dpg", "num_classes"), 14.0,
-      r"network holds fields the format does not have: \['num_classes'\]"),
+      r"dpg holds fields the format does not have: \['num_classes'\]"),
      (("dpi", "layers", 0, "out_dim"), 2.0,
-      r"layer holds fields the format does not have: \['out_dim'\]"),
+      r"dpi layer 0 holds fields the format does not have: \['out_dim'\]"),
      (("dpg", "layers", 0, "in_dim"), True,
-      r"layer holds fields the format does not have: \['in_dim'\]"),
+      r"dpg layer 0 holds fields the format does not have: \['in_dim'\]"),
      (("dpi", "hyperparams", "learning_rate"), float("nan"), "learning_rate"),
      (("table_ref", "kind"), "bogus", "kind 'bogus' cannot be rebuilt"),
      (ZERO_WIDTH, None, "window must be >= 1, got 0"),
      (ZERO_DIM, None, "embed_dim must be >= 1, got 0"),
      ("window", 1, r"recovery model holds fields the format does not have: \['window'\]"),
-     (("dpi", "format_version"), 2, r"network holds fields the format does not have"),
+     (("dpi", "format_version"), 2, r"dpi holds fields the format does not have"),
      (("table_ref", "sha256"), "0" * 64, r"table_ref holds fields the format does not have"),
-     ("metadata", [["k", 1]], "metadata has no JSON form"),
+     ("metadata", [["k", 1]], "metadata must be a JSON object, got list"),
      ("metadata", {"k": float("nan")}, "metadata has no JSON form"),
      ("metadata", {"k": (1, {"a": float("-inf")})}, "metadata has no JSON form")],
     ids=["non-numeric-threshold", "window-zero", "unknown-label-set", "window-float",
