@@ -295,8 +295,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"droprec: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except FileNotFoundError as exc:
-        print(f"droprec: file not found: {exc.filename}", file=sys.stderr)
+    except FileNotFoundError as exc:  # a `filename2` is the file that names the missing one
+        named_by = f"{exc.filename2}: " if exc.filename2 else ""
+        print(f"droprec: {named_by}file not found: {exc.filename}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, OSError) as exc:
         print(f"droprec: {exc}", file=sys.stderr)

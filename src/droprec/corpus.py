@@ -128,7 +128,7 @@ def check_metadata(metadata: Mapping) -> None:
     back a `str`).
     """
     if not isinstance(metadata, Mapping):
-        raise ValueError(f"metadata must be a JSON object, got {type(metadata).__name__}")
+        raise ValueError(f"metadata must be a JSON object, got {json_type(metadata)}")
     try:  # dict(**m) takes only str keys
         text = json.dumps(dict(**metadata), ensure_ascii=False, allow_nan=False)
         text.encode("utf-8")
@@ -243,6 +243,18 @@ def decode_json(data: bytes):
         raise ValueError(f"not valid JSON: {exc.msg}") from None
     except RecursionError:
         raise ValueError("JSON nested too deeply to parse") from None
+
+
+# The JSON type name of each type of value that `decode_json` gives.
+_JSON_TYPES = {type(None): "null", bool: "boolean", int: "number", float: "number",
+               str: "string", list: "array", dict: "object"}
+
+
+def json_type(value) -> str:
+    """The JSON type name of a `decode_json` value, as an error's "got <type>"
+    words it: null, boolean, number, string, array or object.  A value of any
+    other type is named by its Python type."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
 def load_corpus(path: str | Path) -> Corpus:

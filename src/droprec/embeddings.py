@@ -13,11 +13,8 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-import queue
 import re
-import threading
 import weakref
-from contextlib import contextmanager
 from itertools import compress
 from pathlib import Path
 from typing import Sequence
@@ -266,61 +263,28 @@ def _blocks(fh, update):
         data = rest
 
 
-@contextmanager
-def _hashing(sha):
-    """Context whose value is an `update(chunk)` that queues each chunk
-    for `sha.update` on a second thread, in the order given.
-
-    The thread is joined on leaving, whether or not the body raised.  The
-    first exception of `sha.update` is raised on leaving a body that did
-    not raise.  hashlib releases the GIL while it hashes a chunk of 2 KiB
-    or more, so the calling thread goes on meanwhile.
-    """
-    chunks: queue.SimpleQueue = queue.SimpleQueue()
-    failed: list[BaseException] = []
-
-    def hash_chunks():
-        for chunk in iter(chunks.get, None):
-            try:
-                sha.update(chunk)
-            except BaseException as exc:  # raised again by the calling thread
-                failed.append(exc)
-            del chunk  # hashed: the scan frees it when it reads the next, as unthreaded
-
-    hasher = threading.Thread(target=hash_chunks)
-    hasher.start()
-    try:
-        yield chunks.put
-    finally:
-        chunks.put(None)
-        hasher.join()
-    if failed:
-        raise failed[0]
-
-
 def load_embeddings(path: str | Path, sha256: str | None = None) -> EmbeddingTable:
     """Load a word2vec text file; blank lines are skipped, and duplicates
     keep the first occurrence.
 
     One scan hashes the file and indexes each word's line; the table's
     source records the hash, and a word's line is parsed into a row the
-    first time the word is looked up.  The SHA-256 runs on a second
-    thread over the bytes this one reads, unchanged and in file order,
-    while this one splits and indexes them; no thread is left running
-    when the load returns or raises.  Without `sha256`, the scan also
-    parses and checks every word line, duplicates included, and keeps no
-    vector.  With it, the file must have that hash, or ModelFormatError is
-    raised, and a line is checked only when it is read: a file with the
-    hash a model recorded at training was fully checked then, so the lines
-    never read hold no error.  A file with no word line is rejected:
-    nothing in it shows that the header's `dim` is real.
+    first time the word is looked up.  The calling thread hashes each
+    block it reads, in file order, before it splits and indexes the
+    block's lines.  Without `sha256`, the scan also parses and checks
+    every word line, duplicates included, and keeps no vector.  With it,
+    the file must have that hash, or ModelFormatError is raised, and a
+    line is checked only when it is read: a file with the hash a model
+    recorded at training was fully checked then, so the lines never read
+    hold no error.  A file with no word line is rejected: nothing in it
+    shows that the header's `dim` is real.
     """
     path = Path(path)
     sha = hashlib.sha256()
     dim = None
     index: list[tuple[np.ndarray, ...]] = []  # per block: word keys, line starts, lengths, hash()es
-    with path.open("rb") as fh, _hashing(sha) as update:
-        for data, offset, lines in _blocks(fh, update):
+    with path.open("rb") as fh:
+        for data, offset, lines in _blocks(fh, sha.update):
             sizes = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
             ends = np.cumsum(sizes)
             starts = ends - sizes

@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import json_type
 from .rng import SplitMix64
 
 # Loss clamps probabilities at this floor before taking logs.
@@ -536,7 +537,7 @@ def check_fields(obj, names: set[str], what: str) -> None:
     """TypeError unless `obj` is a JSON object, ValueError unless its fields
     are `names`: one missing is named first, then any the format does not have."""
     if type(obj) is not dict:
-        raise TypeError(f"{what} must be a JSON object, got {type(obj).__name__}")
+        raise TypeError(f"{what} must be a JSON object, got {json_type(obj)}")
     if missing := sorted(names - obj.keys()):
         raise ValueError(f"{what} lacks field {missing[0]!r}" if len(missing) == 1
                          else f"{what} lacks fields {missing}")
@@ -552,7 +553,7 @@ def _array_to_base64(a: np.ndarray) -> str:
 def _array_from_base64(block: str, shape: tuple[int, ...], what: str) -> np.ndarray:
     if type(block) is not str:
         raise ModelFormatError(
-            f"{what}: parameter block must be a base64 string, got {type(block).__name__}"
+            f"{what}: parameter block must be a base64 string, got {json_type(block)}"
         )
     try:  # binascii.Error, or ValueError for a character outside ASCII
         raw = base64.b64decode(block, validate=True)
@@ -605,7 +606,7 @@ def model_from_dict(obj: dict, num_classes: int, name: str) -> MlpModel:
         hp = Hyperparams(**obj["hyperparams"])
         entries = obj["layers"]
         if type(entries) is not list:
-            raise TypeError(f"{name} layers must be a JSON array, got {type(entries).__name__}")
+            raise TypeError(f"{name} layers must be a JSON array, got {json_type(entries)}")
         if len(entries) != hp.layer_count:
             raise ValueError(f"{name} has {len(entries)} layers, its layer_count is "
                              f"{hp.layer_count}")

@@ -259,10 +259,14 @@ def save_recovery_model(model: RecoveryModel, path: str | Path) -> None:
 def load_recovery_model(path: str | Path) -> RecoveryModel:
     """Load a recovery model, rebuilding its embedding table from its table_ref.
     Every error of the file is a ModelFormatError naming it; an error of the
-    word2vec file the table is rebuilt from keeps its type, and names both files."""
+    word2vec file the table is rebuilt from keeps its type, and names both files:
+    a missing one is a FileNotFoundError whose `filename2` is the model file."""
     path = Path(path)
+    data = path.read_bytes()
     try:
-        return recovery_from_dict(decode_json(path.read_bytes()), path.parent)
+        return recovery_from_dict(decode_json(data), path.parent)
     except ValueError as exc:  # decode_json's, or a ModelFormatError or EmbeddingError
         error = EmbeddingError if isinstance(exc, EmbeddingError) else ModelFormatError
         raise error(f"{path}: {exc}") from None
+    except FileNotFoundError as exc:  # the word2vec file's: the model file was read above
+        raise FileNotFoundError(exc.errno, exc.strerror, exc.filename, None, str(path)) from None

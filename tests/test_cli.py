@@ -218,6 +218,28 @@ def test_a_bad_word2vec_file_of_a_model_is_data_error_naming_model_and_table(
     assert err == [f"droprec: {model}: {table}: non-integer header fields ['x', '8']"] * 2
 
 
+def test_a_model_whose_word2vec_file_is_missing_is_data_error_naming_model_and_table(
+        workspace, w2v_model, tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    model, table = run / "model.json", run / "vec.txt"
+    shutil.copy(w2v_model, model)  # the model alone, not the table beside it
+    capsys.readouterr()
+    assert recover_and_eval(workspace, model, tmp_path) == (EXIT_DATA, EXIT_DATA)
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"droprec: {model}: file not found: {table}"] * 2
+    with pytest.raises(FileNotFoundError) as raised:
+        load_recovery_model(model)
+    assert (raised.value.filename, raised.value.filename2) == (str(table), str(model))
+
+
+def test_a_missing_model_file_is_data_error_naming_it_alone(workspace, tmp_path, capsys):
+    model = tmp_path / "absent.json"
+    capsys.readouterr()
+    assert recover_and_eval(workspace, model, tmp_path) == (EXIT_DATA, EXIT_DATA)
+    assert capsys.readouterr().err.splitlines() == [f"droprec: file not found: {model}"] * 2
+
+
 def test_train_on_a_word2vec_file_bad_mid_scan_exits_with_no_thread_left(workspace, tmp_path):
     # Over 1 MB, so the scan stops with chunks of the file still to hash;
     # a hashing thread left running would keep the interpreter from exiting.

@@ -15,6 +15,8 @@ from droprec.corpus import (
     AnnotatedSentence,
     Corpus,
     CorpusError,
+    decode_json,
+    json_type,
     label_set_by_name,
     load_corpus,
     save_corpus,
@@ -367,3 +369,15 @@ def test_split_partitions_input(n, seed):
     assert len(dev) == len(test) == n // 5
     combined = Counter(train.sentences) + Counter(dev.sentences) + Counter(test.sentences)
     assert combined == Counter(corpus.sentences)
+
+
+@pytest.mark.parametrize("text, name", [("null", "null"), ("false", "boolean"), ("7", "number"),
+                                        ("1.5", "number"), ('"s"', "string"), ("[1]", "array"),
+                                        ('{"a": 1}', "object")])
+def test_json_type_names_a_decoded_value_by_its_json_type(tmp_path, text, name):
+    assert json_type(decode_json(text.encode("utf-8"))) == name
+    path = tmp_path / "c.jsonl"
+    path.write_text(f'{{"label_set": "full14", "metadata": {text}}}\n', encoding="utf-8")
+    if name != "object":
+        with pytest.raises(CorpusError, match=f"metadata must be a JSON object, got {name}$"):
+            load_corpus(path)

@@ -422,7 +422,7 @@ class _FailingSha256:
 
 
 @pytest.mark.parametrize("hashed", [False, True], ids=["full", "hashed"])
-def test_an_error_of_the_hashing_thread_is_raised_by_the_load(tmp_path, monkeypatch, hashed):
+def test_an_error_of_the_hasher_is_raised_by_the_load(tmp_path, monkeypatch, hashed):
     p = tmp_path / "vec.txt"
     p.write_bytes(_word2vec_bytes("\n"))
     sha = sha256_of(p) if hashed else None

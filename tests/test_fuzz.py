@@ -437,6 +437,8 @@ LOADERS = {"corpus": (CORPUS_FILES, load_corpus, CorpusError),
 # Python's own exception texts, which no refusal of a file should show.
 PYTHON_PHRASINGS = ["argument after **", "has no len()", "__init__()",
                     "unexpected keyword argument"]
+# A value's type named as Python names it, where a refusal gives its JSON type.
+PYTHON_TYPE_NAME = re.compile(r"\bgot (NoneType|bool|int|float|str|bytes|list|tuple|dict)\b")
 
 
 def refused_through_the_cli(tmp_path, capsys, kind, bad) -> None:
@@ -457,6 +459,7 @@ def refused_through_the_cli(tmp_path, capsys, kind, bad) -> None:
     err = capsys.readouterr().err
     assert err.startswith(f"droprec: {bad}") and "Traceback" not in err
     assert not any(phrasing in err for phrasing in PYTHON_PHRASINGS), err
+    assert not PYTHON_TYPE_NAME.search(err), err
     assert not re.search(r"\bline \d+: ", err) or f"{bad}: line " in err, err
 
 

@@ -509,7 +509,7 @@ ZERO_DIM = {("table_ref", "dim"): 0, **{(net, *key): value for net in ("dpi", "d
      ("window", 1, r"recovery model holds fields the format does not have: \['window'\]"),
      (("dpi", "format_version"), 2, r"dpi holds fields the format does not have"),
      (("table_ref", "sha256"), "0" * 64, r"table_ref holds fields the format does not have"),
-     ("metadata", [["k", 1]], "metadata must be a JSON object, got list"),
+     ("metadata", [["k", 1]], "metadata must be a JSON object, got array"),
      ("metadata", {"k": float("nan")}, "metadata has no JSON form"),
      ("metadata", {"k": (1, {"a": float("-inf")})}, "metadata has no JSON form")],
     ids=["non-numeric-threshold", "window-zero", "unknown-label-set", "window-float",
